@@ -16,15 +16,18 @@ claimed under an explicit smallness gate; gate status objects record the
 value, threshold, and comparison used so callers can report applicability
 instead of silently emitting vacuous numbers.
 
-All minimizations record which scaling candidate won. Spectral norms of
-operator products with Kronecker structure are evaluated matrix-free through
-power iteration to keep the memory footprint at one dense operator per map.
+All minimizations record which scaling candidate won. Within one report
+each distinct spectral norm is computed once (``FactorNorms``). Spectral
+norms of operator products with Kronecker structure are evaluated
+matrix-free through power iteration to keep the memory footprint at one
+dense operator per map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -90,61 +93,138 @@ def make_gate(name: str, value: float, threshold: float, relation: str) -> GateS
     return GateStatus(name, float(value), float(threshold), relation, bool(ok))
 
 
+class FactorNorms:
+    """Spectral norms of one factorization's operands, each computed once.
+
+    ``bound_report`` builds one per call from (Q, X, X^{-1}, candidates) and
+    drops it on return. A norm is computed on first use and kept as a float;
+    besides the factors the context holds only the two n x n products
+    ``|X||X^{-1}|`` and ``|X| X^{-1}`` that the entrywise bounds norm under
+    every scaling. The identity candidate's scaled operands are the unscaled
+    ones bit for bit (``x / 1.0 == x``), so it shares their norms.
+    """
+
+    def __init__(
+        self, q, x, xinv: Optional[np.ndarray] = None, cands: Optional[list[ScalingD]] = None
+    ) -> None:
+        self.q = None if q is None else as_matrix(q, "Q factor")
+        self.x = as_matrix(x, "X factor")
+        self.xinv = x_inverse(self.x) if xinv is None else xinv
+        if cands is not None:
+            self.cands = cands
+        self._norms: dict[tuple[str, int], float] = {}
+
+    @cached_property
+    def cands(self) -> list[ScalingD]:
+        return scaling_candidates(self.x)
+
+    @cached_property
+    def abs_x_abs_xinv(self) -> np.ndarray:
+        return np.abs(self.x) @ np.abs(self.xinv)
+
+    @cached_property
+    def abs_x_xinv(self) -> np.ndarray:
+        return np.abs(self.x) @ self.xinv
+
+    def _norm(
+        self, name: str, i: int, base: np.ndarray,
+        scale: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    ) -> float:
+        """``|scale(base, diag)|_2`` for candidate ``i``; ``i = -1`` norms ``base``."""
+        if i >= 0 and self.cands[i].is_identity:
+            i = -1
+        key = (name, i)
+        if key not in self._norms:
+            operand = base if i < 0 else scale(base, self.cands[i].diagonal())
+            self._norms[key] = spectral_norm(operand)
+        return self._norms[key]
+
+    def dinv_x(self, i: int) -> float:
+        """``|D^{-1} X|_2``."""
+        return self._norm("dinv_x", i, self.x, lambda m, d: m / d[:, None])
+
+    def xinv_d(self, i: int) -> float:
+        """``|X^{-1} D|_2``."""
+        return self._norm("xinv_d", i, self.xinv, lambda m, d: m * d[None, :])
+
+    def q_dinv(self, i: int) -> float:
+        """``|Q D^{-1}|_2``."""
+        return self._norm("q_dinv", i, self.q, lambda m, d: m / d[None, :])
+
+    def cond_d(self, i: int) -> float:
+        """``||X||X^{-1}|D|_2``."""
+        return self._norm("cond_d", i, self.abs_x_abs_xinv, lambda m, d: m * d[None, :])
+
+    def abs_x_xinv_d(self, i: int) -> float:
+        """``||X| X^{-1} D|_2``."""
+        return self._norm("abs_x_xinv_d", i, self.abs_x_xinv, lambda m, d: m * d[None, :])
+
+    @property
+    def q_norm(self) -> float:
+        return self.q_dinv(-1)
+
+    @property
+    def x_norm(self) -> float:
+        return self.dinv_x(-1)
+
+    @property
+    def xinv_norm(self) -> float:
+        return self.xinv_d(-1)
+
+    @property
+    def cond_x(self) -> float:
+        """``||X||X^{-1}||_2``."""
+        return self.cond_d(-1)
+
+
 def _minimize(
-    cands: list[ScalingD], value_fn: Callable[[ScalingD], float]
+    cands: list[ScalingD], value_fn: Callable[[int, ScalingD], float]
 ) -> tuple[float, str]:
     best = math.inf
     label = "identity"
-    for d in cands:
-        v = float(value_fn(d))
+    for i, d in enumerate(cands):
+        v = float(value_fn(i, d))
         if v < best:
             best = v
             label = "identity" if d.is_identity else "row-norms"
     return best, label
 
 
-def _scaled_norms(x: np.ndarray, xinv: np.ndarray, d: ScalingD) -> tuple[float, float]:
-    """(|D^{-1} X|_2, |X^{-1} D|_2) for a palindromic diagonal scaling."""
-    diag = d.diagonal()
-    return (
-        spectral_norm(x / diag[:, None]),
-        spectral_norm(xinv * diag[None, :]),
+def min_sym_kappa(
+    x, xinv, cands: list[ScalingD], norms: Optional[FactorNorms] = None
+) -> tuple[float, str]:
+    """Minimized ``sqrt(1 + varsigma_D^2) * kappa2(D^{-1} X)``.
+
+    ``norms``, the context of the same X, X^{-1} and candidates, lends the
+    norms already computed for the factorization.
+    """
+    ctx = FactorNorms(None, x, xinv, cands) if norms is None else norms
+    return _minimize(
+        ctx.cands,
+        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * ctx.dinv_x(i) * ctx.xinv_d(i),
     )
 
 
-def min_sym_kappa(x, xinv, cands: list[ScalingD]) -> tuple[float, str]:
-    """Minimized ``sqrt(1 + varsigma_D^2) * kappa2(D^{-1} X)``."""
-
-    def value(d: ScalingD) -> float:
-        a, b = _scaled_norms(x, xinv, d)
-        return math.sqrt(1.0 + varsigma(d) ** 2) * a * b
-
-    return _minimize(cands, value)
+def min_q_product(
+    q, x, xinv, cands: list[ScalingD], norms: Optional[FactorNorms] = None
+) -> tuple[float, str]:
+    """Minimized ``|Q D^{-1}|_2 * |X^{-1} D|_2`` (``norms`` as in ``min_sym_kappa``)."""
+    ctx = FactorNorms(q, x, xinv, cands) if norms is None else norms
+    return _minimize(ctx.cands, lambda i, d: ctx.q_dinv(i) * ctx.xinv_d(i))
 
 
-def min_q_product(q, x, xinv, cands: list[ScalingD]) -> tuple[float, str]:
-    """Minimized ``|Q D^{-1}|_2 * |X^{-1} D|_2``."""
+def min_comp_product(
+    x, xinv, cands: list[ScalingD], norms: Optional[FactorNorms] = None
+) -> tuple[float, str]:
+    """Minimized ``sqrt(1 + varsigma_D^2) * ||X||X^{-1}|D|_2 * |D^{-1} X|_2``.
 
-    def value(d: ScalingD) -> float:
-        diag = d.diagonal()
-        return spectral_norm(q / diag[None, :]) * spectral_norm(xinv * diag[None, :])
-
-    return _minimize(cands, value)
-
-
-def min_comp_product(x, xinv, cands: list[ScalingD]) -> tuple[float, str]:
-    """Minimized ``sqrt(1 + varsigma_D^2) * ||X||X^{-1}|D|_2 * |D^{-1} X|_2``."""
-    absprod = np.abs(x) @ np.abs(xinv)
-
-    def value(d: ScalingD) -> float:
-        diag = d.diagonal()
-        return (
-            math.sqrt(1.0 + varsigma(d) ** 2)
-            * spectral_norm(absprod * diag[None, :])
-            * spectral_norm(x / diag[:, None])
-        )
-
-    return _minimize(cands, value)
+    ``norms`` as in ``min_sym_kappa``.
+    """
+    ctx = FactorNorms(None, x, xinv, cands) if norms is None else norms
+    return _minimize(
+        ctx.cands,
+        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * ctx.cond_d(i) * ctx.dinv_x(i),
+    )
 
 
 def gate_normwise(q, x, da, xinv: Optional[np.ndarray] = None) -> GateStatus:
@@ -157,30 +237,30 @@ def gate_normwise(q, x, da, xinv: Optional[np.ndarray] = None) -> GateStatus:
     return make_gate("normwise-smallness", value, SMALLNESS_THRESHOLD, "<=")
 
 
+def _inverse_dominance_gate(da_norm: float, xinv_norm: float) -> GateStatus:
+    return make_gate("inverse-dominance", da_norm * xinv_norm, 1.0, "<")
+
+
 def gate_inverse_dominance(x, da, xinv: Optional[np.ndarray] = None) -> GateStatus:
     """Perturbation smaller than the inverse's reach: ``|dA|_2 |X^{-1}|_2 < 1``."""
-    xa = as_matrix(x, "X factor")
-    xi = x_inverse(xa) if xinv is None else xinv
-    value = spectral_norm(as_matrix(da, "perturbation")) * spectral_norm(xi)
-    return make_gate("inverse-dominance", value, 1.0, "<")
+    return _inverse_dominance_gate(
+        spectral_norm(as_matrix(da, "perturbation")), FactorNorms(None, x, xinv).xinv_norm
+    )
 
 
-def _refined_normwise_values(
-    a, q, x, da, cands: list[ScalingD], xinv: np.ndarray
-) -> dict:
+def _refined_normwise_values(a, da, norms: FactorNorms) -> dict:
     aa = as_matrix(a, "matrix")
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
     daa = as_matrix(da, "perturbation")
+    qa, xa, xinv = norms.q, norms.x, norms.xinv
     delta = frobenius_norm(daa)
-    q_norm = spectral_norm(qa)
-    x_norm = spectral_norm(xa)
-    xinv_norm = spectral_norm(xinv)
+    q_norm = norms.q_norm
+    x_norm = norms.x_norm
+    xinv_norm = norms.xinv_norm
     kappa2 = x_norm * xinv_norm
     projected = frobenius_norm(qa.T @ daa @ xinv)
 
-    msym, msym_winner = min_sym_kappa(xa, xinv, cands)
-    mq, mq_winner = min_q_product(qa, xa, xinv, cands)
+    msym, msym_winner = min_sym_kappa(xa, xinv, norms.cands, norms)
+    mq, mq_winner = min_q_product(qa, xa, xinv, norms.cands, norms)
 
     x_refined = REFINED_X_CONSTANT * msym * q_norm * delta
     x_first_order = msym * q_norm * delta
@@ -229,15 +309,14 @@ def refined_bounds_normwise(
     precondition fails; the relative-form values are ``None`` (with their
     radicand gate recorded) when the shared radicand goes negative.
     """
-    xa = as_matrix(x, "X factor")
-    xi = x_inverse(xa) if xinv is None else xinv
-    cands = scaling_candidates(xa) if cands is None else cands
-    g1 = gate_inverse_dominance(xa, da, xi)
-    g2 = gate_normwise(q, xa, da, xi)
+    norms = FactorNorms(q, x, xinv, cands)
+    daa = as_matrix(da, "perturbation")
+    g1 = _inverse_dominance_gate(spectral_norm(daa), norms.xinv_norm)
+    g2 = gate_normwise(norms.q, norms.x, daa, norms.xinv)
     for g in (g1, g2):
         if not g.satisfied:
             raise GateViolated(g.describe())
-    out = _refined_normwise_values(a, q, xa, da, cands, xi)
+    out = _refined_normwise_values(a, daa, norms)
     out["gates"] = [g1, g2, out.pop("radicand_gate")]
     return out
 
@@ -354,69 +433,56 @@ def matvec_bounds_normwise(
     }
 
 
-def matvec_bound_q(
-    ops: FirstOrderOperators,
-    q,
-    x,
-    delta: float,
-    xinv: Optional[np.ndarray] = None,
-    g: Optional[float] = None,
-    gq_norm: Optional[float] = None,
+def _q_operator_bound(
+    delta: float, g: float, gq_norm: float, xinv_norm: float, q_norm: float
 ) -> dict:
+    coef = OPERATOR_Q_CONSTANT * (gq_norm + xinv_norm * q_norm * (1.0 + g))
+    return {"gq": gq_norm, "q_operator": coef * delta, "coef_q2": coef}
+
+
+def matvec_bound_q(ops: FirstOrderOperators, q, x, delta: float) -> dict:
     """Operator-route bound on ``|dQ|_F``.
 
     ``(2 + sqrt2) * (|gq|_2 + |X^{-1}|_2 |Q|_2 (1 + |gx|_2)) * delta``; the
     Kronecker factor's norm is the product of the factor norms.
     """
-    xa = as_matrix(x, "X factor")
-    xi = x_inverse(xa) if xinv is None else xinv
-    if g is None:
-        g = spectral_norm(ops.gx)
-    if gq_norm is None:
-        gq_norm = spectral_norm(ops.gq)
-    coef = OPERATOR_Q_CONSTANT * (
-        gq_norm + spectral_norm(xi) * spectral_norm(as_matrix(q, "Q factor")) * (1.0 + g)
+    norms = FactorNorms(q, x)
+    return _q_operator_bound(
+        delta, spectral_norm(ops.gx), spectral_norm(ops.gq), norms.xinv_norm, norms.q_norm
     )
-    return {"gq": gq_norm, "q_operator": coef * delta, "coef_q2": coef}
+
+
+def _comp_gate(k, eps: float, norms: FactorNorms) -> GateStatus:
+    qa = norms.q
+    qtkq = frobenius_norm(np.abs(qa.T) @ as_matrix(k, "entrywise weight") @ np.abs(qa))
+    return make_gate(
+        "comp-smallness", qtkq * norms.cond_x * eps, COMP_SMALLNESS_THRESHOLD, "<"
+    )
 
 
 def gate_comp(q, x, k, eps: float, xinv: Optional[np.ndarray] = None) -> GateStatus:
     """Entrywise-model smallness gate ``||Q^T| K |Q||_F cond(X) eps``."""
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
-    ka = as_matrix(k, "entrywise weight")
-    xi = x_inverse(xa) if xinv is None else xinv
-    qtkq = frobenius_norm(np.abs(qa.T) @ ka @ np.abs(qa))
-    cond_x = spectral_norm(np.abs(xa) @ np.abs(xi))
-    return make_gate(
-        "comp-smallness", qtkq * cond_x * eps, COMP_SMALLNESS_THRESHOLD, "<"
-    )
+    return _comp_gate(k, eps, FactorNorms(q, x, xinv))
 
 
-def _comp_refined_values(
-    q, x, k, eps: float, cands: list[ScalingD], xinv: np.ndarray
-) -> dict:
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
+def _comp_refined_values(k, eps: float, norms: FactorNorms) -> dict:
+    qa, xa, xinv = norms.q, norms.x, norms.xinv
     ka = as_matrix(k, "entrywise weight")
     absq = np.abs(qa)
     qtkq = frobenius_norm(absq.T @ ka @ absq)
     kq_fro = frobenius_norm(ka @ absq)
-    cond_x = spectral_norm(np.abs(xa) @ np.abs(xinv))
+    cond_x = norms.cond_x
 
-    mcomp, mcomp_winner = min_comp_product(xa, xinv, cands)
+    mcomp, mcomp_winner = min_comp_product(xa, xinv, norms.cands, norms)
     x_comp_refined = COMP_X_CONSTANT * mcomp * qtkq * eps
     q_comp = COMP_Q_CONSTANT * qtkq * cond_x * eps
 
     # Informational looser form: |X| X^{-1} D (absolute value on X only).
-    absx_xinv = np.abs(xa) @ xinv
-
-    def info_value(d: ScalingD) -> float:
-        diag = d.diagonal()
+    def info_value(i: int, d: ScalingD) -> float:
         factor = math.sqrt(2.0 + 2.0 * varsigma(d) ** 2) + (SQRT3 - SQRT2)
-        return spectral_norm(absx_xinv * diag[None, :]) * factor
+        return norms.abs_x_xinv_d(i) * factor
 
-    minfo, minfo_winner = _minimize(cands, info_value)
+    minfo, minfo_winner = _minimize(norms.cands, info_value)
     x_comp_info = minfo * qtkq * eps / (SQRT2 - 1.0)
 
     gate_combined = make_gate(
@@ -451,13 +517,11 @@ def comp_refined_bounds(
     combined-form bound carries its own gate and is ``None`` when that gate
     fails.
     """
-    xa = as_matrix(x, "X factor")
-    xi = x_inverse(xa) if xinv is None else xinv
-    cands = scaling_candidates(xa) if cands is None else cands
-    g = gate_comp(q, xa, k, eps, xi)
+    norms = FactorNorms(q, x, xinv, cands)
+    g = _comp_gate(k, eps, norms)
     if not g.satisfied:
         raise GateViolated(g.describe())
-    out = _comp_refined_values(q, xa, k, eps, cands, xi)
+    out = _comp_refined_values(k, eps, norms)
     out["gates"] = [g, out.pop("combined_gate")]
     return out
 
@@ -557,23 +621,22 @@ def comp_matvec_bounds(
 
 
 def tightness_check(
-    ops: FirstOrderOperators,
-    x,
-    cands: Optional[list[ScalingD]] = None,
-    xinv: Optional[np.ndarray] = None,
-    g: Optional[float] = None,
+    ops: FirstOrderOperators, x, report: Optional["BoundReport"] = None
 ) -> dict:
     """Operator norm of ``gx`` against its closed-form envelope.
 
     The envelope ``min_D sqrt(1 + varsigma^2) kappa2(D^{-1} X)`` must
-    dominate ``|gx|_2``; the returned slack is ``envelope - |gx|_2``.
+    dominate ``|gx|_2``; the returned slack is ``envelope - |gx|_2``. Pass
+    the operator-route ``report`` of the same factorization to reuse its
+    ``|gx|_2`` and envelope instead of recomputing them.
     """
-    xa = as_matrix(x, "X factor")
-    xi = x_inverse(xa) if xinv is None else xinv
-    cands = scaling_candidates(xa) if cands is None else cands
-    if g is None:
+    if report is not None:
+        g, envelope = report.g_x_norm, report.sym_kappa
+        winner = report.winners["sym_kappa"]
+    else:
+        xa = as_matrix(x, "X factor")
         g = spectral_norm(ops.gx)
-    envelope, winner = min_sym_kappa(xa, xi, cands)
+        envelope, winner = min_sym_kappa(xa, x_inverse(xa), scaling_candidates(xa))
     return {
         "g": g,
         "envelope": envelope,
@@ -602,6 +665,7 @@ class BoundReport:
     x_norm: Optional[float] = None
     xinv_norm: Optional[float] = None
     kappa2: Optional[float] = None
+    sym_kappa: Optional[float] = None  # min_D sqrt(1 + varsigma^2) kappa2(D^{-1} X)
     cond_x: Optional[float] = None
     g_x_norm: Optional[float] = None
     h_x_norm: Optional[float] = None
@@ -703,24 +767,22 @@ def bound_report(
     route (builders enforce the size cap), or leave it ``None`` to restrict
     to the closed-form route.
     """
-    aa = as_matrix(a, "matrix")
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
     daa = as_matrix(da, "perturbation")
-    xi = x_inverse(xa) if xinv is None else xinv
-    cands = scaling_candidates(xa) if cands is None else cands
+    norms = FactorNorms(q, x, xinv, cands)
+    qa, xa = norms.q, norms.x
     delta = frobenius_norm(daa)
     report = BoundReport(delta=delta, eps=eps)
 
-    g_inv = gate_inverse_dominance(xa, daa, xi)
-    g_small = gate_normwise(qa, xa, daa, xi)
+    g_inv = _inverse_dominance_gate(spectral_norm(daa), norms.xinv_norm)
+    g_small = gate_normwise(qa, xa, daa, norms.xinv)
     report.gates.extend([g_inv, g_small])
 
-    values = _refined_normwise_values(aa, qa, xa, daa, cands, xi)
+    values = _refined_normwise_values(a, daa, norms)
     report.q_norm = values["q_norm"]
     report.x_norm = values["x_norm"]
     report.xinv_norm = values["xinv_norm"]
     report.kappa2 = values["kappa2"]
+    report.sym_kappa = values["min_sym_kappa"]
     report.winners["sym_kappa"] = values["min_sym_kappa_winner"]
     report.winners["q_product"] = values["min_q_product_winner"]
     report.coef_x4 = REFINED_X_CONSTANT * values["min_sym_kappa"] * values["q_norm"]
@@ -735,9 +797,9 @@ def bound_report(
         report.x_relative_b = values["x_relative_b"]
 
     if k is not None and eps is not None:
-        g_comp = gate_comp(qa, xa, k, eps, xi)
+        g_comp = _comp_gate(k, eps, norms)
         report.gates.append(g_comp)
-        comp = _comp_refined_values(qa, xa, k, eps, cands, xi)
+        comp = _comp_refined_values(k, eps, norms)
         report.cond_x = comp["cond_x"]
         report.winners["comp_product"] = comp["min_comp_product_winner"]
         report.coef_x2 = COMP_X_CONSTANT * comp["min_comp_product"] * comp["qtkq_fro"]
@@ -749,20 +811,22 @@ def bound_report(
             report.q_comp = comp["q_comp"]
             report.x_comp_combined = comp["x_comp_combined"]
     else:
-        report.cond_x = spectral_norm(np.abs(xa) @ np.abs(xi))
+        report.cond_x = norms.cond_x
 
     if ops is not None:
-        norms = operator_norms(ops)
-        report.g_x_norm = norms["g"]
-        report.h_x_norm = norms["h"]
-        report.g_q_norm = norms["gq"]
-        mv = matvec_bounds_normwise(ops, delta, norms["g"], norms["h"])
+        op_norms = operator_norms(ops)
+        report.g_x_norm = op_norms["g"]
+        report.h_x_norm = op_norms["h"]
+        report.g_q_norm = op_norms["gq"]
+        mv = matvec_bounds_normwise(ops, delta, op_norms["g"], op_norms["h"])
         report.gates.extend(mv["gates"])
         report.x_majorant_root = mv["x_majorant_root"]
         report.x_majorant_twice = mv["x_majorant_twice"]
         report.x_majorant_linear = mv["x_majorant_linear"]
         report.coef_x3 = mv["coef_x3"]
-        qb = matvec_bound_q(ops, qa, xa, delta, xi, norms["g"], norms["gq"])
+        qb = _q_operator_bound(
+            delta, op_norms["g"], op_norms["gq"], norms.xinv_norm, norms.q_norm
+        )
         report.q_operator = qb["q_operator"]
         report.coef_q2 = qb["coef_q2"]
         if k is not None and eps is not None:

@@ -229,7 +229,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
                 and record.cond_upper["mq_upper"] >= cond.mq * (1.0 - rtol)
                 and record.cond_upper["cq_upper"] >= cond.cq * (1.0 - rtol)
             )
-            tight = tightness_check(ops, factors.x, cands, xinv, rep.g_x_norm)
+            tight = tightness_check(ops, factors.x, rep)
             record.tightness_slack = tight["slack"]
         if cfg.probe_trials > 0:
             probe = empirical_cond_probe(
@@ -565,10 +565,10 @@ def fd_check(m: int, n: int, seed: int, eps_values: list[float]) -> FdReport:
         perturbed = qx_decompose(a + da)
         scale = frobenius_norm(da)
         rx.append(
-            float(np.linalg.norm(xvec(perturbed.x - factors.x) - ops.gx @ vec(da))) / scale
+            frobenius_norm(xvec(perturbed.x - factors.x) - ops.gx @ vec(da)) / scale
         )
         rq.append(
-            float(np.linalg.norm(vec(perturbed.q - factors.q) - ops.gq @ vec(da))) / scale
+            frobenius_norm(vec(perturbed.q - factors.q) - ops.gq @ vec(da)) / scale
         )
     rx_ratios = [rx[i] / rx[i + 1] for i in range(len(rx) - 1) if rx[i + 1] > 0]
     rq_ratios = [rq[i] / rq[i + 1] for i in range(len(rq) - 1) if rq[i + 1] > 0]

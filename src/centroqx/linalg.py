@@ -9,6 +9,7 @@ module rather than by a LAPACK build.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -192,32 +193,48 @@ _WIDEN_WARMUP = 30  # iterations before the first block-widening check
 
 
 def _jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, descending, by cyclic Jacobi."""
-    a = 0.5 * (h + h.T)
-    b = a.shape[0]
+    """Eigenvalues of a small symmetric matrix, descending, by cyclic Jacobi.
+
+    The sweeps run on Python floats: on the 2- to 32-wide Ritz blocks of the
+    power iteration, slicing numpy rows per rotation costs more than the
+    arithmetic. Each rotation updates the two columns and then the two rows
+    entry by entry with the same operations, in the same order, as the
+    vectorised form ``a[:, p], a[:, q] = c a_p - s a_q, s a_p + c a_q``, so
+    the eigenvalues are the same floats.
+    """
+    sym = 0.5 * (h + h.T)
+    b = sym.shape[0]
     if b == 1:
-        return a[0, :1].copy()
-    scale = max(float(np.max(np.abs(a))), 1e-300)
+        return sym[0, :1].copy()
+    scale = max(float(np.max(np.abs(sym))), 1e-300)
+    off_tol = 1e-16 * scale
+    skip_tol = 1e-18 * scale
+    a = sym.tolist()
     for _ in range(60):
-        off = a - np.diag(np.diag(a))
-        if np.max(np.abs(off)) <= 1e-16 * scale:
+        if all(abs(a[p][q]) <= off_tol for p in range(b) for q in range(b) if p != q):
             break
         for p in range(b - 1):
             for q in range(p + 1, b):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
+                apq = a[p][q]
+                if abs(apq) <= skip_tol:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
+                if tau != 0:
+                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                else:
+                    t = 1.0
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(np.diag(a))[::-1].copy()
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - s * y
+                    row[q] = s * x + c * y
+                row_p, row_q = a[p], a[q]
+                for k in range(b):
+                    x, y = row_p[k], row_q[k]
+                    row_p[k] = c * x - s * y
+                    row_q[k] = s * x + c * y
+    return np.sort(np.array([a[i][i] for i in range(b)]))[::-1].copy()
 
 
 def _orthonormalize_block(y: np.ndarray, fill_tag: int) -> np.ndarray:

@@ -12,8 +12,8 @@ needs three linear maps on n x n matrices tied to S:
 - ``lowx``  the complement, ``C - upx(C)``.
 
 ``xvec`` stacks the entries of S in column-major order; the dense matrices of
-all these maps (plus the vec-transposition permutation) are packaged by
-:func:`build_operator_matrices` for the first-order operator constructions.
+all these maps are packaged by :func:`build_operator_matrices` for the
+first-order operator constructions.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OddDimension, ZeroRow
-from .linalg import as_matrix, frobenius_norm, max_abs, vec, vec_perm
-from .linalg import vec_perm_indices  # noqa: F401  (re-exported for operator builders)
+from .linalg import as_matrix, frobenius_norm, max_abs, vec
 
 SCALE_FLOOR = 1e-300
 IDENTITY_TOL = 1e-12
@@ -154,9 +153,6 @@ class StructuredOperatorSet:
 
     def indicator_dense(self) -> np.ndarray:
         return np.diag(self.indicator)
-
-    def transpose_perm_dense(self) -> np.ndarray:
-        return vec_perm(self.n, self.n)
 
 
 @lru_cache(maxsize=64)

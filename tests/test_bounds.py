@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import centroqx.bounds as bounds_mod
+import centroqx.linalg as linalg_mod
 from centroqx.bounds import (
     COMP_SMALLNESS_THRESHOLD,
     REFINED_X_CONSTANT,
     SMALLNESS_THRESHOLD,
+    FactorNorms,
     bound_report,
     build_first_order_operators,
     comp_matvec_bounds,
@@ -27,7 +29,7 @@ from centroqx.bounds import (
 )
 from centroqx.centro import random_centro, random_centro_perturbation
 from centroqx.errors import GateViolated, SizeCapExceeded
-from centroqx.linalg import vec, vec_perm
+from centroqx.linalg import spectral_norm, vec, vec_perm
 from centroqx.qx import qx_decompose, x_inverse
 from centroqx.rng import derive_seed
 from centroqx.xops import scaling_candidates, upx, xvec
@@ -286,6 +288,89 @@ def test_min_sym_kappa_identity():
     val, winner = min_sym_kappa(x, x, scaling_candidates(x))
     assert val == pytest.approx(SQRT2, rel=1e-12)
     assert winner in ("identity", "row-norms")
+
+
+# --------------------------------------------------- norms computed once
+
+
+def _count_spectral_norm_runs(monkeypatch) -> list[int]:
+    """Count power iterations started by ``spectral_norm``.
+
+    ``spectral_norm`` looks ``operator_norm`` up in ``linalg``; the direct
+    ``operator_norm`` calls in ``bounds`` (matrix-free products) are not counted.
+    """
+    count = [0]
+    original = linalg_mod.operator_norm
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(linalg_mod, "operator_norm", counting)
+    return count
+
+
+def test_each_distinct_norm_computed_once(monkeypatch):
+    """11 distinct operands on the closed-form route, 16 with the operators
+    (21 and 32 before the norms were shared); the tightness check reuses
+    the report's envelope and |gx|_2."""
+    a, f = _factored(20, 10, seed=990)
+    da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
+    ops = build_first_order_operators(f.q, f.x)
+    count = _count_spectral_norm_runs(monkeypatch)
+
+    closed = bound_report(a, f.q, f.x, da, k=k, eps=eps)
+    assert count[0] == 11
+    count[0] = 0
+    full = bound_report(a, f.q, f.x, da, k=k, eps=eps, ops=ops)
+    assert count[0] == 16
+    count[0] = 0
+    shared = tightness_check(ops, f.x, full)
+    assert count[0] == 0
+
+    monkeypatch.undo()
+    fresh = tightness_check(ops, f.x)
+    assert shared == fresh
+    assert closed.sym_kappa == full.sym_kappa == shared["envelope"]
+
+
+def test_context_norms_equal_direct_evaluation():
+    """Each norm read from the context is the float a direct ``spectral_norm``
+    of its operand gives; the identity candidate shares the unscaled norms."""
+    a, f = _factored(20, 10, seed=992)
+    xinv = x_inverse(f.x)
+    cands = scaling_candidates(f.x)
+    assert cands[0].is_identity and not cands[1].is_identity
+    norms = FactorNorms(f.q, f.x, xinv, cands)
+    abs_x_abs_xinv = np.abs(f.x) @ np.abs(xinv)
+    abs_x_xinv = np.abs(f.x) @ xinv
+    for i, d in enumerate(cands):
+        diag = d.diagonal()
+        assert norms.dinv_x(i) == spectral_norm(f.x / diag[:, None])
+        assert norms.xinv_d(i) == spectral_norm(xinv * diag[None, :])
+        assert norms.q_dinv(i) == spectral_norm(f.q / diag[None, :])
+        assert norms.cond_d(i) == spectral_norm(abs_x_abs_xinv * diag[None, :])
+        assert norms.abs_x_xinv_d(i) == spectral_norm(abs_x_xinv * diag[None, :])
+    assert norms.x_norm == norms.dinv_x(0) == spectral_norm(f.x)
+    assert norms.xinv_norm == spectral_norm(xinv)
+    assert norms.q_norm == spectral_norm(f.q)
+    assert norms.cond_x == spectral_norm(abs_x_abs_xinv)
+
+
+def test_report_matches_the_standalone_functions():
+    a, f = _factored(20, 10, seed=993)
+    da, k, eps = random_centro_perturbation(a, 1e-8, seed=994, k_mode="ones")
+    rep = bound_report(a, f.q, f.x, da, k=k, eps=eps)
+    normwise = refined_bounds_normwise(a, f.q, f.x, da)
+    comp = comp_refined_bounds(a, f.q, f.x, k, eps)
+    assert rep.x_refined == normwise["x_refined"]
+    assert rep.q_refined == normwise["q_refined"]
+    assert rep.x_comp_info == comp["x_comp_info"]
+    assert rep.q_comp == comp["q_comp"]
+    xinv = x_inverse(f.x)
+    envelope = min_sym_kappa(f.x, xinv, scaling_candidates(f.x))
+    assert (rep.sym_kappa, rep.winners["sym_kappa"]) == envelope
+    assert gate_comp(f.q, f.x, k, eps) == rep.gate("comp-smallness")
 
 
 # ------------------------------------------------------------ fault hook

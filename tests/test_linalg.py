@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import centroqx
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.linalg import (
+    _jacobi_eigenvalues,
     comp_distance,
     entrywise_div,
     frobenius_norm,
@@ -178,3 +182,74 @@ def test_spectral_le_frobenius_property(seed):
 def test_submultiplicativity():
     a, b = _rand(4, 4, 21), _rand(4, 4, 22)
     assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
+
+
+# ------------------------------------------------------------- Ritz step
+
+
+def _jacobi_reference(h: np.ndarray) -> np.ndarray:
+    """The cyclic Jacobi with numpy row/column rotations that the scalar
+    kernel must reproduce bit for bit."""
+    a = 0.5 * (h + h.T)
+    b = a.shape[0]
+    if b == 1:
+        return a[0, :1].copy()
+    scale = max(float(np.max(np.abs(a))), 1e-300)
+    for _ in range(60):
+        off = a - np.diag(np.diag(a))
+        if np.max(np.abs(off)) <= 1e-16 * scale:
+            break
+        for p in range(b - 1):
+            for q in range(p + 1, b):
+                apq = a[p, q]
+                if abs(apq) <= 1e-18 * scale:
+                    continue
+                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rot_p = c * a[:, p] - s * a[:, q]
+                rot_q = s * a[:, p] + c * a[:, q]
+                a[:, p], a[:, q] = rot_p, rot_q
+                rot_p = c * a[p, :] - s * a[q, :]
+                rot_q = s * a[p, :] + c * a[q, :]
+                a[p, :], a[q, :] = rot_p, rot_q
+    return np.sort(np.diag(a))[::-1].copy()
+
+
+def _ritz_blocks(width: int):
+    """Seeded symmetric blocks: dense, Gram, near-diagonal, diagonal, and
+    dense blocks scaled far from 1 by exact powers of two."""
+    rng = np.random.default_rng(width)
+    for _ in range(3):
+        g = rng.standard_normal((width, width))
+        diag = np.diag(rng.standard_normal(width))
+        yield "dense", g
+        yield "gram", g @ g.T
+        yield "near-diagonal", diag + 1e-9 * (g + g.T)
+        yield "diagonal", diag
+        yield "scaled-up", 2.0**500 * (g + g.T)
+        yield "scaled-down", 2.0**-500 * (g @ g.T)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 32])
+def test_jacobi_eigenvalues_bit_identical_to_numpy_rotations(width):
+    for kind, h in _ritz_blocks(width):
+        got = _jacobi_eigenvalues(h)
+        want = _jacobi_reference(h)
+        assert got.dtype == want.dtype and got.shape == want.shape, kind
+        assert np.array_equal(got, want), kind
+        sym = 0.5 * (h + h.T)
+        ref = np.linalg.eigvalsh(sym)[::-1]
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), kind
+
+
+def test_library_never_calls_numpy_linalg():
+    package = Path(centroqx.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "np.linalg" in line or "numpy.linalg" in line
+    ]
+    assert offenders == []

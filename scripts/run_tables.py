@@ -2,8 +2,9 @@
 """Run every experiment preset and write the tables under results/.
 
 Each preset is emitted as csv (machine-readable) and markdown (readable)
-with a fixed seed, so re-running the script reproduces the files byte for
-byte. Pass a different seed or an output directory to vary either.
+with a fixed seed, so re-running the script with the same numpy/BLAS build
+reproduces the files byte for byte (another build can move the last
+digits). Pass a different seed or an output directory to vary either.
 """
 
 from __future__ import annotations

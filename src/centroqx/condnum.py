@@ -19,14 +19,13 @@ patterns S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .bounds import FirstOrderOperators
 from .centro import random_sign_centro
 from .linalg import as_matrix, entrywise_div, inf_norm_vector, max_abs, vec
-from .qx import qx_decompose, x_inverse
+from .qx import qx_decompose
 from .rng import derive_seed
 from .xops import upx, xvec, xvec_indices
 
@@ -44,17 +43,6 @@ class CondReport:
     mq_q_weighted: float  # variant driven by vec(|Q|) instead of vec(|A|)
     mx_position: tuple[int, int]
     mq_position: tuple[int, int]
-
-    def to_dict(self) -> dict:
-        return {
-            "mx": self.mx,
-            "cx": self.cx,
-            "mq": self.mq,
-            "cq": self.cq,
-            "mq_q_weighted": self.mq_q_weighted,
-            "mx_position": list(self.mx_position),
-            "mq_position": list(self.mq_position),
-        }
 
 
 def mixed_comp_cond(a, ops: FirstOrderOperators, q, x) -> CondReport:
@@ -93,7 +81,7 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, q, x) -> CondReport:
     )
 
 
-def cond_upper_bounds(a, q, x, xinv: Optional[np.ndarray] = None) -> dict:
+def cond_upper_bounds(a, q, x, xinv: np.ndarray) -> dict:
     """Operator-free upper bounds on the four condition numbers.
 
     Built from ``w = upx(|X^{-T}||A^T||Q| + |Q^T||A||X^{-1}|)`` (which
@@ -103,11 +91,10 @@ def cond_upper_bounds(a, q, x, xinv: Optional[np.ndarray] = None) -> dict:
     aa = as_matrix(a, "matrix")
     qa = as_matrix(q, "Q factor")
     xa = as_matrix(x, "X factor")
-    xi = x_inverse(xa) if xinv is None else xinv
     abs_a = np.abs(aa)
     abs_q = np.abs(qa)
     abs_x = np.abs(xa)
-    abs_xi = np.abs(xi)
+    abs_xi = np.abs(xinv)
 
     w = upx(abs_xi.T @ abs_a.T @ abs_q + abs_q.T @ abs_a @ abs_xi)
     wx = w @ abs_x
@@ -131,16 +118,6 @@ class ProbeReport:
     cx: float
     mq: float
     cq: float
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "trials": self.trials,
-            "mx": self.mx,
-            "cx": self.cx,
-            "mq": self.mq,
-            "cq": self.cq,
-        }
 
 
 def empirical_cond_probe(a, eps: float, seed: int, trials: int = 8) -> ProbeReport:

@@ -37,10 +37,6 @@ class ZeroRow(CentroQxError):
     """A scaling candidate would contain a (near-)zero diagonal entry."""
 
 
-class GateViolated(CentroQxError):
-    """A perturbation-size gate required by a bound does not hold."""
-
-
 class SizeCapExceeded(CentroQxError):
     """Dense first-order operators were requested above the size cap."""
 

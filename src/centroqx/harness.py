@@ -23,13 +23,13 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import bounds as bounds_mod
 from .bounds import (
+    BOUNDS,
     BoundReport,
     FirstOrderOperators,
     OPERATOR_SIZE_CAP,
@@ -49,7 +49,7 @@ from .linalg import frobenius_norm, vec
 from .matio import format_float, read_matrix
 from .qx import qx_decompose, verify_qx, x_inverse
 from .rng import derive_seed, uniform_open
-from .xops import scaling_candidates, xvec
+from .xops import xvec
 
 DOMINATION_SLACK = 1e-15
 TIGHTNESS_SLACK = 1e-10
@@ -69,7 +69,6 @@ class TrialConfig:
     k_mode: str = "identity"  # identity | ones
     input_path: Optional[str] = None
     free_entries: Optional[tuple[float, ...]] = None
-    operator_cap: int = OPERATOR_SIZE_CAP
     with_operators: bool = True
     probe_trials: int = 0  # >0 adds the empirical condition probe
 
@@ -127,34 +126,8 @@ class TrialRecord:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "m": self.m,
-            "n": self.n,
-            "generator": self.generator,
-            "seed": self.seed,
-            "eps_request": self.eps_request,
-            "k_mode": self.k_mode,
-            "eps_eff": self.eps_eff,
-            "delta_a": self.delta_a,
-            "delta_x": self.delta_x,
-            "delta_q": self.delta_q,
-            "qt_delta_q": self.qt_delta_q,
-            "kappa2": self.kappa2,
-            "cond_x": self.cond_x,
-            "bounds": self.report.to_dict() if self.report else None,
-            "cond": self.cond,
-            "cond_upper": self.cond_upper,
-            "probe": self.probe,
-            "domination": self.domination,
-            "domination_ok": self.domination_ok,
-            "cond_dominance_ok": self.cond_dominance_ok,
-            "tightness_slack": self.tightness_slack,
-            "operators_skipped": self.operators_skipped,
-            "error": self.error,
-            "wall_time": self.wall_time,
-            "extra": self.extra,
-        }
-        return out
+        """The record as plain data; the ``report`` field is keyed ``bounds``."""
+        return {("bounds" if k == "report" else k): v for k, v in asdict(self).items()}
 
 
 def _check_domination(record: TrialRecord) -> None:
@@ -162,17 +135,12 @@ def _check_domination(record: TrialRecord) -> None:
     rep = record.report
     if rep is None:
         return
+    measured = {"x": record.delta_x, "q": record.delta_q}
     flags: dict[str, bool] = {}
-    if record.delta_x is not None:
-        for name in BoundReport.X_BOUND_FIELDS:
-            value = getattr(rep, name)
-            if value is not None:
-                flags[name] = bool(value + DOMINATION_SLACK >= record.delta_x)
-    if record.delta_q is not None:
-        for name in BoundReport.Q_BOUND_FIELDS:
-            value = getattr(rep, name)
-            if value is not None:
-                flags[name] = bool(value + DOMINATION_SLACK >= record.delta_q)
+    for bound in BOUNDS:
+        value, target = getattr(rep, bound.name), measured.get(bound.target)
+        if value is not None and target is not None:
+            flags[bound.name] = bool(value + DOMINATION_SLACK >= target)
     record.domination = flags
     record.domination_ok = all(flags.values()) if flags else True
 
@@ -203,16 +171,13 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         record.delta_q = frobenius_norm(perturbed.q - factors.q)
         record.qt_delta_q = frobenius_norm(factors.q.T @ (perturbed.q - factors.q))
 
-        cands = scaling_candidates(factors.x)
         ops: Optional[FirstOrderOperators] = None
-        if cfg.with_operators and record.m * record.n <= cfg.operator_cap:
-            ops = build_first_order_operators(factors.q, factors.x, xinv, cfg.operator_cap)
+        if cfg.with_operators and record.m * record.n <= OPERATOR_SIZE_CAP:
+            ops = build_first_order_operators(factors.q, factors.x, xinv)
         else:
             record.operators_skipped = True
 
-        rep = bound_report(
-            a, factors.q, factors.x, da, k, eps_eff, cands, xinv, ops
-        )
+        rep = bound_report(a, factors.q, factors.x, da, xinv, k, eps_eff, ops)
         record.report = rep
         record.kappa2 = rep.kappa2
         record.cond_x = rep.cond_x
@@ -221,7 +186,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         record.cond_upper = cond_upper_bounds(a, factors.q, factors.x, xinv)
         if ops is not None:
             cond = mixed_comp_cond(a, ops, factors.q, factors.x)
-            record.cond = cond.to_dict()
+            record.cond = asdict(cond)
             rtol = COND_DOMINANCE_RTOL
             record.cond_dominance_ok = bool(
                 record.cond_upper["mx_upper"] >= cond.mx * (1.0 - rtol)
@@ -229,13 +194,12 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
                 and record.cond_upper["mq_upper"] >= cond.mq * (1.0 - rtol)
                 and record.cond_upper["cq_upper"] >= cond.cq * (1.0 - rtol)
             )
-            tight = tightness_check(ops, factors.x, rep)
-            record.tightness_slack = tight["slack"]
+            record.tightness_slack = tightness_check(rep)["slack"]
         if cfg.probe_trials > 0:
             probe = empirical_cond_probe(
                 a, min(cfg.scale, 1e-6), derive_seed(cfg.seed, 0xC), cfg.probe_trials
             )
-            record.probe = probe.to_dict()
+            record.probe = asdict(probe)
     except CentroQxError as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     record.wall_time = time.perf_counter() - start
@@ -376,12 +340,7 @@ def preset_param_labels(preset: str) -> list[str]:
 BOUND_COLUMNS = [
     "row", "m", "n", "eps", "eps_eff", "delta_a", "delta_x", "delta_q",
     "qt_delta_q", "kappa2", "cond_x",
-    "x_refined", "x_relative_a", "x_relative_b", "x_first_order",
-    "x_majorant_root", "x_majorant_twice", "x_majorant_linear",
-    "x_comp_refined", "x_comp_info", "x_comp_combined",
-    "x_comp_majorant_root", "x_comp_majorant_twice", "x_comp_majorant_linear",
-    "x_comp_first_order",
-    "q_refined", "q_operator", "q_comp",
+    *(bound.name for bound in BOUNDS),
     "coef_x1", "coef_x2", "coef_x3", "coef_x4",
     "coef_q1", "coef_q2", "coef_q3",
     "gates_ok", "domination_ok", "operators_skipped", "error",
@@ -503,15 +462,9 @@ def render_table(preset: str, records: list[TrialRecord], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r} (csv, md, json)")
 
 
-def run_table(
-    preset: str, seed: int, fmt: str = "csv", operator_cap: int = OPERATOR_SIZE_CAP
-) -> tuple[str, list[TrialRecord]]:
+def run_table(preset: str, seed: int, fmt: str = "csv") -> tuple[str, list[TrialRecord]]:
     """Run one preset and render it; returns (text, records)."""
-    configs = preset_configs(preset, seed)
-    records = []
-    for cfg in configs:
-        cfg.operator_cap = operator_cap
-        records.append(run_trial(cfg))
+    records = [run_trial(cfg) for cfg in preset_configs(preset, seed)]
     return render_table(preset, records, fmt), records
 
 
@@ -534,18 +487,6 @@ class FdReport:
 
     def ratios_within(self, low: float, high: float) -> bool:
         return all(low <= r <= high for r in self.rx_ratios + self.rq_ratios)
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "seed": self.seed,
-            "eps_values": self.eps_values,
-            "rx": self.rx,
-            "rq": self.rq,
-            "rx_ratios": self.rx_ratios,
-            "rq_ratios": self.rq_ratios,
-        }
 
 
 def fd_check(m: int, n: int, seed: int, eps_values: list[float]) -> FdReport:

@@ -57,10 +57,6 @@ def unvec(v, m: int, n: int) -> np.ndarray:
     return arr.reshape((m, n), order="F")
 
 
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a, "kron factor"), as_matrix(b, "kron factor"))
-
-
 def vec_perm_indices(m: int, n: int) -> np.ndarray:
     """Index array ``p`` with ``P[p[b], b] = 1`` for the commutation matrix P.
 
@@ -182,10 +178,6 @@ def triangular_solve(r, b) -> np.ndarray:
     return y[:, 0] if squeeze else y
 
 
-def power_iteration_cap(dim: int) -> int:
-    return 10 * max(dim, 100)
-
-
 POWER_BLOCK = 4
 POWER_BLOCK_MAX = 32
 _CLUSTER_GAP = 0.05  # relative Ritz spread that flags a straddled cluster
@@ -284,7 +276,7 @@ def operator_norm(
     if ncols == 0:
         return 0.0
     if max_iter is None:
-        max_iter = power_iteration_cap(ncols)
+        max_iter = 10 * max(ncols, 100)
     b = min(POWER_BLOCK, ncols)
     b_max = min(POWER_BLOCK_MAX, ncols)
     start = np.empty((ncols, b))

@@ -2,49 +2,61 @@
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import centroqx
 import centroqx.bounds as bounds_mod
 import centroqx.linalg as linalg_mod
 from centroqx.bounds import (
+    BOUNDS,
     COMP_SMALLNESS_THRESHOLD,
     REFINED_X_CONSTANT,
     SMALLNESS_THRESHOLD,
+    BoundReport,
     FactorNorms,
     bound_report,
     build_first_order_operators,
     comp_matvec_bounds,
-    comp_refined_bounds,
-    gate_comp,
     gate_normwise,
-    matvec_bound_q,
     matvec_bounds_normwise,
+    min_comp_product,
+    min_q_product,
     min_sym_kappa,
     operator_norms,
-    refined_bounds_normwise,
     tightness_check,
 )
 from centroqx.centro import random_centro, random_centro_perturbation
-from centroqx.errors import GateViolated, SizeCapExceeded
-from centroqx.linalg import spectral_norm, vec, vec_perm
+from centroqx.errors import SizeCapExceeded
+from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
+from centroqx.linalg import frobenius_norm, spectral_norm, vec, vec_perm
 from centroqx.qx import qx_decompose, x_inverse
-from centroqx.rng import derive_seed
 from centroqx.xops import scaling_candidates, upx, xvec
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
 
 def _identity_ops():
-    return build_first_order_operators(np.eye(2), np.eye(2))
+    return build_first_order_operators(np.eye(2), np.eye(2), np.eye(2))
 
 
 def _factored(m, n, seed):
     a = random_centro(m, n, seed)
     f = qx_decompose(a)
     return a, f
+
+
+def _ops(f):
+    return build_first_order_operators(f.q, f.x, x_inverse(f.x))
+
+
+def _report(a, f, da, **kwargs):
+    return bound_report(a, f.q, f.x, da, x_inverse(f.x), **kwargs)
 
 
 # ------------------------------------------------ frozen identity oracles
@@ -87,7 +99,7 @@ def test_gx_action_law(shape):
     """G_X applied to vec(dA) equals the closed-form first-order X change."""
     m, n = shape
     a, f = _factored(m, n, seed=300 + m)
-    ops = build_first_order_operators(f.q, f.x)
+    ops = _ops(f)
     da, _, _ = random_centro_perturbation(a, 1.0, seed=301 + m)
     xinv = np.linalg.inv(f.x)
     w = f.q.T @ da @ xinv
@@ -100,7 +112,7 @@ def test_gx_action_law(shape):
 def test_gq_action_law(shape):
     m, n = shape
     a, f = _factored(m, n, seed=310 + m)
-    ops = build_first_order_operators(f.q, f.x)
+    ops = _ops(f)
     da, _, _ = random_centro_perturbation(a, 1.0, seed=311 + m)
     xinv = np.linalg.inv(f.x)
     w = f.q.T @ da @ xinv
@@ -114,7 +126,7 @@ def test_first_order_exact_on_identity_diagonal():
     n = 4
     eps = 1e-6
     f = qx_decompose(np.eye(n))
-    ops = build_first_order_operators(f.q, f.x)
+    ops = _ops(f)
     da = np.diag([eps, 2 * eps, 2 * eps, eps])  # centrosymmetric diagonal
     f2 = qx_decompose(np.eye(n) + da)
     actual = xvec(f2.x - f.x)
@@ -123,9 +135,10 @@ def test_first_order_exact_on_identity_diagonal():
 
 
 def test_size_cap_enforced():
-    a, f = _factored(20, 10, seed=5)
+    """60 x 50 is above the cap; the builder raises before any allocation."""
+    a, f = _factored(60, 50, seed=5)
     with pytest.raises(SizeCapExceeded):
-        build_first_order_operators(f.q, f.x, cap=100)
+        _ops(f)
 
 
 # ------------------------------------------------------- normwise bounds
@@ -136,18 +149,19 @@ def test_refined_identity_example():
     a = np.eye(2)
     f = qx_decompose(a)
     da = 1e-8 * np.eye(2)
-    out = refined_bounds_normwise(a, f.q, f.x, da)
+    rep = _report(a, f, da)
     want = 2.0 * (SQRT6 + SQRT3) * 1e-8
-    assert out["x_refined"] == pytest.approx(want, rel=1e-12)
+    assert rep.x_refined == pytest.approx(want, rel=1e-12)
 
 
 def test_q_operator_identity_example():
     """Identity instance: coefficient (2+sqrt2)*(gq + |X^{-1}|(1+g)) = 3(2+sqrt2)."""
     f = qx_decompose(np.eye(2))
-    ops = build_first_order_operators(f.q, f.x)
-    delta = 0.1
-    out = matvec_bound_q(ops, f.q, f.x, delta)
-    assert out["q_operator"] == pytest.approx((2.0 + SQRT2) * 3.0 * delta, rel=1e-12)
+    ops = _ops(f)
+    rep = _report(np.eye(2), f, 0.1 * np.eye(2), ops=ops)
+    assert rep.delta == pytest.approx(0.1 * SQRT2, rel=1e-15)
+    assert rep.coef_q2 == pytest.approx((2.0 + SQRT2) * 3.0, rel=1e-12)
+    assert rep.q_operator == rep.coef_q2 * rep.delta
 
 
 def test_normwise_gate_violation():
@@ -155,34 +169,42 @@ def test_normwise_gate_violation():
     a = np.eye(2)
     f = qx_decompose(a)
     da = 0.2 * np.eye(2)
-    gate = gate_normwise(f.q, f.x, da)
+    gate = gate_normwise(f.q, da, x_inverse(f.x))
     assert not gate.satisfied
     assert gate.value == pytest.approx(0.2 * SQRT2, rel=1e-12)
-    with pytest.raises(GateViolated):
-        refined_bounds_normwise(a, f.q, f.x, da)
+    rep = _report(a, f, da)
+    assert rep.gate("normwise-smallness") == gate
+    assert rep.gate("inverse-dominance").satisfied
+    for name in ("x_refined", "x_relative_a", "x_relative_b", "x_first_order", "q_refined"):
+        assert getattr(rep, name) is None, name
+    assert rep.coef_x4 > 0.0 and rep.coef_q3 > 0.0
 
 
 def test_matvec_majorant_frozen_example():
     """g=1, h=1/2, delta=0.1: u=0.105, gate 0.0525, root/twice/linear frozen."""
-    ops = _identity_ops()
-    out = matvec_bounds_normwise(ops, 0.1, g=1.0, h=0.5)
+    (gate, _), root, twice, linear = matvec_bounds_normwise(0.1, g=1.0, h=0.5)
     u = 0.105
-    gate = next(g for g in out["gates"] if g.name == "majorant-x")
+    assert gate.name == "majorant-x"
     assert gate.value == pytest.approx(0.0525, rel=1e-12)
     assert gate.satisfied
-    assert out["x_majorant_twice"] == pytest.approx(2 * u, rel=1e-12)
+    assert twice == pytest.approx(2 * u, rel=1e-12)
     want_root = 2 * u / (1.0 + math.sqrt(1.0 - 4.0 * 0.5 * u))
-    assert out["x_majorant_root"] == pytest.approx(want_root, rel=1e-12)
-    assert out["x_majorant_root"] == pytest.approx(0.11118055826844112, rel=1e-12)
-    assert out["x_majorant_linear"] == pytest.approx(0.3, rel=1e-12)
+    assert root == pytest.approx(want_root, rel=1e-12)
+    assert root == pytest.approx(0.11118055826844112, rel=1e-12)
+    assert linear == pytest.approx(0.3, rel=1e-12)
 
 
 def test_majorant_gate_fails_for_large_delta():
-    ops = _identity_ops()
-    out = matvec_bounds_normwise(ops, 0.6, g=1.0, h=0.5)
-    gate = next(g for g in out["gates"] if g.name == "majorant-x")
-    assert not gate.satisfied
-    assert out["x_majorant_root"] is None
+    """g = 1, h = 1/2 on A = I_2; delta = 0.6 fails both majorant gates."""
+    gates, *_ = matvec_bounds_normwise(0.6, g=1.0, h=0.5)
+    assert [g.name for g in gates if not g.satisfied] == ["majorant-x", "majorant-x-linear"]
+    f = qx_decompose(np.eye(2))
+    rep = _report(np.eye(2), f, 0.3 * SQRT2 * np.eye(2), ops=_ops(f))
+    assert rep.delta == pytest.approx(0.6, rel=1e-15)
+    assert not rep.gate("majorant-x").satisfied
+    assert not rep.gate("majorant-x-linear").satisfied
+    assert rep.x_majorant_root is None and rep.x_majorant_twice is None
+    assert rep.x_majorant_linear is None and rep.coef_x3 == pytest.approx(3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(8, 4), (20, 10), (12, 12)])
@@ -192,8 +214,8 @@ def test_bound_orderings(shape):
     m, n = shape
     a, f = _factored(m, n, seed=700 + m)
     da, k, eps = random_centro_perturbation(a, 1e-7, seed=701 + m)
-    ops = build_first_order_operators(f.q, f.x)
-    rep = bound_report(a, f.q, f.x, da, k=k, eps=eps, ops=ops)
+    ops = _ops(f)
+    rep = _report(a, f, da, k=k, eps=eps, ops=ops)
     assert rep.x_relative_a <= rep.x_relative_b <= rep.x_refined
     assert rep.x_majorant_root <= rep.x_majorant_twice * (1 + 1e-15)
     assert rep.x_majorant_twice <= rep.x_majorant_linear * (1 + 1e-15)
@@ -207,8 +229,10 @@ def test_bound_orderings(shape):
 def test_tightness_inequality(shape=None):
     for m, n in [(8, 4), (20, 10)]:
         a, f = _factored(m, n, seed=800 + m)
-        ops = build_first_order_operators(f.q, f.x)
-        out = tightness_check(ops, f.x)
+        ops = _ops(f)
+        da, _, _ = random_centro_perturbation(a, 1e-8, seed=801 + m)
+        out = tightness_check(_report(a, f, da, ops=ops))
+        assert out["g"] == spectral_norm(ops.gx)
         assert out["g"] <= out["envelope"] + 1e-10
         assert out["slack"] >= -1e-10
 
@@ -219,38 +243,43 @@ def test_tightness_inequality(shape=None):
 def test_comp_gate_and_bounds():
     a, f = _factored(8, 4, seed=900)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=901, k_mode="ones")
-    gate = gate_comp(f.q, f.x, k, eps)
-    assert gate.satisfied
-    out = comp_refined_bounds(a, f.q, f.x, k, eps)
-    assert out["x_comp_refined"] > 0
-    assert out["q_comp"] > 0
-    assert out["x_comp_combined"] is not None
+    rep = _report(a, f, da, k=k, eps=eps)
+    assert rep.gate("comp-smallness").satisfied
+    assert rep.x_comp_refined > 0
+    assert rep.q_comp > 0
+    assert rep.x_comp_combined is not None
 
 
-def test_comp_gate_violation_raises():
+def test_comp_gate_violation_withholds_bounds():
     a, f = _factored(8, 4, seed=902)
     k = np.ones((8, 8))
-    with pytest.raises(GateViolated):
-        comp_refined_bounds(a, f.q, f.x, k, eps=0.5)
+    rep = _report(a, f, 1e-8 * a, k=k, eps=0.5)
+    assert not rep.gate("comp-smallness").satisfied
+    for name in ("x_comp_refined", "x_comp_info", "x_comp_combined", "q_comp"):
+        assert getattr(rep, name) is None, name
+    assert rep.coef_x2 > 0.0 and rep.coef_q1 > 0.0
+    assert rep.x_refined is not None  # the normwise gates still hold
 
 
 def test_comp_matvec_dense_cross_check():
     """Matrix-free structured norms equal dense Kronecker evaluations."""
     m, n = 8, 4
     a, f = _factored(m, n, seed=903)
-    ops = build_first_order_operators(f.q, f.x)
+    ops = _ops(f)
     k = np.eye(m)
-    out = comp_matvec_bounds(ops, f.q, f.x, k, eps=1e-8)
+    kq_fro = frobenius_norm(k @ np.abs(f.q))
+    out = BoundReport(delta=0.0, eps=1e-8)
+    comp_matvec_bounds(out, ops, FactorNorms(f.q, f.x, x_inverse(f.x)), k, kq_fro)
     absx = np.abs(f.x)
     dense_a = np.abs(ops.gx) @ np.kron(absx.T, np.eye(m))
     dense_b = np.abs(ops.hx) @ np.kron(absx.T, absx.T)
-    assert out["gxa_norm"] == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-9)
+    assert out.a_hat / kq_fro == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-9)
     want_b_norm = np.linalg.norm(dense_b, 2)
-    got_b_norm = out["b_hat"] / np.linalg.norm(
+    got_b_norm = out.b_hat / np.linalg.norm(
         np.abs(f.q).T @ k.T @ k @ np.abs(f.q)
     )
     assert got_b_norm == pytest.approx(want_b_norm, rel=1e-9)
-    assert out["c_hat"] == pytest.approx(np.linalg.norm(np.abs(ops.hx), 2), rel=1e-9)
+    assert out.c_hat == pytest.approx(np.linalg.norm(np.abs(ops.hx), 2), rel=1e-9)
 
 
 # ------------------------------------------------------------ aggregation
@@ -260,8 +289,8 @@ def test_bound_report_full(shape):
     m, n = shape
     a, f = _factored(m, n, seed=950 + m)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=951 + m)
-    ops = build_first_order_operators(f.q, f.x)
-    rep = bound_report(a, f.q, f.x, da, k=k, eps=eps, ops=ops)
+    ops = _ops(f)
+    rep = _report(a, f, da, k=k, eps=eps, ops=ops)
     gate_names = {g.name for g in rep.gates}
     assert {"normwise-smallness", "inverse-dominance", "majorant-x"} <= gate_names
     for name in rep.X_BOUND_FIELDS + rep.Q_BOUND_FIELDS:
@@ -274,8 +303,8 @@ def test_bound_report_full(shape):
 def test_bound_report_gate_failure_keeps_coefficients():
     a, f = _factored(8, 4, seed=970)
     da = 0.9 * a  # enormous perturbation: every smallness gate fails
-    ops = build_first_order_operators(f.q, f.x)
-    rep = bound_report(a, f.q, f.x, da, k=np.eye(8), eps=0.9, ops=ops)
+    ops = _ops(f)
+    rep = _report(a, f, da, k=np.eye(8), eps=0.9, ops=ops)
     assert rep.x_refined is None
     assert rep.x_majorant_root is None
     for name in ("coef_x3", "coef_x4", "coef_q2", "coef_q3"):
@@ -285,7 +314,7 @@ def test_bound_report_gate_failure_keeps_coefficients():
 def test_min_sym_kappa_identity():
     # X = I: both candidates give sqrt(1 + 1) * 1 = sqrt(2)
     x = np.eye(4)
-    val, winner = min_sym_kappa(x, x, scaling_candidates(x))
+    val, winner = min_sym_kappa(FactorNorms(None, x, x))
     assert val == pytest.approx(SQRT2, rel=1e-12)
     assert winner in ("identity", "row-norms")
 
@@ -316,21 +345,23 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     the report's envelope and |gx|_2."""
     a, f = _factored(20, 10, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
-    ops = build_first_order_operators(f.q, f.x)
+    xinv = x_inverse(f.x)
+    ops = _ops(f)
     count = _count_spectral_norm_runs(monkeypatch)
 
-    closed = bound_report(a, f.q, f.x, da, k=k, eps=eps)
+    closed = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps)
     assert count[0] == 11
     count[0] = 0
-    full = bound_report(a, f.q, f.x, da, k=k, eps=eps, ops=ops)
+    full = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps, ops=ops)
     assert count[0] == 16
     count[0] = 0
-    shared = tightness_check(ops, f.x, full)
+    shared = tightness_check(full)
     assert count[0] == 0
 
     monkeypatch.undo()
-    fresh = tightness_check(ops, f.x)
-    assert shared == fresh
+    envelope, winner = min_sym_kappa(FactorNorms(None, f.x, xinv))
+    g = spectral_norm(ops.gx)
+    assert shared == {"g": g, "envelope": envelope, "winner": winner, "slack": envelope - g}
     assert closed.sym_kappa == full.sym_kappa == shared["envelope"]
 
 
@@ -339,9 +370,12 @@ def test_context_norms_equal_direct_evaluation():
     of its operand gives; the identity candidate shares the unscaled norms."""
     a, f = _factored(20, 10, seed=992)
     xinv = x_inverse(f.x)
-    cands = scaling_candidates(f.x)
+    norms = FactorNorms(f.q, f.x, xinv)
+    cands = norms.cands
+    assert [d.diagonal().tolist() for d in cands] == [
+        d.diagonal().tolist() for d in scaling_candidates(f.x)
+    ]
     assert cands[0].is_identity and not cands[1].is_identity
-    norms = FactorNorms(f.q, f.x, xinv, cands)
     abs_x_abs_xinv = np.abs(f.x) @ np.abs(xinv)
     abs_x_xinv = np.abs(f.x) @ xinv
     for i, d in enumerate(cands):
@@ -357,20 +391,136 @@ def test_context_norms_equal_direct_evaluation():
     assert norms.cond_x == spectral_norm(abs_x_abs_xinv)
 
 
-def test_report_matches_the_standalone_functions():
+def test_report_matches_the_direct_formulas():
+    """Each shared quantity is the float its direct evaluation gives:
+    |Q^T dA X^{-1}|_F, ||Q^T| K |Q||_F and |K |Q||_F enter the report once,
+    and the values built from them equal the closed forms bit for bit."""
     a, f = _factored(20, 10, seed=993)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=994, k_mode="ones")
-    rep = bound_report(a, f.q, f.x, da, k=k, eps=eps)
-    normwise = refined_bounds_normwise(a, f.q, f.x, da)
-    comp = comp_refined_bounds(a, f.q, f.x, k, eps)
-    assert rep.x_refined == normwise["x_refined"]
-    assert rep.q_refined == normwise["q_refined"]
-    assert rep.x_comp_info == comp["x_comp_info"]
-    assert rep.q_comp == comp["q_comp"]
     xinv = x_inverse(f.x)
-    envelope = min_sym_kappa(f.x, xinv, scaling_candidates(f.x))
-    assert (rep.sym_kappa, rep.winners["sym_kappa"]) == envelope
-    assert gate_comp(f.q, f.x, k, eps) == rep.gate("comp-smallness")
+    rep = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps)
+    norms = FactorNorms(f.q, f.x, xinv)
+    delta = frobenius_norm(da)
+    q_norm = spectral_norm(f.q)
+    msym, msym_winner = min_sym_kappa(norms)
+    mq, _ = min_q_product(norms)
+    mcomp, _ = min_comp_product(norms)
+    projected = frobenius_norm(f.q.T @ da @ xinv)
+    qtkq = frobenius_norm(np.abs(f.q.T) @ k @ np.abs(f.q))
+    kq_fro = frobenius_norm(k @ np.abs(f.q))
+    cond_x = spectral_norm(np.abs(f.x) @ np.abs(xinv))
+
+    assert (rep.sym_kappa, rep.winners["sym_kappa"]) == (msym, msym_winner)
+    assert rep.x_refined == REFINED_X_CONSTANT * msym * q_norm * delta
+    assert rep.q_refined == (
+        bounds_mod.REFINED_Q_CONSTANT_A * mq * q_norm * delta
+        + bounds_mod.REFINED_Q_CONSTANT_B * projected
+    )
+    assert rep.gate("normwise-smallness") == gate_normwise(f.q, da, xinv)
+    assert rep.gate("normwise-smallness").value == projected
+    assert rep.gate("comp-smallness").value == qtkq * cond_x * eps
+    assert rep.q_comp == bounds_mod.COMP_Q_CONSTANT * qtkq * cond_x * eps
+    assert rep.x_comp_refined == bounds_mod.COMP_X_CONSTANT * mcomp * qtkq * eps
+    assert rep.gate("comp-combined-smallness").value == cond_x * kq_fro * eps
+    assert rep.x_comp_combined == bounds_mod.COMP_COMBINED_CONSTANT * mcomp * kq_fro * eps
+
+
+# --------------------------------------------------------- bound registry
+
+TODAYS_BOUND_HEADER = (
+    "row,m,n,eps,eps_eff,delta_a,delta_x,delta_q,qt_delta_q,kappa2,cond_x,"
+    "x_refined,x_relative_a,x_relative_b,x_first_order,"
+    "x_majorant_root,x_majorant_twice,x_majorant_linear,"
+    "x_comp_refined,x_comp_info,x_comp_combined,"
+    "x_comp_majorant_root,x_comp_majorant_twice,x_comp_majorant_linear,"
+    "x_comp_first_order,q_refined,q_operator,q_comp,"
+    "coef_x1,coef_x2,coef_x3,coef_x4,coef_q1,coef_q2,coef_q3,"
+    "gates_ok,domination_ok,operators_skipped,error"
+)
+
+
+def test_bound_registry_is_consistent():
+    fields = {f.name for f in dataclasses.fields(BoundReport)}
+    names = [b.name for b in BOUNDS]
+    assert len(set(names)) == len(names) and set(names) <= fields
+    assert {b.target for b in BOUNDS} == {"x", "q", None}
+    assert ",".join(BOUND_COLUMNS) == TODAYS_BOUND_HEADER
+    assert BoundReport.X_BOUND_FIELDS == (
+        "x_refined", "x_relative_a", "x_relative_b",
+        "x_majorant_root", "x_majorant_twice", "x_majorant_linear",
+        "x_comp_refined", "x_comp_combined",
+        "x_comp_majorant_root", "x_comp_majorant_twice", "x_comp_majorant_linear",
+    )
+    assert BoundReport.Q_BOUND_FIELDS == ("q_refined", "q_operator", "q_comp")
+    # A full report (entrywise model and operators) emits every gate there is.
+    a, f = _factored(8, 4, seed=960)
+    da, k, eps = random_centro_perturbation(a, 1e-8, seed=961, k_mode="ones")
+    rep = _report(a, f, da, k=k, eps=eps, ops=_ops(f))
+    emitted = [g.name for g in rep.gates]
+    assert len(set(emitted)) == len(emitted)
+    assert {g for b in BOUNDS for g in b.gates} <= set(emitted)
+
+
+GUARD_TRIALS = [
+    TrialConfig(m=m, n=n, scale=scale, seed=seed, k_mode=k_mode, with_operators=with_ops)
+    for m, n, seed in ((8, 4, 1), (20, 10, 0))
+    for scale in (0.9, 1e-2, 1e-3, 1e-8)
+    for k_mode in ("identity", "ones")
+    for with_ops in (True, False)
+]
+
+
+def test_a_bound_is_reported_exactly_when_its_gates_hold():
+    """Over small to huge perturbations, with and without the operator route,
+    each registry bound is None whenever one of its gates is unsatisfied or
+    absent, and present whenever all of its (non-empty) gates hold."""
+    withheld = reported = 0
+    for cfg in GUARD_TRIALS:
+        rec = run_trial(cfg)
+        assert rec.error is None, rec.error
+        held = {g.name: g.satisfied for g in rec.report.gates}
+        for bound in BOUNDS:
+            value = getattr(rec.report, bound.name)
+            if not all(held.get(g, False) for g in bound.gates):
+                assert value is None, (cfg, bound.name)
+                withheld += 1
+            elif bound.gates:
+                assert value is not None, (cfg, bound.name)
+                reported += 1
+    assert withheld > 0 and reported > 0
+
+
+@pytest.mark.parametrize(
+    "m, n, scale, seed, k_mode", [(8, 4, 1e-2, 1, "ones"), (20, 10, 1e-3, 0, "identity")]
+)
+def test_comp_majorant_linear_has_its_own_gate(m, n, scale, seed, k_mode):
+    """comp-majorant holds and comp-majorant-linear fails: the root bound is
+    reported and the linear one withheld."""
+    rep = run_trial(TrialConfig(m=m, n=n, scale=scale, seed=seed, k_mode=k_mode)).report
+    assert rep.gate("comp-majorant").satisfied
+    assert not rep.gate("comp-majorant-linear").satisfied
+    assert rep.x_comp_majorant_root is not None
+    assert rep.x_comp_majorant_linear is None
+
+
+def test_no_optional_xinv_or_cands_parameters():
+    """X^{-1} is computed once by the caller and the scaling candidates by
+    ``FactorNorms``: no package function takes ``xinv=None`` or ``cands``."""
+    offenders = []
+    for path in sorted(Path(centroqx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + list(args.defaults)
+            for arg, default in list(zip(positional, defaults)) + list(
+                zip(args.kwonlyargs, args.kw_defaults)
+            ):
+                optional = isinstance(default, ast.Constant) and default.value is None
+                if arg.arg == "cands" or (arg.arg == "xinv" and optional):
+                    offenders.append(f"{path.name}:{node.lineno} {arg.arg}")
+    assert offenders == []
 
 
 # ------------------------------------------------------------ fault hook
@@ -379,7 +529,7 @@ def test_report_matches_the_standalone_functions():
 def test_refined_constant_hook_changes_bound(monkeypatch):
     a, f = _factored(8, 4, seed=980)
     da, _, _ = random_centro_perturbation(a, 1e-8, seed=981)
-    baseline = refined_bounds_normwise(a, f.q, f.x, da)["x_refined"]
+    baseline = _report(a, f, da).x_refined
     monkeypatch.setattr(bounds_mod, "REFINED_X_CONSTANT", -REFINED_X_CONSTANT)
-    flipped = refined_bounds_normwise(a, f.q, f.x, da)["x_refined"]
+    flipped = _report(a, f, da).x_refined
     assert flipped == pytest.approx(-baseline, rel=1e-12)

@@ -15,12 +15,12 @@ from centroqx.condnum import (
     empirical_cond_probe,
     mixed_comp_cond,
 )
-from centroqx.qx import qx_decompose
+from centroqx.qx import qx_decompose, x_inverse
 
 
 def _cond_for(a):
     f = qx_decompose(a)
-    ops = build_first_order_operators(f.q, f.x)
+    ops = build_first_order_operators(f.q, f.x, x_inverse(f.x))
     return mixed_comp_cond(a, ops, f.q, f.x), f
 
 
@@ -42,7 +42,7 @@ def test_identity_exact_values(n):
 def test_identity_upper_estimates():
     n = 4
     f = qx_decompose(np.eye(n))
-    upper = cond_upper_bounds(np.eye(n), f.q, f.x)
+    upper = cond_upper_bounds(np.eye(n), f.q, f.x, x_inverse(f.x))
     assert upper["mx_upper"] == pytest.approx(1.0, abs=1e-12)
     assert upper["cx_upper"] == pytest.approx(1.0, abs=1e-12)
     assert upper["mq_upper"] == pytest.approx(2.0, abs=1e-12)
@@ -71,7 +71,7 @@ def test_upper_estimates_dominate(shape):
     m, n = shape
     a = random_centro(m, n, seed=50 + m)
     cond, f = _cond_for(a)
-    upper = cond_upper_bounds(a, f.q, f.x)
+    upper = cond_upper_bounds(a, f.q, f.x, x_inverse(f.x))
     slack = 1e-10
     assert cond.mx <= upper["mx_upper"] * (1 + slack)
     assert cond.cx <= upper["cx_upper"] * (1 + slack)

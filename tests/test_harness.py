@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -285,7 +286,7 @@ def test_fd_check_linear_decay():
     assert all(r > 0 for r in fd.rx + fd.rq)
     assert fd.rx == sorted(fd.rx, reverse=True)
     assert fd.ratios_within(5.0, 20.0)
-    d = fd.to_dict()
+    d = dataclasses.asdict(fd)
     assert d["eps_values"] == [1e-4, 1e-5, 1e-6, 1e-7]
     assert len(d["rx_ratios"]) == 3
 

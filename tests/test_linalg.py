@@ -18,7 +18,6 @@ from centroqx.linalg import (
     frobenius_norm,
     householder_qr,
     inf_norm_vector,
-    kron,
     max_abs,
     operator_norm,
     spectral_norm,
@@ -35,18 +34,13 @@ def _rand(m, n, seed):
     return uniform_open(seed, m * n).reshape(m, n)
 
 
-# ---------------------------------------------------------------- vec / kron
+# ---------------------------------------------------------------------- vec
 
 
 def test_vec_is_column_major():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(vec(a), [1.0, 3.0, 2.0, 4.0])
     assert np.array_equal(unvec(vec(a), 2, 2), a)
-
-
-def test_kron_matches_numpy():
-    a, b = _rand(2, 3, 1), _rand(3, 2, 2)
-    assert np.array_equal(kron(a, b), np.kron(a, b))
 
 
 def test_vec_perm_sends_vec_to_vec_transpose():

@@ -436,33 +436,19 @@ def comp_matvec_bounds(
     abs_gx = np.abs(ops.gx)
     abs_hx = np.abs(ops.hx)
 
-    def _as_block(v: np.ndarray) -> tuple[np.ndarray, bool]:
-        return (v, True) if v.ndim == 2 else (v[:, None], False)
-
     def mv_a(v: np.ndarray) -> np.ndarray:
-        vb, was_block = _as_block(v)
-        out = abs_gx @ _columns_right_multiply(vb, absx, m)
-        return out if was_block else out[:, 0]
+        return abs_gx @ _columns_right_multiply(v, absx, m)
 
     def rmv_a(u: np.ndarray) -> np.ndarray:
-        ub, was_block = _as_block(u)
-        out = _columns_right_multiply(abs_gx.T @ ub, absx.T, m)
-        return out if was_block else out[:, 0]
+        return _columns_right_multiply(abs_gx.T @ u, absx.T, m)
 
     gxa_norm = operator_norm(mv_a, rmv_a, m * n)
 
     def mv_b(v: np.ndarray) -> np.ndarray:
-        vb, was_block = _as_block(v)
-        w = _columns_right_multiply(_columns_left_multiply(vb, absx.T, n), absx, n)
-        out = abs_hx @ w
-        return out if was_block else out[:, 0]
+        return abs_hx @ _columns_right_multiply(_columns_left_multiply(v, absx.T, n), absx, n)
 
     def rmv_b(u: np.ndarray) -> np.ndarray:
-        ub, was_block = _as_block(u)
-        w = _columns_right_multiply(
-            _columns_left_multiply(abs_hx.T @ ub, absx, n), absx.T, n
-        )
-        return w if was_block else w[:, 0]
+        return _columns_right_multiply(_columns_left_multiply(abs_hx.T @ u, absx, n), absx.T, n)
 
     hxb_norm = operator_norm(mv_b, rmv_b, n * n)
 

@@ -103,17 +103,29 @@ def fold(a, tol: float = CENTRO_TOL) -> FoldedPair:
     return FoldedPair(f=f, g=g)
 
 
-def unfold(f, g, m: int, n: int) -> np.ndarray:
-    """Inverse of :func:`fold` (used for reconstruction checks)."""
-    bm = fold_basis(m)
-    bn = fold_basis(n)
-    l = n // 2
-    block = np.zeros((m, n))
+def unfold(f, g) -> np.ndarray:
+    """Inverse of :func:`fold`: the m x n matrix whose fold is ``(f, g)``.
+
+    Adds and flips only, O(mn): the top rows are ``(f + g)/2 | (f - g)/2 R``,
+    for odd m the middle row is f's last row over sqrt(2), mirrored, and the
+    bottom half is the double flip of the top, so the result is exactly
+    centrosymmetric. Raises ``ValueError`` when the halves do not fit.
+    """
     fa = as_matrix(f, "folded block f")
     ga = as_matrix(g, "folded block g")
-    block[: fa.shape[0], :l] = fa
-    block[fa.shape[0]:, l:] = ga
-    return bm @ block @ bn.T
+    (hf, l), (p, lg) = fa.shape, ga.shape
+    if lg != l or hf - p not in (0, 1):
+        raise ValueError(f"folded blocks {fa.shape} and {ga.shape} do not fit together")
+    m = hf + p
+    out = np.empty((m, 2 * l))
+    out[:p, :l] = 0.5 * (fa[:p] + ga)
+    out[:p, l:] = (0.5 * (fa[:p] - ga))[:, ::-1]
+    if hf > p:
+        mid = fa[p] / np.sqrt(2.0)
+        out[p, :l] = mid
+        out[p, l:] = mid[::-1]
+    out[m - p:] = out[:p][::-1, ::-1]
+    return out
 
 
 def free_entry_count(m: int, n: int) -> int:
@@ -141,8 +153,6 @@ def centro_from_free_entries(m: int, n: int, values) -> np.ndarray:
     need = free_entry_count(m, n)
     if vals.size != need:
         raise ValueError(f"need {need} free entries for {m}x{n}, got {vals.size}")
-    if n % 2 != 0 and m % 2 == 1:
-        raise OddColumnDimension("odd-by-odd fill is not supported (even n required)")
     a = np.zeros((m, n))
     p = m // 2
     a[:p, :] = vals[: p * n].reshape(p, n)

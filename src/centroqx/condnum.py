@@ -24,7 +24,7 @@ import numpy as np
 
 from .bounds import FirstOrderOperators
 from .centro import random_sign_centro
-from .linalg import as_matrix, entrywise_div, inf_norm_vector, max_abs, vec
+from .linalg import as_matrix, entrywise_div, max_abs, vec
 from .qx import qx_decompose
 from .rng import derive_seed
 from .xops import upx, xvec, xvec_indices
@@ -59,7 +59,7 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, q, x) -> CondReport:
     pos_vec = int(xvec_indices(n)[ix])
     mx_pos = (pos_vec % n + 1, pos_vec // n + 1)
     mx = float(response_x[ix]) / x_max
-    cx = inf_norm_vector(entrywise_div(response_x, np.abs(xvec(xa))))
+    cx = max_abs(entrywise_div(response_x, np.abs(xvec(xa))))
 
     abs_gq = np.abs(ops.gq)
     response_q = abs_gq @ abs_a_vec
@@ -67,7 +67,7 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, q, x) -> CondReport:
     iq = int(np.argmax(response_q))
     mq_pos = (iq % m + 1, iq // m + 1)
     mq = float(response_q[iq]) / q_max
-    cq = inf_norm_vector(entrywise_div(response_q, np.abs(vec(qa))))
+    cq = max_abs(entrywise_div(response_q, np.abs(vec(qa))))
     mq_q_weighted = float(np.max(abs_gq @ np.abs(vec(qa)))) / q_max
 
     return CondReport(
@@ -102,9 +102,9 @@ def cond_upper_bounds(a, q, x, xinv: np.ndarray) -> dict:
 
     return {
         "mx_upper": max_abs(wx) / max_abs(xa),
-        "cx_upper": inf_norm_vector(entrywise_div(vec(wx), vec(abs_x))),
+        "cx_upper": max_abs(entrywise_div(vec(wx), vec(abs_x))),
         "mq_upper": max_abs(v) / max_abs(qa),
-        "cq_upper": inf_norm_vector(entrywise_div(vec(v), vec(abs_q))),
+        "cq_upper": max_abs(entrywise_div(vec(v), vec(abs_q))),
     }
 
 
@@ -144,7 +144,7 @@ def empirical_cond_probe(a, eps: float, seed: int, trials: int = 8) -> ProbeRepo
         dx = perturbed.x - base.x
         dq = perturbed.q - base.q
         mx = max(mx, max_abs(dx) / x_max / eps)
-        cx = max(cx, inf_norm_vector(entrywise_div(xvec(dx), xv)) / eps)
+        cx = max(cx, max_abs(entrywise_div(xvec(dx), xv)) / eps)
         mq = max(mq, max_abs(dq) / q_max / eps)
-        cq = max(cq, inf_norm_vector(entrywise_div(vec(dq), qv)) / eps)
+        cq = max(cq, max_abs(entrywise_div(vec(dq), qv)) / eps)
     return ProbeReport(eps=eps, trials=trials, mx=mx, cx=cx, mq=mq, cq=cq)

@@ -123,7 +123,6 @@ class TrialRecord:
     operators_skipped: bool = False
     error: Optional[str] = None
     wall_time: float = 0.0
-    extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """The record as plain data; the ``report`` field is keyed ``bounds``."""

@@ -32,29 +32,28 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def frobenius_norm(a) -> float:
-    return float(np.sqrt(np.sum(np.asarray(a, dtype=float) ** 2)))
-
-
 def max_abs(a) -> float:
     arr = np.asarray(a, dtype=float)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def inf_norm_vector(v) -> float:
-    return max_abs(v)
+def _binary_exponent(arr: np.ndarray) -> int:
+    """Exponent e with ``max|arr| <= 2**e``; scaling by ``2**-e`` is exact."""
+    return math.frexp(max_abs(arr))[1]
+
+
+def frobenius_norm(a) -> float:
+    """``|A|_F``, summed at unit scale so it neither overflows nor underflows."""
+    arr = np.asarray(a, dtype=float)
+    e = _binary_exponent(arr)
+    squares = np.ldexp(arr, -e)
+    squares *= squares
+    return float(np.ldexp(np.sqrt(np.sum(squares)), e))
 
 
 def vec(c) -> np.ndarray:
     """Column-major flattening of a matrix."""
     return as_matrix(c, "vec argument").reshape(-1, order="F")
-
-
-def unvec(v, m: int, n: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.size != m * n:
-        raise ValueError(f"cannot reshape length-{arr.size} vector to {m}x{n}")
-    return arr.reshape((m, n), order="F")
 
 
 def vec_perm_indices(m: int, n: int) -> np.ndarray:
@@ -69,14 +68,6 @@ def vec_perm_indices(m: int, n: int) -> np.ndarray:
     return j + n * i
 
 
-def vec_perm(m: int, n: int) -> np.ndarray:
-    """Dense commutation matrix: ``vec_perm(m, n) @ vec(E) == vec(E.T)``."""
-    mn = m * n
-    p = np.zeros((mn, mn))
-    p[vec_perm_indices(m, n), np.arange(mn)] = 1.0
-    return p
-
-
 def entrywise_div(x, y) -> np.ndarray:
     """Entry ratios ``x/y`` with the convention ``x_i`` where ``y_i == 0``."""
     xa = np.asarray(x, dtype=float)
@@ -85,11 +76,6 @@ def entrywise_div(x, y) -> np.ndarray:
         raise ValueError("entrywise_div arguments must share a shape")
     safe = np.where(ya != 0.0, ya, 1.0)
     return np.where(ya != 0.0, xa / safe, xa)
-
-
-def comp_distance(x, y) -> float:
-    """Largest entrywise relative deviation of x from y (0/0 counts the raw gap)."""
-    return inf_norm_vector(entrywise_div(np.asarray(x, float) - np.asarray(y, float), y))
 
 
 def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -113,13 +99,19 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     RankDeficient
         If a pivot column norm falls below ``RANK_TOL`` times the Frobenius
         norm of the input.
+
+    The input is divided by a power of two ``2**e >= max|A|`` (exact) and R
+    multiplied back at the end, so no column norm overflows or underflows:
+    ``householder_qr(2**k A)`` is ``(Q, 2**k R)`` bit for bit while the entries
+    stay in the normal range.
     """
     a = as_matrix(mat, "qr input")
     p, l = a.shape
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
-    r = a.copy()
-    scale = frobenius_norm(a)
+    e = _binary_exponent(a)
+    r = np.ldexp(a, -e)
+    scale = frobenius_norm(r)
     reflectors: list[np.ndarray] = []
     for j in range(l):
         x = r[j:, j].copy()
@@ -146,7 +138,7 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     r = r * flip[:, None]
     q = q * flip[None, :]
     r[np.tril_indices(l, -1)] = 0.0
-    return q, r
+    return q, np.ldexp(r, e)
 
 
 def triangular_solve(r, b) -> np.ndarray:
@@ -254,7 +246,6 @@ def operator_norm(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
     ncols: int,
-    tol: float = POWER_TOL,
     max_iter: Optional[int] = None,
 ) -> float:
     """Largest singular value of a linear operator given by matvec callbacks.
@@ -264,7 +255,7 @@ def operator_norm(
     block. The starting block is deterministic: a normalized all-ones column
     plus fixed pseudo-random columns (so starts orthogonal to the dominant
     singular subspace cannot blind the iteration), and the largest Ritz value
-    is tracked until its relative increment falls below ``tol``.
+    is tracked until its relative increment falls below ``POWER_TOL``.
 
     The block starts at width 4 and doubles (up to 32) whenever the smallest
     Ritz value crowds the largest: that signature means a cluster of
@@ -290,7 +281,7 @@ def operator_norm(
         h = w.T @ y
         ritz = _jacobi_eigenvalues(h)
         theta_new = float(ritz[0])
-        if abs(theta_new - theta) <= tol * max(abs(theta_new), 1e-300):
+        if abs(theta_new - theta) <= POWER_TOL * max(abs(theta_new), 1e-300):
             return float(np.sqrt(max(theta_new, 0.0)))
         if (
             b < b_max
@@ -310,11 +301,11 @@ def operator_norm(
     )
 
 
-def spectral_norm(mat, tol: float = POWER_TOL, max_iter: Optional[int] = None) -> float:
+def spectral_norm(mat) -> float:
     """Spectral norm ``|M|_2`` by block power iteration on the smaller Gram side."""
     a = as_matrix(mat, "spectral_norm input")
     if a.size == 0:
         return 0.0
     if a.shape[0] < a.shape[1]:
         a = a.T
-    return operator_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1], tol, max_iter)
+    return operator_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])

@@ -5,9 +5,9 @@ A full-column-rank centrosymmetric A (m x n, n even, m >= n) factors as
 satisfying ``Q^T R_m Q = R_n`` (column perplecticity), and X is n x n
 invertible and X-type (supported on the double-cone). The algorithm folds A
 into two half-size blocks, takes their positive-diagonal thin QR
-factorizations, and maps the pieces back through the fold bases; X is
-assembled blockwise from the two triangular factors so its off-support
-entries are exactly zero.
+factorizations, and unfolds the two Q halves into Q and the two triangular
+halves into X, by adds and flips, so X's off-support entries are exactly
+zero.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .centro import FoldedPair, exchange_matrix, fold, fold_basis
+from .centro import fold, unfold
 from .errors import SingularTriangular
 from .linalg import (
     as_matrix,
@@ -28,9 +28,6 @@ from .linalg import (
 )
 from .xops import support_mask
 
-VERIFY_TOL = 1e-12
-X_INVERSE_TOL = 1e-11
-
 
 @dataclass
 class QxFactors:
@@ -38,40 +35,6 @@ class QxFactors:
 
     q: np.ndarray
     x: np.ndarray
-
-
-def assemble_x(rf, rg) -> np.ndarray:
-    """Build the X factor from the two triangular halves.
-
-    The blocks are sums/differences of the halves with flips; the strict
-    lower triangles of the halves are exactly zero, so the assembled matrix
-    has exactly zero entries off the double-cone support.
-    """
-    rfa = as_matrix(rf, "triangular half f")
-    rga = as_matrix(rg, "triangular half g")
-    l = rfa.shape[0]
-    if rfa.shape != (l, l) or rga.shape != (l, l):
-        raise ValueError("triangular halves must be square and equally sized")
-    s = 0.5 * (rfa + rga)
-    d = 0.5 * (rfa - rga)
-    x = np.zeros((2 * l, 2 * l))
-    x[:l, :l] = s
-    x[:l, l:] = d[:, ::-1]
-    x[l:, :l] = d[::-1, :]
-    x[l:, l:] = s[::-1, ::-1]
-    return x
-
-
-def split_x(x) -> tuple[np.ndarray, np.ndarray]:
-    """Recover the two (upper-triangular) halves of an X-type matrix."""
-    arr = as_matrix(x, "x-type matrix")
-    n = arr.shape[0]
-    if arr.shape[1] != n or n % 2 != 0:
-        raise ValueError(f"expected an even square matrix, got {arr.shape}")
-    l = n // 2
-    s = arr[:l, :l]
-    d = arr[:l, l:][:, ::-1]
-    return s + d, s - d
 
 
 def qx_decompose(a) -> QxFactors:
@@ -85,34 +48,25 @@ def qx_decompose(a) -> QxFactors:
     m, n = arr.shape
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m}x{n}")
-    folded: FoldedPair = fold(arr)
+    folded = fold(arr)
     qf, rf = householder_qr(folded.f)
     qg, rg = householder_qr(folded.g)
-    l = n // 2
-    bm = fold_basis(m)
-    bn = fold_basis(n)
-    block = np.zeros((m, n))
-    block[: qf.shape[0], :l] = qf
-    block[qf.shape[0]:, l:] = qg
-    q = bm @ block @ bn.T
-    return QxFactors(q=q, x=assemble_x(rf, rg))
+    return QxFactors(q=unfold(qf, qg), x=unfold(rf, rg))
 
 
 def x_inverse(x) -> np.ndarray:
-    """Invert an X-type matrix through its triangular halves.
+    """Invert an X-type matrix through the triangular halves of its fold.
 
-    The result is again X-type with exact zeros off the support. Raises
-    ``SingularTriangular`` when a half is numerically singular.
+    The result is again X-type with exact zeros off the support. Raises the
+    fold's ``NotCentrosymmetric``/``OddColumnDimension`` for an X it cannot
+    fold, and ``SingularTriangular`` when a half is numerically singular.
     """
-    f_half, g_half = split_x(x)
-    l = f_half.shape[0]
-    eye = np.eye(l)
+    halves = fold(x)
+    eye = np.eye(halves.f.shape[1])
     try:
-        f_inv = triangular_solve(f_half, eye)
-        g_inv = triangular_solve(g_half, eye)
+        return unfold(triangular_solve(halves.f, eye), triangular_solve(halves.g, eye))
     except SingularTriangular as exc:
         raise SingularTriangular(f"X factor is numerically singular: {exc}") from exc
-    return assemble_x(f_inv, g_inv)
 
 
 @dataclass
@@ -140,10 +94,10 @@ def verify_qx(a, factors: QxFactors) -> VerificationReport:
     arr = as_matrix(a, "factorization input")
     q = as_matrix(factors.q, "Q factor")
     x = as_matrix(factors.x, "X factor")
-    m, n = arr.shape
+    n = arr.shape[1]
     recon = frobenius_norm(arr - q @ x) / (1.0 + frobenius_norm(arr))
     orth = frobenius_norm(q.T @ q - np.eye(n))
-    perp = frobenius_norm(q.T @ exchange_matrix(m) @ q - exchange_matrix(n))
+    perp = frobenius_norm(q.T @ q[::-1] - np.eye(n)[::-1])
     centro_defect = max_abs(q[::-1, ::-1] - q)
     off = frobenius_norm(x * (~support_mask(n).inside))
     return VerificationReport(

@@ -184,9 +184,6 @@ class ScalingD:
     def diagonal(self) -> np.ndarray:
         return np.concatenate([self.delta, self.delta[::-1]])
 
-    def dense(self) -> np.ndarray:
-        return np.diag(self.diagonal())
-
     @property
     def is_identity(self) -> bool:
         return bool(np.all(self.delta == 1.0))

@@ -34,7 +34,7 @@ from centroqx.bounds import (
 from centroqx.centro import random_centro, random_centro_perturbation
 from centroqx.errors import SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
-from centroqx.linalg import frobenius_norm, spectral_norm, vec, vec_perm
+from centroqx.linalg import frobenius_norm, spectral_norm, vec
 from centroqx.qx import qx_decompose, x_inverse
 from centroqx.xops import scaling_candidates, upx, xvec
 
@@ -72,7 +72,7 @@ def test_identity_operator_matrices():
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    perm = vec_perm(2, 2)
+    perm = np.eye(4)[[0, 2, 1, 3]]  # vec(E) -> vec(E^T) for 2 x 2 E
     assert np.max(np.abs(ops.gx - gx_want)) <= 1e-15
     assert np.max(np.abs(ops.hx - 0.5 * np.eye(4))) <= 1e-15
     assert np.max(np.abs(ops.gq - 0.5 * (np.eye(4) - perm))) <= 1e-15

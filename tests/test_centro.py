@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import centroqx
 from centroqx.centro import (
     centro_defect,
     centro_from_free_entries,
@@ -86,8 +88,47 @@ def test_fold_unfold_round_trip(shape):
     m, n = shape
     a = random_centro(m, n, seed=31)
     pair = fold(a)
-    back = unfold(pair.f, pair.g, m, n)
+    back = unfold(pair.f, pair.g)
     assert np.max(np.abs(back - a)) <= 1e-12 * (1.0 + np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (5, 2), (8, 4), (9, 4), (6, 6), (13, 8), (1, 2)])
+def test_unfold_matches_the_basis_products(shape):
+    # unfold(f, g) = B_m blockdiag(f, g) B_n^T for arbitrary halves.
+    m, n = shape
+    hf, l = (m + 1) // 2, n // 2
+    f = uniform_open(7 * m + n, hf * l).reshape(hf, l)
+    g = uniform_open(11 * m + n, (m - hf) * l).reshape(m - hf, l)
+    block = np.zeros((m, n))
+    block[:hf, :l] = f
+    block[hf:, l:] = g
+    want = fold_basis(m) @ block @ fold_basis(n).T
+    got = unfold(f, g)
+    assert got.shape == (m, n)
+    assert np.max(np.abs(got - want)) <= 1e-15
+    assert np.array_equal(got, got[::-1, ::-1])  # exactly centrosymmetric
+
+
+@pytest.mark.parametrize(
+    "f_shape, g_shape", [((3, 2), (1, 2)), ((2, 2), (3, 2)), ((2, 2), (2, 3)), ((3, 2), (2, 1))]
+)
+def test_unfold_rejects_halves_that_do_not_fit(f_shape, g_shape):
+    with pytest.raises(ValueError):
+        unfold(np.ones(f_shape), np.ones(g_shape))
+
+
+def test_only_centro_builds_dense_fold_bases():
+    # fold_basis and exchange_matrix are constructors and test oracles; the
+    # package folds and unfolds by adds and flips.
+    package = Path(centroqx.__file__).parent
+    offenders = [
+        f"{path.name}:{lineno}"
+        for path in sorted(package.glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if ("fold_basis(" in line or "exchange_matrix(" in line)
+        and not (path.name == "centro.py" and line.startswith("def "))
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize("m", [4, 5, 9, 12])

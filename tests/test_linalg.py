@@ -13,18 +13,14 @@ import centroqx
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.linalg import (
     _jacobi_eigenvalues,
-    comp_distance,
     entrywise_div,
     frobenius_norm,
     householder_qr,
-    inf_norm_vector,
     max_abs,
     operator_norm,
     spectral_norm,
     triangular_solve,
-    unvec,
     vec,
-    vec_perm,
     vec_perm_indices,
 )
 from centroqx.rng import uniform_open
@@ -40,7 +36,16 @@ def _rand(m, n, seed):
 def test_vec_is_column_major():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.array_equal(vec(a), [1.0, 3.0, 2.0, 4.0])
-    assert np.array_equal(unvec(vec(a), 2, 2), a)
+    assert np.array_equal(vec(a).reshape((2, 2), order="F"), a)
+
+
+def commutation_matrix(m: int, n: int) -> np.ndarray:
+    """Dense oracle P with ``P vec(E) = vec(E^T)`` for m x n E, entry by entry."""
+    p = np.zeros((m * n, m * n))
+    for i in range(m):
+        for j in range(n):
+            p[j + n * i, i + m * j] = 1.0
+    return p
 
 
 def test_vec_perm_sends_vec_to_vec_transpose():
@@ -48,8 +53,12 @@ def test_vec_perm_sends_vec_to_vec_transpose():
     perm = vec_perm_indices(2, 3)
     # scatter contract: entry at vec-position b lands at row perm[b]
     assert np.array_equal(vec(a.T)[perm], vec(a))
-    p = vec_perm(2, 3)
+    p = commutation_matrix(2, 3)
     assert np.array_equal(p @ vec(a), vec(a.T))
+    for m, n in [(2, 3), (3, 2), (4, 4), (1, 5)]:
+        dense = np.zeros((m * n, m * n))
+        dense[vec_perm_indices(m, n), np.arange(m * n)] = 1.0
+        assert np.array_equal(dense, commutation_matrix(m, n))
     # frozen index fixture for (2, 3): b = i + 2j -> a = j + 3i
     assert list(perm) == [0, 3, 1, 4, 2, 5]
 
@@ -62,7 +71,7 @@ def test_elementary_norms_match_numpy():
     assert frobenius_norm(a) == pytest.approx(np.linalg.norm(a), rel=1e-15)
     assert max_abs(a) == np.max(np.abs(a))
     v = uniform_open(5, 7)
-    assert inf_norm_vector(v) == np.max(np.abs(v))
+    assert max_abs(v) == np.max(np.abs(v))
 
 
 def test_entrywise_div_zero_convention():
@@ -73,9 +82,16 @@ def test_entrywise_div_zero_convention():
         entrywise_div(np.ones(2), np.ones(3))
 
 
-def test_comp_distance_fixture():
-    # |x-y|/|y| entrywise, absolute gap where y == 0: max(0.1, 0.3) = 0.3
-    assert comp_distance([1.1, 0.3], [1.0, 0.0]) == pytest.approx(0.3, rel=1e-15)
+@pytest.mark.parametrize("k", [-1000, -540, -1, 0, 530, 1000])
+def test_frobenius_norm_and_qr_are_scale_safe(k):
+    # Power-of-two scaling is exact, so it must commute with both bit for bit.
+    a = _rand(6, 4, 21)
+    s = 2.0**k
+    assert frobenius_norm(s * a) == s * frobenius_norm(a)
+    q, r = householder_qr(s * a)
+    q0, r0 = householder_qr(a)
+    assert np.array_equal(q, q0)
+    assert np.array_equal(r, s * r0)
 
 
 # ------------------------------------------------------------------- QR

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centroqx.centro import exchange_matrix, fold, random_centro
 from centroqx.errors import (
@@ -148,6 +150,39 @@ def test_x_inverse_properties(instance, shape):
 def test_x_inverse_singular():
     with pytest.raises(SingularTriangular):
         x_inverse(np.zeros((2, 2)))
+
+
+def test_x_inverse_rejects_what_it_cannot_fold():
+    with pytest.raises(NotCentrosymmetric):
+        x_inverse(np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(OddColumnDimension):
+        x_inverse(np.eye(3))
+
+
+# ------------------------------------------------------------ scale safety
+
+SCALE_BASE = random_centro(8, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "scale", [2.0**530, 2.0**-540, 1e-160, 1e160], ids=["2^530", "2^-540", "1e-160", "1e160"]
+)
+def test_factorization_of_well_scaled_inputs_far_from_one(scale):
+    a = scale * SCALE_BASE
+    f = qx_decompose(a)
+    assert np.linalg.norm(f.q.T @ f.q - np.eye(4)) <= 1e-14
+    residual = (a - f.q @ f.x) / scale
+    assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(SCALE_BASE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-1000, max_value=1000))
+def test_power_of_two_scaling_commutes_with_the_factorization(k):
+    base = qx_decompose(SCALE_BASE)
+    f = qx_decompose(2.0**k * SCALE_BASE)
+    assert np.array_equal(f.q, base.q)
+    assert np.array_equal(f.x, 2.0**k * base.x)
+    assert np.array_equal(x_inverse(f.x), 2.0**-k * x_inverse(base.x))
 
 
 def test_conditioning_fixture():

@@ -19,10 +19,14 @@ each bound with the measured quantity it must dominate and its gates;
 ``bound_report`` withholds every bound whose gates do not all hold.
 
 All minimizations record which scaling candidate won. Within one report
-each distinct spectral norm is computed once (``FactorNorms``). Spectral
-norms of operator products with Kronecker structure are evaluated
-matrix-free through power iteration to keep the memory footprint at one
-dense operator per map.
+each distinct spectral norm is computed once (``FactorNorms``). Every n x n
+operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D, |X|X^{-1}D)
+and the perturbation dA are centrosymmetric, because D is palindromic, so
+each norm is the larger of its two fold halves' norms (``fold_norm``); the
+Q-side norm |Q D^{-1}|_2 is the enclosure max(1/d_i) sqrt(1 + |Q^T Q - I|_F)
+and needs no iteration. Spectral norms of operator products with Kronecker
+structure are evaluated matrix-free through power iteration to keep the
+memory footprint at one dense operator per map.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .centro import centro_part, fold_norm
 from .errors import SizeCapExceeded
 from .linalg import (
     as_matrix,
@@ -134,10 +139,12 @@ class FactorNorms:
     ``bound_report`` builds one per call from (Q, X, X^{-1}) and drops it on
     return; the context alone builds the scaling candidates. A norm is
     computed on first use and kept as a float; besides the factors the
-    context holds ``|Q|`` and the two n x n products ``|X||X^{-1}|`` and
-    ``|X| X^{-1}`` that the entrywise bounds norm under every scaling. The
-    identity candidate's scaled operands are the unscaled ones bit for bit
-    (``x / 1.0 == x``), so it shares their norms.
+    context holds ``|Q|`` and the centrosymmetric parts of the two n x n
+    products ``|X||X^{-1}|`` and ``|X| X^{-1}`` that the entrywise bounds norm
+    under every scaling. Every X-side norm is a ``fold_norm``; the Q-side
+    norm is the enclosure ``q_dinv``. The identity candidate's scaled
+    operands are the unscaled ones bit for bit (``x / 1.0 == x``), so it
+    shares their norms.
     """
 
     def __init__(self, q, x, xinv: np.ndarray) -> None:
@@ -156,11 +163,16 @@ class FactorNorms:
 
     @cached_property
     def abs_x_abs_xinv(self) -> np.ndarray:
-        return np.abs(self.x) @ np.abs(self.xinv)
+        return centro_part(np.abs(self.x) @ np.abs(self.xinv))
 
     @cached_property
     def abs_x_xinv(self) -> np.ndarray:
-        return np.abs(self.x) @ self.xinv
+        return centro_part(np.abs(self.x) @ self.xinv)
+
+    @cached_property
+    def q_enclosure(self) -> float:
+        """``sqrt(1 + |Q^T Q - I|_F)``, an upper bound on ``|Q|_2``."""
+        return math.sqrt(1.0 + frobenius_norm(self.q.T @ self.q - np.eye(self.q.shape[1])))
 
     def _norm(
         self, name: str, i: int, base: np.ndarray,
@@ -172,7 +184,7 @@ class FactorNorms:
         key = (name, i)
         if key not in self._norms:
             operand = base if i < 0 else scale(base, self.cands[i].diagonal())
-            self._norms[key] = spectral_norm(operand)
+            self._norms[key] = fold_norm(operand)
         return self._norms[key]
 
     def dinv_x(self, i: int) -> float:
@@ -184,8 +196,10 @@ class FactorNorms:
         return self._norm("xinv_d", i, self.xinv, lambda m, d: m * d[None, :])
 
     def q_dinv(self, i: int) -> float:
-        """``|Q D^{-1}|_2``."""
-        return self._norm("q_dinv", i, self.q, lambda m, d: m / d[None, :])
+        """Upper enclosure ``max(1/d_i) sqrt(1 + |Q^T Q - I|_F)`` of ``|Q D^{-1}|_2``."""
+        if i < 0 or self.cands[i].is_identity:
+            return self.q_enclosure
+        return (1.0 / float(np.min(self.cands[i].delta))) * self.q_enclosure
 
     def cond_d(self, i: int) -> float:
         """``||X||X^{-1}|D|_2``."""
@@ -262,7 +276,7 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     xinv_norm = norms.xinv_norm
     kappa2 = x_norm * xinv_norm
     # Perturbation smaller than the inverse's reach: |dA|_2 |X^{-1}|_2 < 1.
-    g_inv = make_gate("inverse-dominance", spectral_norm(daa) * xinv_norm, 1.0, "<")
+    g_inv = make_gate("inverse-dominance", fold_norm(daa) * xinv_norm, 1.0, "<")
     g_small = gate_normwise(norms.q, daa, norms.xinv)
     projected = g_small.value
 
@@ -456,7 +470,7 @@ def comp_matvec_bounds(
     qtktkq_fro = frobenius_norm(absq.T @ k.T @ k @ absq)
     a_hat = gxa_norm * kq_fro
     b_hat = hxb_norm * qtktkq_fro
-    absx_norm = spectral_norm(absx)
+    absx_norm = fold_norm(absx)
 
     eps = report.eps
     u = a_hat * eps + b_hat * eps * eps
@@ -574,7 +588,10 @@ def bound_report(
     """Evaluate every applicable bound for one perturbed factorization.
 
     Gate failures never raise here; a bound whose registry gates do not all
-    hold stays ``None`` and the gate list records why. The entrywise route
+    hold stays ``None`` and the gate list records why. ``da`` must be
+    centrosymmetric, as every perturbation that keeps A + dA factorizable
+    is: its norm is taken from its fold halves, and the fold raises
+    ``NotCentrosymmetric`` otherwise. The entrywise route
     runs when ``k`` and ``eps`` are given; pass ``ops`` to include the
     operator route, or leave it ``None`` to restrict to the closed forms.
     """

@@ -3,7 +3,9 @@
 A real m x n matrix A is centrosymmetric when flipping it upside down and
 left-right returns it: ``R_m A R_n = A`` with R_k the exchange matrix. The
 fold transform block-diagonalizes any such matrix into two dense blocks of
-half size, which is what the factorization module builds on.
+half size, which is what the factorization module builds on. The fold is
+orthogonal, so the singular values of A are those of its two halves together
+and ``fold_norm`` takes ``|A|_2`` from the halves.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCentrosymmetric, OddColumnDimension
-from .linalg import as_matrix, max_abs
+from .linalg import as_matrix, max_abs, spectral_norm
 from .rng import derive_seed, sign_stream, uniform_open
 
 CENTRO_TOL = 1e-12
@@ -126,6 +128,26 @@ def unfold(f, g) -> np.ndarray:
         out[p, l:] = mid[::-1]
     out[m - p:] = out[:p][::-1, ::-1]
     return out
+
+
+def fold_norm(a) -> float:
+    """``|A|_2`` of a centrosymmetric A with an even column count.
+
+    The larger of the spectral norms of the two fold halves; raises the
+    fold's ``NotCentrosymmetric``/``OddColumnDimension``.
+    """
+    halves = fold(a)
+    return max(spectral_norm(halves.f), spectral_norm(halves.g))
+
+
+def centro_part(a) -> np.ndarray:
+    """The centrosymmetric part ``(A + R A R)/2``, exactly centrosymmetric.
+
+    A product of exactly centrosymmetric factors is centrosymmetric only to
+    rounding; this projects it back before it is folded.
+    """
+    arr = as_matrix(a, "centrosymmetric part input")
+    return 0.5 * (arr + arr[::-1, ::-1])
 
 
 def free_entry_count(m: int, n: int) -> int:

@@ -122,6 +122,11 @@ class TrialRecord:
     tightness_slack: Optional[float] = None
     operators_skipped: bool = False
     error: Optional[str] = None
+    # Wall seconds per stage that ran: generate (A and dA), factor (Q, X,
+    # X^{-1}), refactor (A + dA and the measured deltas), operators, bounds
+    # (report and domination), cond_upper, cond (exact condition numbers and
+    # tightness), probe.
+    stage_times: dict[str, float] = field(default_factory=dict)
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
@@ -154,25 +159,38 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         eps_request=cfg.scale,
         k_mode=cfg.k_mode,
     )
-    start = time.perf_counter()
+    start = mark = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        """Charge the time since the previous lap to ``stage``."""
+        nonlocal mark
+        now = time.perf_counter()
+        record.stage_times[stage] = record.stage_times.get(stage, 0.0) + (now - mark)
+        mark = now
+
     try:
         a = cfg.materialize()
         record.m, record.n = a.shape
+        lap("generate")
         factors = qx_decompose(a)
         xinv = x_inverse(factors.x)
+        lap("factor")
         da, k, eps_eff = random_centro_perturbation(
             a, cfg.scale, derive_seed(cfg.seed, 0xB), cfg.k_mode
         )
         record.eps_eff = eps_eff
         record.delta_a = frobenius_norm(da)
+        lap("generate")
         perturbed = qx_decompose(a + da)
         record.delta_x = frobenius_norm(perturbed.x - factors.x)
         record.delta_q = frobenius_norm(perturbed.q - factors.q)
         record.qt_delta_q = frobenius_norm(factors.q.T @ (perturbed.q - factors.q))
+        lap("refactor")
 
         ops: Optional[FirstOrderOperators] = None
         if cfg.with_operators and record.m * record.n <= OPERATOR_SIZE_CAP:
             ops = build_first_order_operators(factors.q, factors.x, xinv)
+            lap("operators")
         else:
             record.operators_skipped = True
 
@@ -181,8 +199,10 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         record.kappa2 = rep.kappa2
         record.cond_x = rep.cond_x
         _check_domination(record)
+        lap("bounds")
 
         record.cond_upper = cond_upper_bounds(a, factors.q, factors.x, xinv)
+        lap("cond_upper")
         if ops is not None:
             cond = mixed_comp_cond(a, ops, factors.q, factors.x)
             record.cond = asdict(cond)
@@ -194,11 +214,13 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
                 and record.cond_upper["cq_upper"] >= cond.cq * (1.0 - rtol)
             )
             record.tightness_slack = tightness_check(rep)["slack"]
+            lap("cond")
         if cfg.probe_trials > 0:
             probe = empirical_cond_probe(
                 a, min(cfg.scale, 1e-6), derive_seed(cfg.seed, 0xC), cfg.probe_trials
             )
             record.probe = asdict(probe)
+            lap("probe")
     except CentroQxError as exc:
         record.error = f"{type(exc).__name__}: {exc}"
     record.wall_time = time.perf_counter() - start

@@ -2,9 +2,17 @@
 
 numpy supplies storage, slicing, and matrix products; the decomposition-grade
 kernels (thin Householder QR with positive-diagonal normalization, triangular
-back-substitution, Gram-side power iteration for spectral norms) are
-implemented here so their tolerances and failure modes are pinned down by this
-module rather than by a LAPACK build.
+back-substitution, spectral norms) are implemented here so their tolerances
+and failure modes are pinned down by this module rather than by a LAPACK
+build.
+
+``spectral_norm`` works on the smaller Gram side k of its operand. Up to
+``GRAM_CROSSOVER`` it forms the k x k Gram matrix at unit scale (an exact
+power-of-two scaling, so the result scales bit for bit), raises it to a high
+power by normalised squaring, and ends with one Rayleigh-Ritz step on the
+range of that power. Larger Gram sides, and operators given only by
+matvec callbacks, use block power iteration (``operator_norm``), which works
+on the unscaled operand.
 """
 
 from __future__ import annotations
@@ -221,6 +229,15 @@ def _jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.sort(np.array([a[i][i] for i in range(b)]))[::-1].copy()
 
 
+def _start_columns(ncols: int, lo: int, hi: int) -> np.ndarray:
+    """Columns ``lo..hi-1`` of the deterministic start block: column 0 is all
+    ones, the others fixed pseudo-random draws."""
+    block = np.empty((ncols, hi - lo))
+    for j in range(lo, hi):
+        block[:, j - lo] = 1.0 if j == 0 else uniform_open(0xC0FFEE ^ ncols, ncols, offset=j * ncols)
+    return block
+
+
 def _orthonormalize_block(y: np.ndarray, fill_tag: int) -> np.ndarray:
     """Modified Gram-Schmidt with deterministic replacement of null columns."""
     n, b = y.shape
@@ -270,11 +287,7 @@ def operator_norm(
         max_iter = 10 * max(ncols, 100)
     b = min(POWER_BLOCK, ncols)
     b_max = min(POWER_BLOCK_MAX, ncols)
-    start = np.empty((ncols, b))
-    start[:, 0] = 1.0
-    for j in range(1, b):
-        start[:, j] = uniform_open(0xC0FFEE ^ ncols, ncols, offset=j * ncols)
-    w = _orthonormalize_block(start, 0)
+    w = _orthonormalize_block(_start_columns(ncols, 0, b), 0)
     theta = 0.0
     for it in range(max_iter):
         y = rmatvec(matvec(w))
@@ -289,10 +302,7 @@ def operator_norm(
             and float(ritz[-1]) > (1.0 - _CLUSTER_GAP) * max(theta_new, 0.0)
         ):
             extra = min(b, b_max - b)
-            fresh = np.empty((ncols, extra))
-            for j in range(extra):
-                fresh[:, j] = uniform_open(0xC0FFEE ^ ncols, ncols, offset=(b + j) * ncols)
-            y = np.hstack([y, fresh])
+            y = np.hstack([y, _start_columns(ncols, b, b + extra)])
             b += extra
         w = _orthonormalize_block(y, it + 1)
         theta = theta_new
@@ -301,11 +311,82 @@ def operator_norm(
     )
 
 
+GRAM_CROSSOVER = 128  # largest Gram side normed by the direct kernel
+_SQUARINGS = 14  # at most 2**14 power steps
+_SQUARING_TOL = 1e-15  # relative Rayleigh-quotient change that ends the squaring
+_DROP_TOL = 1e-8  # residual/column-norm ratio below which a column is in the span
+
+
+def _range_basis(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the numerical range of ``y``'s columns.
+
+    Classical Gram-Schmidt with a second pass, dropping every column whose
+    residual after both passes is below ``_DROP_TOL`` of its norm: such a
+    residual is rounding noise, and normalising it would leave a column
+    parallel to the basis (Kahan-Parlett "twice is enough" criterion).
+    """
+    kept: list[np.ndarray] = []
+    for col in y.T:
+        v = col
+        if kept:
+            basis = np.array(kept).T
+            for _ in range(2):
+                v = v - basis @ (basis.T @ v)
+        norm = math.sqrt(float(v @ v))
+        if norm > _DROP_TOL * math.sqrt(float(col @ col)):
+            kept.append(v / norm)
+    return np.array(kept).T
+
+
+def _gram_norm(a: np.ndarray) -> float:
+    """``|A|_2`` for a nonzero A with at least as many rows as columns.
+
+    A is scaled by ``2**-e`` with ``2**e >= max|A|`` (exact) and G = A^T A
+    formed at that scale. Normalised squaring P <- P^2/|P^2|_F raises G to
+    the power 2**j and stops when the Rayleigh quotient of P's largest column
+    c settles. The norm is the largest Ritz value of G on span(c, P S), S the
+    start block of ``operator_norm``; c keeps the dominant direction in the
+    span when it is orthogonal to S. The block widens from ``POWER_BLOCK`` to
+    ``POWER_BLOCK_MAX`` while no column is dropped and its smallest Ritz
+    value crowds the largest, the sign of a cluster wider than the block.
+    """
+    e = _binary_exponent(a)
+    s = np.ldexp(a, -e)
+    g = s.T @ s
+    k = g.shape[0]
+    p = g / math.sqrt(float(np.sum(g * g)))
+    rayleigh = 0.0
+    for _ in range(_SQUARINGS):
+        p = p @ p
+        p /= math.sqrt(float(np.sum(p * p)))
+        c = p[:, int(np.argmax(np.sum(p * p, axis=0)))]
+        updated = float(c @ (g @ c)) / float(c @ c)
+        if abs(updated - rayleigh) <= _SQUARING_TOL * updated:
+            break
+        rayleigh = updated
+    b, b_max = min(POWER_BLOCK, k), min(POWER_BLOCK_MAX, k)
+    while True:
+        w = _range_basis(np.hstack([c[:, None], p @ _start_columns(k, 0, b)]))
+        ritz = _jacobi_eigenvalues(w.T @ (g @ w))
+        if w.shape[1] <= b or b == b_max or ritz[-1] <= (1.0 - _CLUSTER_GAP) * ritz[0]:
+            break
+        b = min(2 * b, b_max)
+    return float(np.ldexp(math.sqrt(max(float(ritz[0]), 0.0)), e))
+
+
 def spectral_norm(mat) -> float:
-    """Spectral norm ``|M|_2`` by block power iteration on the smaller Gram side."""
+    """Spectral norm ``|M|_2``, worked on the smaller Gram side k.
+
+    ``k <= GRAM_CROSSOVER``: the direct kernel, scale-safe, so
+    ``spectral_norm(2**j M) == 2**j spectral_norm(M)`` bit for bit while the
+    entries stay normal. Larger k: block power iteration on the unscaled
+    operand.
+    """
     a = as_matrix(mat, "spectral_norm input")
-    if a.size == 0:
+    if a.size == 0 or max_abs(a) == 0.0:
         return 0.0
     if a.shape[0] < a.shape[1]:
         a = a.T
+    if a.shape[1] <= GRAM_CROSSOVER:
+        return _gram_norm(a)
     return operator_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import FactorNorms
 from .centro import fold, unfold
 from .errors import SingularTriangular
 from .linalg import (
@@ -23,7 +24,6 @@ from .linalg import (
     frobenius_norm,
     householder_qr,
     max_abs,
-    spectral_norm,
     triangular_solve,
 )
 from .xops import support_mask
@@ -113,11 +113,10 @@ def conditioning(x) -> dict[str, float]:
     """Spectral condition number of X and its entrywise-absolute variant.
 
     Returns ``kappa2 = |X|_2 |X^{-1}|_2`` and ``cond_x = | |X| |X^{-1}| |_2``
-    (the latter drives the entrywise perturbation gates).
+    (the latter drives the entrywise perturbation gates), read from the same
+    ``FactorNorms`` context a bound report uses, so they are the report's
+    ``kappa2`` and ``cond_x`` bit for bit.
     """
     arr = as_matrix(x, "X factor")
-    xinv = x_inverse(arr)
-    return {
-        "kappa2": spectral_norm(arr) * spectral_norm(xinv),
-        "cond_x": spectral_norm(np.abs(arr) @ np.abs(xinv)),
-    }
+    norms = FactorNorms(None, arr, x_inverse(arr))
+    return {"kappa2": norms.x_norm * norms.xinv_norm, "cond_x": norms.cond_x}

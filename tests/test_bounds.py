@@ -12,6 +12,7 @@ import pytest
 
 import centroqx
 import centroqx.bounds as bounds_mod
+import centroqx.centro as centro_mod
 import centroqx.linalg as linalg_mod
 from centroqx.bounds import (
     BOUNDS,
@@ -31,7 +32,7 @@ from centroqx.bounds import (
     operator_norms,
     tightness_check,
 )
-from centroqx.centro import random_centro, random_centro_perturbation
+from centroqx.centro import centro_part, fold_norm, random_centro, random_centro_perturbation
 from centroqx.errors import SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
 from centroqx.linalg import frobenius_norm, spectral_norm, vec
@@ -322,41 +323,49 @@ def test_min_sym_kappa_identity():
 # --------------------------------------------------- norms computed once
 
 
-def _count_spectral_norm_runs(monkeypatch) -> list[int]:
-    """Count power iterations started by ``spectral_norm``.
+def _record_spectral_norm_operands(monkeypatch) -> list[tuple[int, ...]]:
+    """Shapes of the operands of every ``spectral_norm`` call, made through
+    ``fold_norm`` or directly from ``bounds``; the direct ``operator_norm``
+    calls in ``bounds`` (matrix-free products) are not recorded."""
+    shapes: list[tuple[int, ...]] = []
+    original = linalg_mod.spectral_norm
 
-    ``spectral_norm`` looks ``operator_norm`` up in ``linalg``; the direct
-    ``operator_norm`` calls in ``bounds`` (matrix-free products) are not counted.
-    """
-    count = [0]
-    original = linalg_mod.operator_norm
+    def recording(mat):
+        shapes.append(np.shape(mat))
+        return original(mat)
 
-    def counting(*args, **kwargs):
-        count[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(linalg_mod, "operator_norm", counting)
-    return count
+    for module in (centro_mod, bounds_mod):
+        monkeypatch.setattr(module, "spectral_norm", recording)
+    return shapes
 
 
 def test_each_distinct_norm_computed_once(monkeypatch):
-    """11 distinct operands on the closed-form route, 16 with the operators
-    (21 and 32 before the norms were shared); the tightness check reuses
-    the report's envelope and |gx|_2."""
-    a, f = _factored(20, 10, seed=990)
+    """A closed-form report norms fold halves only: the 8 n x n X-side
+    operands (D^{-1}X, X^{-1}D, |X||X^{-1}|D, |X|X^{-1}D under both scalings)
+    two halves each, and dA's two halves; |Q D^{-1}|_2 is a closed-form
+    enclosure. That is 18 cheap calls (11 power iterations on full operands
+    before, 21 before the norms were shared), none on Q or an m x n operand.
+    The operator route adds gx, hx, gq, |hx| and the halves of |X|: 24
+    (16 before). The tightness check reuses the report's envelope and |gx|_2."""
+    m, n = 20, 10
+    a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
     xinv = x_inverse(f.x)
     ops = _ops(f)
-    count = _count_spectral_norm_runs(monkeypatch)
+    shapes = _record_spectral_norm_operands(monkeypatch)
 
     closed = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps)
-    assert count[0] == 11
-    count[0] = 0
+    assert len(shapes) == 8 * 2 + 2
+    assert sorted(shapes) == [(n // 2, n // 2)] * 16 + [(m // 2, n // 2)] * 2
+    shapes.clear()
     full = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps, ops=ops)
-    assert count[0] == 16
-    count[0] = 0
+    assert len(shapes) == 18 + 3 + 1 + 2
+    assert sorted(shapes[18:]) == sorted(
+        [ops.gx.shape, ops.hx.shape, ops.gq.shape, ops.hx.shape, (n // 2, n // 2), (n // 2, n // 2)]
+    )
+    shapes.clear()
     shared = tightness_check(full)
-    assert count[0] == 0
+    assert shapes == []
 
     monkeypatch.undo()
     envelope, winner = min_sym_kappa(FactorNorms(None, f.x, xinv))
@@ -366,8 +375,10 @@ def test_each_distinct_norm_computed_once(monkeypatch):
 
 
 def test_context_norms_equal_direct_evaluation():
-    """Each norm read from the context is the float a direct ``spectral_norm``
-    of its operand gives; the identity candidate shares the unscaled norms."""
+    """Each X-side norm read from the context is the float ``fold_norm`` of
+    its operand gives, within 1e-13 of numpy's SVD; |Q D^{-1}|_2 is an upper
+    enclosure no more than 1e-13 above it. The identity candidate shares
+    the unscaled norms."""
     a, f = _factored(20, 10, seed=992)
     xinv = x_inverse(f.x)
     norms = FactorNorms(f.q, f.x, xinv)
@@ -376,19 +387,27 @@ def test_context_norms_equal_direct_evaluation():
         d.diagonal().tolist() for d in scaling_candidates(f.x)
     ]
     assert cands[0].is_identity and not cands[1].is_identity
-    abs_x_abs_xinv = np.abs(f.x) @ np.abs(xinv)
-    abs_x_xinv = np.abs(f.x) @ xinv
+    abs_x_abs_xinv = centro_part(np.abs(f.x) @ np.abs(xinv))
+    abs_x_xinv = centro_part(np.abs(f.x) @ xinv)
     for i, d in enumerate(cands):
         diag = d.diagonal()
-        assert norms.dinv_x(i) == spectral_norm(f.x / diag[:, None])
-        assert norms.xinv_d(i) == spectral_norm(xinv * diag[None, :])
-        assert norms.q_dinv(i) == spectral_norm(f.q / diag[None, :])
-        assert norms.cond_d(i) == spectral_norm(abs_x_abs_xinv * diag[None, :])
-        assert norms.abs_x_xinv_d(i) == spectral_norm(abs_x_xinv * diag[None, :])
-    assert norms.x_norm == norms.dinv_x(0) == spectral_norm(f.x)
-    assert norms.xinv_norm == spectral_norm(xinv)
-    assert norms.q_norm == spectral_norm(f.q)
-    assert norms.cond_x == spectral_norm(abs_x_abs_xinv)
+        operands = {
+            "dinv_x": f.x / diag[:, None],
+            "xinv_d": xinv * diag[None, :],
+            "cond_d": abs_x_abs_xinv * diag[None, :],
+            "abs_x_xinv_d": abs_x_xinv * diag[None, :],
+        }
+        for name, operand in operands.items():
+            got = getattr(norms, name)(i)
+            want = np.linalg.norm(operand, 2)
+            assert got == fold_norm(operand), name
+            assert abs(got - want) <= 1e-13 * want, name
+        want = np.linalg.norm(f.q / diag[None, :], 2)
+        assert want <= norms.q_dinv(i) <= want * (1.0 + 1e-13)
+    assert norms.x_norm == norms.dinv_x(0) == fold_norm(f.x)
+    assert norms.xinv_norm == fold_norm(xinv)
+    assert norms.q_norm == norms.q_dinv(0)
+    assert norms.cond_x == fold_norm(abs_x_abs_xinv)
 
 
 def test_report_matches_the_direct_formulas():
@@ -401,14 +420,14 @@ def test_report_matches_the_direct_formulas():
     rep = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps)
     norms = FactorNorms(f.q, f.x, xinv)
     delta = frobenius_norm(da)
-    q_norm = spectral_norm(f.q)
+    q_norm = norms.q_norm
     msym, msym_winner = min_sym_kappa(norms)
     mq, _ = min_q_product(norms)
     mcomp, _ = min_comp_product(norms)
     projected = frobenius_norm(f.q.T @ da @ xinv)
     qtkq = frobenius_norm(np.abs(f.q.T) @ k @ np.abs(f.q))
     kq_fro = frobenius_norm(k @ np.abs(f.q))
-    cond_x = spectral_norm(np.abs(f.x) @ np.abs(xinv))
+    cond_x = norms.cond_x
 
     assert (rep.sym_kappa, rep.winners["sym_kappa"]) == (msym, msym_winner)
     assert rep.x_refined == REFINED_X_CONSTANT * msym * q_norm * delta

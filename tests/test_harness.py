@@ -163,9 +163,23 @@ def test_run_trial_deterministic():
     cfg = TrialConfig(m=8, n=4, scale=1e-7, seed=33)
     d1 = run_trial(cfg).to_dict()
     d2 = run_trial(TrialConfig(m=8, n=4, scale=1e-7, seed=33)).to_dict()
-    d1.pop("wall_time")
-    d2.pop("wall_time")
+    for timing in ("wall_time", "stage_times"):
+        d1.pop(timing)
+        d2.pop(timing)
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+
+
+def test_run_trial_records_stage_times():
+    closed = run_trial(TrialConfig(m=8, n=4, seed=5, with_operators=False))
+    assert list(closed.stage_times) == ["generate", "factor", "refactor", "bounds", "cond_upper"]
+    full = run_trial(TrialConfig(m=8, n=4, seed=5, probe_trials=2))
+    assert list(full.stage_times) == [
+        "generate", "factor", "refactor", "operators", "bounds", "cond_upper", "cond", "probe",
+    ]
+    for rec in (closed, full):
+        assert all(t >= 0.0 for t in rec.stage_times.values())
+        assert sum(rec.stage_times.values()) <= rec.wall_time + 1e-12
+        assert json.loads(json.dumps(rec.to_dict()))["stage_times"] == rec.stage_times
 
 
 def test_run_trial_gate_violation_keeps_coefficients():

@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centroqx
+from centroqx.centro import fold_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
+from centroqx.harness import TrialConfig
 from centroqx.linalg import (
     _jacobi_eigenvalues,
+    _start_columns,
     entrywise_div,
     frobenius_norm,
     householder_qr,
@@ -23,6 +26,7 @@ from centroqx.linalg import (
     vec,
     vec_perm_indices,
 )
+from centroqx.qx import qx_decompose, x_inverse
 from centroqx.rng import uniform_open
 
 
@@ -168,6 +172,88 @@ def test_spectral_norm_edge_cases():
     assert spectral_norm(np.array([[-4.0]])) == 4.0
     r1 = np.outer(np.arange(1.0, 4.0), np.arange(1.0, 3.0))
     assert spectral_norm(r1) == pytest.approx(np.linalg.norm(r1, 2), rel=1e-12)
+
+
+NORM_RTOL = 1e-13  # direct kernel against numpy's SVD
+
+
+def _assert_matches_svd(got: float, a: np.ndarray, label: str = "") -> None:
+    """``got`` within NORM_RTOL of numpy's 2-norm, above it by no more."""
+    want = np.linalg.norm(a, 2) if a.size else 0.0
+    assert abs(got - want) <= NORM_RTOL * want, (label, got, want)
+
+
+def _with_singular_values(sv, rows: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    k = len(sv)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (u * np.asarray(sv)) @ v.T
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32, 33, 50, 63, 64])
+def test_direct_norm_matches_svd_on_random_inputs(k):
+    rng = np.random.default_rng(1000 + k)
+    for label, shape in (("tall", (2 * k + 3, k)), ("wide", (k, 3 * k + 1)), ("square", (k, k))):
+        a = rng.standard_normal(shape)
+        _assert_matches_svd(spectral_norm(a), a, label)
+
+
+def test_direct_norm_exact_and_rank_collapsed_inputs():
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+    for value in (0.3, 1e-200, 3e250):
+        assert spectral_norm(np.array([[value]])) == abs(value)
+    for k in (1, 2, 5, 32, 33, 64):
+        _assert_matches_svd(spectral_norm(np.eye(k)), np.eye(k), f"identity {k}")
+    # Rank one: the squared Gram power has one numerical direction, and
+    # the start block's other columns are rounding noise to be dropped.
+    for m, k in ((3, 3), (5, 2), (8, 8), (20, 3), (3, 64)):
+        ones = np.ones((m, k))
+        outer = np.outer(np.arange(1.0, m + 1), np.arange(1.0, k + 1))
+        _assert_matches_svd(spectral_norm(ones), ones, f"ones {m}x{k}")
+        _assert_matches_svd(spectral_norm(outer), outer, f"outer {m}x{k}")
+    # Rank one with the right singular vector orthogonal to the start block.
+    basis, _ = np.linalg.qr(np.column_stack([_start_columns(8, 0, 4), np.arange(8.0) ** 2]))
+    hidden = np.outer(np.arange(1.0, 21.0), basis[:, 4])
+    _assert_matches_svd(spectral_norm(hidden), hidden, "orthogonal to the start block")
+    graded = _with_singular_values(np.logspace(0, -12, 40), 60, 7)
+    _assert_matches_svd(spectral_norm(graded), graded, "graded")
+
+
+@pytest.mark.parametrize("size", [2, 6, 20])
+@pytest.mark.parametrize("gap", [1e-9, 1e-7, 1e-6])
+def test_direct_norm_resolves_near_clusters(size, gap):
+    """A cluster wider than the start block needs the block to widen."""
+    sv = np.concatenate([1.0 - gap * np.arange(size), np.linspace(0.9, 0.1, 40 - size)])
+    a = _with_singular_values(sv, 60, size)
+    _assert_matches_svd(spectral_norm(a), a)
+
+
+@pytest.mark.parametrize("seed", [1082476658, 2877062824])
+def test_fold_norms_of_benchmark_factors(seed):
+    """X, X^{-1} and |X||X^{-1}| of two (20, 10) benchmark inputs."""
+    f = qx_decompose(TrialConfig(m=20, n=10, seed=seed).materialize())
+    xinv = x_inverse(f.x)
+    prod = np.abs(f.x) @ np.abs(xinv)
+    for operand in (f.x, xinv, 0.5 * (prod + prod[::-1, ::-1])):
+        _assert_matches_svd(fold_norm(operand), operand)
+    assert fold_norm(f.x) * fold_norm(xinv) == pytest.approx(np.linalg.cond(f.x), rel=1e-13)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (7, 4), (8, 4), (21, 10), (40, 40), (150, 50)])
+def test_fold_norm_matches_svd(shape):
+    a = random_centro(*shape, seed=shape[0] + shape[1])
+    _assert_matches_svd(fold_norm(a), a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-1000, max_value=1000))
+def test_direct_norm_scales_by_powers_of_two_exactly(k):
+    """Unit scaling is exact, so 2**k passes through the direct kernel bit for
+    bit (the power-iteration path for larger Gram sides stays unscaled)."""
+    s = 2.0**k
+    for a in (_rand(9, 6, 31), _rand(3, 7, 32), np.ones((5, 4))):
+        assert spectral_norm(s * a) == s * spectral_norm(a)
 
 
 def test_operator_norm_block_callbacks():

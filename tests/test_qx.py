@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from centroqx.centro import exchange_matrix, fold, random_centro
+from centroqx.bounds import FactorNorms, bound_report
+from centroqx.centro import exchange_matrix, fold, random_centro, random_centro_perturbation
 from centroqx.errors import (
     NotCentrosymmetric,
     OddColumnDimension,
@@ -191,6 +192,20 @@ def test_conditioning_fixture():
     cond = conditioning(x)
     assert cond["kappa2"] == pytest.approx(3.0, rel=1e-12)
     assert cond["cond_x"] == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(20, 10), (31, 12), (40, 40)])
+def test_conditioning_is_the_report_path(shape):
+    """kappa2 and cond_x come from the bound report's own norms, bit for bit."""
+    a = random_centro(*shape, seed=sum(shape))
+    f = qx_decompose(a)
+    xinv = x_inverse(f.x)
+    norms = FactorNorms(None, f.x, xinv)
+    cond = conditioning(f.x)
+    assert cond == {"kappa2": norms.x_norm * norms.xinv_norm, "cond_x": norms.cond_x}
+    da, _, _ = random_centro_perturbation(a, 1e-8, seed=1)
+    rep = bound_report(a, f.q, f.x, da, xinv)
+    assert (cond["kappa2"], cond["cond_x"]) == (rep.kappa2, rep.cond_x)
 
 
 # ---------------------------------------------------------------- errors

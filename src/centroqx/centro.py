@@ -35,8 +35,9 @@ def centro_defect(a) -> float:
 
 
 def is_centrosymmetric(a, tol: float = CENTRO_TOL) -> bool:
+    """Defect at most ``tol * max|A|``: relative, so scaling A does not change it."""
     arr = as_matrix(a, "centrosymmetry check")
-    return centro_defect(arr) <= tol * (1.0 + max_abs(arr))
+    return centro_defect(arr) <= tol * max_abs(arr)
 
 
 def fold_basis(k: int) -> np.ndarray:
@@ -92,7 +93,7 @@ def fold(a, tol: float = CENTRO_TOL) -> FoldedPair:
         raise OddColumnDimension(f"column count must be even, got {n}")
     if not is_centrosymmetric(arr, tol):
         raise NotCentrosymmetric(
-            f"defect {centro_defect(arr):.3e} exceeds tol*(1+max|A|)"
+            f"defect {centro_defect(arr):.3e} exceeds tol*max|A| = {tol * max_abs(arr):.3e}"
         )
     p, l = m // 2, n // 2
     a11 = arr[:p, :l]

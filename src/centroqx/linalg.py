@@ -6,6 +6,12 @@ back-substitution, spectral norms) are implemented here so their tolerances
 and failure modes are pinned down by this module rather than by a LAPACK
 build.
 
+``householder_qr`` is blocked in the compact WY form of Schreiber & Van Loan
+(SIAM J. Sci. Stat. Comput. 10, 1989): a panel of ``QR_BLOCK`` reflectors
+H_1 ... H_b is held as I - V T V^T with V the unit reflector vectors and T
+b x b upper triangular, so the trailing columns and Q are updated by matrix
+products (BLAS-3) rather than by one rank-one update per reflector.
+
 ``spectral_norm`` works on the smaller Gram side k of its operand. Up to
 ``GRAM_CROSSOVER`` it forms the k x k Gram matrix at unit scale (an exact
 power-of-two scaling, so the result scales bit for bit), raises it to a high
@@ -28,6 +34,7 @@ from .rng import uniform_open
 RANK_TOL = 1e-13
 PIVOT_TOL = 1e-14
 POWER_TOL = 1e-12
+QR_BLOCK = 16  # reflectors per compact-WY panel of householder_qr
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -112,36 +119,63 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     multiplied back at the end, so no column norm overflows or underflows:
     ``householder_qr(2**k A)`` is ``(Q, 2**k R)`` bit for bit while the entries
     stay in the normal range.
+
+    Blocked compact WY (Schreiber & Van Loan 1989). Panels of ``QR_BLOCK``
+    columns are factored one column at a time: column j first receives the
+    panel's earlier reflectors through their WY form, then gets its own
+    reflector H = I - 2 v v^T (unit v, sign chosen away from cancellation)
+    and R's diagonal entry -sign(x_0)|x|. T is built alongside by
+    ``T[:k, k] = -2 T[:k, :k] V[:, :k]^T v`` and ``T[k, k] = 2``, so that
+    H_1 ... H_b = I - V T V^T. The columns right of the panel are then
+    updated as ``C - V T^T V^T C``. Q starts from [I; 0] and takes the panels
+    in reverse, each as ``Q - V T V^T Q`` on rows and columns from the panel's
+    first index j0 on: the columns left of j0 are still unit vectors that
+    vanish on those rows, so they need no work (the order of LAPACK's dorgqr).
     """
     a = as_matrix(mat, "qr input")
     p, l = a.shape
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
     e = _binary_exponent(a)
-    r = np.ldexp(a, -e)
+    r = np.asfortranarray(np.ldexp(a, -e))  # column-major: panel columns are contiguous
     scale = frobenius_norm(r)
-    reflectors: list[np.ndarray] = []
-    for j in range(l):
-        x = r[j:, j].copy()
-        alpha = float(np.sqrt(np.sum(x * x)))
-        if alpha <= RANK_TOL * scale:
-            raise RankDeficient(
-                f"pivot column {j}: norm {alpha:.3e} <= {RANK_TOL:.1e} * {scale:.3e}"
-            )
-        v = x
-        if v[0] >= 0.0:  # push away from the cancelling sign
-            v[0] += alpha
-        else:
-            v[0] -= alpha
-        v /= np.sqrt(np.sum(v * v))
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        reflectors.append(v)
+    panels: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for j0 in range(0, l, QR_BLOCK):
+        j1 = min(j0 + QR_BLOCK, l)
+        v_panel = np.zeros((p - j0, j1 - j0), order="F")
+        t = np.zeros((j1 - j0, j1 - j0))
+        for j in range(j0, j1):
+            k = j - j0
+            column = r[j0:, j]
+            if k:
+                earlier = v_panel[:, :k]
+                column -= earlier @ (t[:k, :k].T @ (earlier.T @ column))
+            v = v_panel[k:, k]
+            v[:] = column[k:]
+            alpha = float(np.sqrt(np.sum(v * v)))
+            if alpha <= RANK_TOL * scale:
+                raise RankDeficient(
+                    f"pivot column {j}: norm {alpha:.3e} <= {RANK_TOL:.1e} * {scale:.3e}"
+                )
+            if v[0] >= 0.0:  # push away from the cancelling sign
+                v[0] += alpha
+                column[k] = -alpha
+            else:
+                v[0] -= alpha
+                column[k] = alpha
+            v /= np.sqrt(np.sum(v * v))
+            t[:k, k] = -2.0 * (t[:k, :k] @ (v_panel[k:, :k].T @ v))
+            t[k, k] = 2.0
+        if j1 < l:
+            trailing = r[j0:, j1:]
+            trailing -= v_panel @ (t.T @ (v_panel.T @ trailing))
+        panels.append((j0, v_panel, t))
     q = np.zeros((p, l))
     q[:l, :l] = np.eye(l)
-    for j in range(l - 1, -1, -1):
-        v = reflectors[j]
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    r = r[:l, :]
+    for j0, v_panel, t in reversed(panels):
+        block = q[j0:, j0:]
+        block -= v_panel @ (t @ (v_panel.T @ block))
+    r = np.ascontiguousarray(r[:l, :])
     flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     r = r * flip[:, None]
     q = q * flip[None, :]

@@ -33,10 +33,11 @@ from centroqx.bounds import (
     tightness_check,
 )
 from centroqx.centro import centro_part, fold_norm, random_centro, random_centro_perturbation
-from centroqx.errors import SizeCapExceeded
+from centroqx.errors import NotCentrosymmetric, SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
 from centroqx.linalg import frobenius_norm, spectral_norm, vec
 from centroqx.qx import qx_decompose, x_inverse
+from centroqx.rng import uniform_open
 from centroqx.xops import scaling_candidates, upx, xvec
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
@@ -299,6 +300,16 @@ def test_bound_report_full(shape):
         assert value is not None and value > 0, name
     for name in ("coef_x1", "coef_x2", "coef_x3", "coef_x4", "coef_q1", "coef_q2", "coef_q3"):
         assert getattr(rep, name) > 0
+
+
+def test_bound_report_rejects_small_non_centro_perturbation():
+    # dA's entries are all below the centrosymmetry tolerance, but it is not
+    # centrosymmetric; its norm cannot come from fold halves.
+    a = random_centro(4, 2, seed=5)
+    f = qx_decompose(a)
+    da = 1e-13 * uniform_open(3, 8).reshape(4, 2)
+    with pytest.raises(NotCentrosymmetric):
+        bound_report(a, f.q, f.x, da, x_inverse(f.x))
 
 
 def test_bound_report_gate_failure_keeps_coefficients():

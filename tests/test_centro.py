@@ -17,6 +17,7 @@ from centroqx.centro import (
     exchange_matrix,
     fold,
     fold_basis,
+    fold_norm,
     free_entry_count,
     is_centrosymmetric,
     random_centro,
@@ -161,6 +162,42 @@ def test_fold_rejects_non_centro():
     a = uniform_open(3, 8).reshape(4, 2)
     with pytest.raises(NotCentrosymmetric):
         fold(a)
+
+
+# Not centrosymmetric at all (defect 1.8x its largest entry), but every entry
+# is below the tolerance: an absolute test would fold it.
+SMALL_NON_CENTRO = 1e-13 * uniform_open(3, 8).reshape(4, 2)
+
+
+def test_fold_rejects_small_non_centro():
+    assert not is_centrosymmetric(SMALL_NON_CENTRO)
+    with pytest.raises(NotCentrosymmetric, match=r"exceeds tol\*max\|A\|"):
+        fold(SMALL_NON_CENTRO)
+    with pytest.raises(NotCentrosymmetric):
+        fold_norm(SMALL_NON_CENTRO)
+
+
+def _nudged_centro(rel_defect: float) -> np.ndarray:
+    """Centrosymmetric 6x4 with entry (0, 0) moved by ``rel_defect * max|A|``."""
+    a = random_centro(6, 4, seed=17)
+    a[0, 0] += rel_defect * np.max(np.abs(a))
+    return a
+
+
+SCALE_CASES = {
+    "exact": (random_centro(6, 4, seed=17), True),
+    "tiny-entries": (SMALL_NON_CENTRO, False),
+    "defect-2e-13": (_nudged_centro(2.0**-42), True),
+    "defect-4e-12": (_nudged_centro(2.0**-38), False),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-1000, max_value=1000))
+def test_centrosymmetry_test_is_scale_invariant(k):
+    for a, expected in SCALE_CASES.values():
+        assert is_centrosymmetric(a) is expected
+        assert is_centrosymmetric(2.0**k * a) is expected
 
 
 # --------------------------------------------------------- free entries

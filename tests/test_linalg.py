@@ -89,13 +89,14 @@ def test_entrywise_div_zero_convention():
 @pytest.mark.parametrize("k", [-1000, -540, -1, 0, 530, 1000])
 def test_frobenius_norm_and_qr_are_scale_safe(k):
     # Power-of-two scaling is exact, so it must commute with both bit for bit.
-    a = _rand(6, 4, 21)
-    s = 2.0**k
-    assert frobenius_norm(s * a) == s * frobenius_norm(a)
-    q, r = householder_qr(s * a)
-    q0, r0 = householder_qr(a)
-    assert np.array_equal(q, q0)
-    assert np.array_equal(r, s * r0)
+    # 6x4 is one QR panel; 80x70 spans five, so the panel products are covered.
+    for a in (_rand(6, 4, 21), _rand(80, 70, 21)):
+        s = 2.0**k
+        assert frobenius_norm(s * a) == s * frobenius_norm(a)
+        q, r = householder_qr(s * a)
+        q0, r0 = householder_qr(a)
+        assert np.array_equal(q, q0)
+        assert np.array_equal(r, s * r0)
 
 
 # ------------------------------------------------------------------- QR
@@ -119,6 +120,52 @@ def test_householder_qr_properties(shape):
 def test_householder_qr_rank_deficient():
     a = np.outer(np.arange(1.0, 5.0), np.ones(3))
     with pytest.raises(RankDeficient):
+        householder_qr(a)
+
+
+def _householder_qr_by_columns(a):
+    """Oracle: unblocked Householder QR, one rank-one update per reflector."""
+    p, l = a.shape
+    r = a.copy()
+    reflectors = []
+    for j in range(l):
+        v = r[j:, j].copy()
+        alpha = float(np.sqrt(np.sum(v * v)))
+        v[0] += alpha if v[0] >= 0.0 else -alpha
+        v /= np.sqrt(np.sum(v * v))
+        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
+        reflectors.append(v)
+    q = np.zeros((p, l))
+    q[:l, :l] = np.eye(l)
+    for j in range(l - 1, -1, -1):
+        v = reflectors[j]
+        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
+    flip = np.where(np.diag(r[:l]) < 0.0, -1.0, 1.0)
+    return q * flip[None, :], np.triu(r[:l]) * flip[:, None]
+
+
+@pytest.mark.parametrize("l", [1, 15, 16, 17, 31, 32, 33, 100])
+@pytest.mark.parametrize("rows", ["square", "one-more", "triple"])
+def test_blocked_qr_agrees_with_the_per_column_loop(l, rows):
+    # Shapes straddle the panel edges (QR_BLOCK = 16); the agreement is
+    # relative and scaled by kappa_2(A), as the benchmark's factor check.
+    p = {"square": l, "one-more": l + 1, "triple": 3 * l}[rows]
+    a = _rand(p, l, 1000 * p + l)
+    q, r = householder_qr(a)
+    q_ref, r_ref = _householder_qr_by_columns(a)
+    tol = 1e-14 * np.linalg.cond(a)
+    assert np.linalg.norm(q - q_ref) <= tol * np.linalg.norm(q_ref)
+    assert np.linalg.norm(r - r_ref) <= tol * np.linalg.norm(r_ref)
+    assert np.array_equal(np.tril(r, -1), np.zeros((l, l)))
+    assert np.all(np.diag(r) > 0)
+
+
+@pytest.mark.parametrize("dependent", [20, 35])
+def test_rank_deficiency_found_in_a_later_panel(dependent):
+    # The pivot test runs inside every panel and names the global column.
+    a = _rand(60, 40, 23)
+    a[:, dependent] = a[:, 3] - 2.0 * a[:, dependent - 1]
+    with pytest.raises(RankDeficient, match=rf"^pivot column {dependent}: "):
         householder_qr(a)
 
 

@@ -163,27 +163,31 @@ def test_x_inverse_rejects_what_it_cannot_fold():
 # ------------------------------------------------------------ scale safety
 
 SCALE_BASE = random_centro(8, 4, 3)
+# Fold halves of 40x35: three QR panels, so the blocked updates are covered.
+SCALE_BASE_PANELS = random_centro(80, 70, 3)
 
 
 @pytest.mark.parametrize(
     "scale", [2.0**530, 2.0**-540, 1e-160, 1e160], ids=["2^530", "2^-540", "1e-160", "1e160"]
 )
 def test_factorization_of_well_scaled_inputs_far_from_one(scale):
-    a = scale * SCALE_BASE
-    f = qx_decompose(a)
-    assert np.linalg.norm(f.q.T @ f.q - np.eye(4)) <= 1e-14
-    residual = (a - f.q @ f.x) / scale
-    assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(SCALE_BASE)
+    for base in (SCALE_BASE, SCALE_BASE_PANELS):
+        a = scale * base
+        f = qx_decompose(a)
+        assert np.linalg.norm(f.q.T @ f.q - np.eye(base.shape[1])) <= 1e-14
+        residual = (a - f.q @ f.x) / scale
+        assert np.linalg.norm(residual) <= 1e-14 * np.linalg.norm(base)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_power_of_two_scaling_commutes_with_the_factorization(k):
-    base = qx_decompose(SCALE_BASE)
-    f = qx_decompose(2.0**k * SCALE_BASE)
-    assert np.array_equal(f.q, base.q)
-    assert np.array_equal(f.x, 2.0**k * base.x)
-    assert np.array_equal(x_inverse(f.x), 2.0**-k * x_inverse(base.x))
+    for a in (SCALE_BASE, SCALE_BASE_PANELS):
+        base = qx_decompose(a)
+        f = qx_decompose(2.0**k * a)
+        assert np.array_equal(f.q, base.q)
+        assert np.array_equal(f.x, 2.0**k * base.x)
+        assert np.array_equal(x_inverse(f.x), 2.0**-k * x_inverse(base.x))
 
 
 def test_conditioning_fixture():
@@ -225,6 +229,12 @@ def test_rejects_odd_columns():
 def test_rejects_non_centro():
     with pytest.raises(NotCentrosymmetric):
         qx_decompose(uniform_open(1, 8).reshape(4, 2))
+
+
+def test_rejects_small_non_centro():
+    # Every entry is below the centrosymmetry tolerance; the test is relative.
+    with pytest.raises(NotCentrosymmetric):
+        qx_decompose(1e-13 * uniform_open(3, 8).reshape(4, 2))
 
 
 def test_rejects_wide():

@@ -21,12 +21,13 @@ each bound with the measured quantity it must dominate and its gates;
 All minimizations record which scaling candidate won. Within one report
 each distinct spectral norm is computed once (``FactorNorms``). Every n x n
 operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D, |X|X^{-1}D)
-and the perturbation dA are centrosymmetric, because D is palindromic, so
-each norm is the larger of its two fold halves' norms (``fold_norm``); the
-Q-side norm |Q D^{-1}|_2 is the enclosure max(1/d_i) sqrt(1 + |Q^T Q - I|_F)
-and needs no iteration. Spectral norms of operator products with Kronecker
-structure are evaluated matrix-free through power iteration to keep the
-memory footprint at one dense operator per map.
+and dA are centrosymmetric, because D is palindromic, so each norm is the
+larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
+and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
+max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. Spectral norms
+of operator products with Kronecker structure are evaluated matrix-free
+through power iteration to keep the memory footprint at one dense operator
+per map.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .centro import centro_part, fold_norm
+from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
 from .linalg import (
     as_matrix,
@@ -136,64 +137,62 @@ def make_gate(name: str, value: float, threshold: float, relation: str) -> GateS
 class FactorNorms:
     """Spectral norms of one factorization's operands, each computed once.
 
-    ``bound_report`` builds one per call from (Q, X, X^{-1}) and drops it on
-    return; the context alone builds the scaling candidates. A norm is
-    computed on first use and kept as a float; besides the factors the
-    context holds ``|Q|`` and the centrosymmetric parts of the two n x n
-    products ``|X||X^{-1}|`` and ``|X| X^{-1}`` that the entrywise bounds norm
-    under every scaling. Every X-side norm is a ``fold_norm``; the Q-side
-    norm is the enclosure ``q_dinv``. The identity candidate's scaled
-    operands are the unscaled ones bit for bit (``x / 1.0 == x``), so it
-    shares their norms.
+    ``bound_report`` builds one per call from the ``QxFactors`` and drops it
+    on return; the context alone builds the scaling candidates. A norm is
+    computed on first use and kept as a float. Every X-side operand is held
+    as its fold halves: X as (R_f, R_g), X^{-1} as their inverses, and
+    ``|X||X^{-1}|``, ``|X| X^{-1}`` as the fold of their centrosymmetric
+    part. D = diag(delta, reversed delta) scales the halves by delta:
+    fold(D^{-1} M) = delta^{-1} (F, G) and fold(M D) = (F, G) delta. The
+    Q-side norm is the enclosure ``q_dinv``. The identity candidate shares
+    the unscaled norms.
     """
 
-    def __init__(self, q, x, xinv: np.ndarray) -> None:
-        self.q = None if q is None else as_matrix(q, "Q factor")
-        self.x = as_matrix(x, "X factor")
-        self.xinv = xinv
+    def __init__(self, factors) -> None:
+        self.factors = factors
         self._norms: dict[tuple[str, int], float] = {}
 
     @cached_property
     def cands(self) -> list[ScalingD]:
-        return scaling_candidates(self.x)
+        return scaling_candidates(self.factors.x)
 
     @cached_property
     def abs_q(self) -> np.ndarray:
-        return np.abs(self.q)
+        return np.abs(self.factors.q)
 
     @cached_property
-    def abs_x_abs_xinv(self) -> np.ndarray:
-        return centro_part(np.abs(self.x) @ np.abs(self.xinv))
+    def abs_x_abs_xinv(self) -> FoldedPair:
+        return fold(centro_part(np.abs(self.factors.x) @ np.abs(self.factors.xinv)))
 
     @cached_property
-    def abs_x_xinv(self) -> np.ndarray:
-        return centro_part(np.abs(self.x) @ self.xinv)
+    def abs_x_xinv(self) -> FoldedPair:
+        return fold(centro_part(np.abs(self.factors.x) @ self.factors.xinv))
 
     @cached_property
     def q_enclosure(self) -> float:
         """``sqrt(1 + |Q^T Q - I|_F)``, an upper bound on ``|Q|_2``."""
-        return math.sqrt(1.0 + frobenius_norm(self.q.T @ self.q - np.eye(self.q.shape[1])))
+        q = self.factors.q
+        return math.sqrt(1.0 + frobenius_norm(q.T @ q - np.eye(q.shape[1])))
 
-    def _norm(
-        self, name: str, i: int, base: np.ndarray,
-        scale: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    ) -> float:
-        """``|scale(base, diag)|_2`` for candidate ``i``; ``i = -1`` norms ``base``."""
+    def _norm(self, name: str, i: int, halves, side: str) -> float:
+        """``|M|_2`` from M's fold ``halves``, as D^{-1} M or M D on ``side``."""
         if i >= 0 and self.cands[i].is_identity:
             i = -1
         key = (name, i)
         if key not in self._norms:
-            operand = base if i < 0 else scale(base, self.cands[i].diagonal())
-            self._norms[key] = fold_norm(operand)
+            if i >= 0:
+                d = self.cands[i].delta
+                halves = [h / d[:, None] if side == "rows" else h * d[None, :] for h in halves]
+            self._norms[key] = max(spectral_norm(h) for h in halves)
         return self._norms[key]
 
     def dinv_x(self, i: int) -> float:
         """``|D^{-1} X|_2``."""
-        return self._norm("dinv_x", i, self.x, lambda m, d: m / d[:, None])
+        return self._norm("dinv_x", i, (self.factors.rf, self.factors.rg), "rows")
 
     def xinv_d(self, i: int) -> float:
         """``|X^{-1} D|_2``."""
-        return self._norm("xinv_d", i, self.xinv, lambda m, d: m * d[None, :])
+        return self._norm("xinv_d", i, self.factors.xinv_halves, "cols")
 
     def q_dinv(self, i: int) -> float:
         """Upper enclosure ``max(1/d_i) sqrt(1 + |Q^T Q - I|_F)`` of ``|Q D^{-1}|_2``."""
@@ -203,11 +202,11 @@ class FactorNorms:
 
     def cond_d(self, i: int) -> float:
         """``||X||X^{-1}|D|_2``."""
-        return self._norm("cond_d", i, self.abs_x_abs_xinv, lambda m, d: m * d[None, :])
+        return self._norm("cond_d", i, self.abs_x_abs_xinv, "cols")
 
     def abs_x_xinv_d(self, i: int) -> float:
         """``||X| X^{-1} D|_2``."""
-        return self._norm("abs_x_xinv_d", i, self.abs_x_xinv, lambda m, d: m * d[None, :])
+        return self._norm("abs_x_xinv_d", i, self.abs_x_xinv, "cols")
 
     @property
     def q_norm(self) -> float:
@@ -261,11 +260,10 @@ def min_comp_product(norms: FactorNorms) -> tuple[float, str]:
     )
 
 
-def gate_normwise(q, da, xinv: np.ndarray) -> GateStatus:
+def gate_normwise(factors, da) -> GateStatus:
     """Smallness gate on the projected perturbation ``|Q^T dA X^{-1}|_F``."""
-    qa = as_matrix(q, "Q factor")
     daa = as_matrix(da, "perturbation")
-    value = frobenius_norm(qa.T @ daa @ xinv)
+    value = frobenius_norm(factors.q.T @ daa @ factors.xinv)
     return make_gate("normwise-smallness", value, SMALLNESS_THRESHOLD, "<=")
 
 
@@ -277,7 +275,7 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     kappa2 = x_norm * xinv_norm
     # Perturbation smaller than the inverse's reach: |dA|_2 |X^{-1}|_2 < 1.
     g_inv = make_gate("inverse-dominance", fold_norm(daa) * xinv_norm, 1.0, "<")
-    g_small = gate_normwise(norms.q, daa, norms.xinv)
+    g_small = gate_normwise(norms.factors, daa)
     projected = g_small.value
 
     msym, report.winners["sym_kappa"] = min_sym_kappa(norms)
@@ -300,7 +298,7 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     report.gates.extend([g_inv, g_small, g_rad])
     if g_rad.satisfied and a_fro > 0.0:
         den = SQRT2 - 1.0 + math.sqrt(radicand)
-        qt_da = frobenius_norm(norms.q.T @ daa)
+        qt_da = frobenius_norm(norms.factors.q.T @ daa)
         num_a = SQRT2 * msym * (qt_da / a_fro + kappa2 * delta**2 / x_norm**2)
         num_b = SQRT3 * msym * (delta / x_norm)
         report.x_relative_a = x_norm * num_a / den
@@ -348,8 +346,6 @@ class FirstOrderOperators:
     first-order Q perturbation.
     """
 
-    m: int
-    n: int
     gx: np.ndarray
     hx: np.ndarray
     gq: np.ndarray
@@ -371,19 +367,18 @@ def _columns_left_multiply(s: np.ndarray, factor: np.ndarray, rows: int) -> np.n
     return out.reshape(factor.shape[0] * cube.shape[1], k, order="F")
 
 
-def build_first_order_operators(q, x, xinv: np.ndarray) -> FirstOrderOperators:
-    """Assemble the dense first-order operators for one factorization.
+def build_first_order_operators(factors) -> FirstOrderOperators:
+    """Assemble the dense first-order operators for one ``QxFactors``.
 
     Raises ``SizeCapExceeded`` when ``m*n`` exceeds ``OPERATOR_SIZE_CAP``
     (the maps cost O((mn)^2) memory).
     """
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
+    qa, xa = factors.q, factors.x
     m, n = qa.shape
     if m * n > OPERATOR_SIZE_CAP:
         raise SizeCapExceeded(f"m*n = {m * n} exceeds the operator cap {OPERATOR_SIZE_CAP}")
     ops = build_operator_matrices(n)
-    xit = xinv.T
+    xit = factors.xinv.T
 
     s = np.kron(xit, qa.T)
     s += np.kron(qa.T, xit)[:, vec_perm_indices(m, n)]
@@ -397,7 +392,7 @@ def build_first_order_operators(q, x, xinv: np.ndarray) -> FirstOrderOperators:
     gq = np.kron(xit, np.eye(m))
     gq -= _columns_left_multiply(s, qa, n)
 
-    return FirstOrderOperators(m=m, n=n, gx=gx, hx=hx, gq=gq)
+    return FirstOrderOperators(gx=gx, hx=hx, gq=gq)
 
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:
@@ -444,9 +439,9 @@ def comp_matvec_bounds(
     ``|K |Q||_F`` and ``eps`` is ``report.eps``. As in
     ``matvec_bounds_normwise``, the values are not withheld here.
     """
-    m, n = norms.q.shape
+    m, n = norms.factors.q.shape
     absq = norms.abs_q
-    absx = np.abs(norms.x)
+    absx = np.abs(norms.factors.x)
     abs_gx = np.abs(ops.gx)
     abs_hx = np.abs(ops.hx)
 
@@ -577,15 +572,13 @@ class BoundReport:
 
 def bound_report(
     a,
-    q,
-    x,
+    factors,
     da,
-    xinv: np.ndarray,
     k=None,
     eps: Optional[float] = None,
     ops: Optional[FirstOrderOperators] = None,
 ) -> BoundReport:
-    """Evaluate every applicable bound for one perturbed factorization.
+    """Evaluate every applicable bound for A + dA, given the ``QxFactors`` of A.
 
     Gate failures never raise here; a bound whose registry gates do not all
     hold stays ``None`` and the gate list records why. ``da`` must be
@@ -596,7 +589,7 @@ def bound_report(
     operator route, or leave it ``None`` to restrict to the closed forms.
     """
     daa = as_matrix(da, "perturbation")
-    norms = FactorNorms(q, x, xinv)
+    norms = FactorNorms(factors)
     report = BoundReport(delta=frobenius_norm(daa), eps=eps)
     _normwise_route(report, norms, a, daa)
     report.cond_x = norms.cond_x

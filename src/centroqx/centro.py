@@ -10,7 +10,7 @@ and ``fold_norm`` takes ``|A|_2`` from the halves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,13 +68,12 @@ def fold_basis(k: int) -> np.ndarray:
     return b
 
 
-@dataclass
-class FoldedPair:
+class FoldedPair(NamedTuple):
     """Half-size images of a centrosymmetric matrix under the fold bases.
 
     ``f`` has shape ceil(m/2) x n/2 and ``g`` has shape floor(m/2) x n/2;
     conjugation by the fold bases maps the original matrix to
-    blockdiag(f, g).
+    blockdiag(f, g). A pair: ``f, g = fold(a)`` unpacks it.
     """
 
     f: np.ndarray
@@ -137,8 +136,7 @@ def fold_norm(a) -> float:
     The larger of the spectral norms of the two fold halves; raises the
     fold's ``NotCentrosymmetric``/``OddColumnDimension``.
     """
-    halves = fold(a)
-    return max(spectral_norm(halves.f), spectral_norm(halves.g))
+    return max(spectral_norm(h) for h in fold(a))
 
 
 def centro_part(a) -> np.ndarray:

@@ -113,7 +113,7 @@ def _cmd_decompose(args) -> int:
     a = read_matrix(args.input)
     factors = qx_decompose(a)
     m, n = a.shape
-    cond = conditioning(factors.x)
+    cond = conditioning(factors)
     print(f"decomposed {m}x{n} matrix: Q {m}x{n}, X {n}x{n}")
     _print_kv(
         [

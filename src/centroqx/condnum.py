@@ -45,30 +45,28 @@ class CondReport:
     mq_position: tuple[int, int]
 
 
-def mixed_comp_cond(a, ops: FirstOrderOperators, q, x) -> CondReport:
+def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
     """Exact mixed/component-wise condition numbers from the operators."""
     aa = as_matrix(a, "matrix")
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
-    m, n = qa.shape
+    m, n = factors.q.shape
     abs_a_vec = np.abs(vec(aa))
 
     response_x = np.abs(ops.gx) @ abs_a_vec
-    x_max = max_abs(xa)
+    x_max = max_abs(factors.x)
     ix = int(np.argmax(response_x))
     pos_vec = int(xvec_indices(n)[ix])
     mx_pos = (pos_vec % n + 1, pos_vec // n + 1)
     mx = float(response_x[ix]) / x_max
-    cx = max_abs(entrywise_div(response_x, np.abs(xvec(xa))))
+    cx = max_abs(entrywise_div(response_x, np.abs(xvec(factors.x))))
 
     abs_gq = np.abs(ops.gq)
     response_q = abs_gq @ abs_a_vec
-    q_max = max_abs(qa)
+    q_max = max_abs(factors.q)
     iq = int(np.argmax(response_q))
     mq_pos = (iq % m + 1, iq // m + 1)
     mq = float(response_q[iq]) / q_max
-    cq = max_abs(entrywise_div(response_q, np.abs(vec(qa))))
-    mq_q_weighted = float(np.max(abs_gq @ np.abs(vec(qa)))) / q_max
+    cq = max_abs(entrywise_div(response_q, np.abs(vec(factors.q))))
+    mq_q_weighted = float(np.max(abs_gq @ np.abs(vec(factors.q)))) / q_max
 
     return CondReport(
         mx=mx,
@@ -81,7 +79,7 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, q, x) -> CondReport:
     )
 
 
-def cond_upper_bounds(a, q, x, xinv: np.ndarray) -> dict:
+def cond_upper_bounds(a, factors) -> dict:
     """Operator-free upper bounds on the four condition numbers.
 
     Built from ``w = upx(|X^{-T}||A^T||Q| + |Q^T||A||X^{-1}|)`` (which
@@ -89,21 +87,19 @@ def cond_upper_bounds(a, q, x, xinv: np.ndarray) -> dict:
     ``v = |A||X^{-1}| + |Q| w`` for the Q map.
     """
     aa = as_matrix(a, "matrix")
-    qa = as_matrix(q, "Q factor")
-    xa = as_matrix(x, "X factor")
     abs_a = np.abs(aa)
-    abs_q = np.abs(qa)
-    abs_x = np.abs(xa)
-    abs_xi = np.abs(xinv)
+    abs_q = np.abs(factors.q)
+    abs_x = np.abs(factors.x)
+    abs_xi = np.abs(factors.xinv)
 
     w = upx(abs_xi.T @ abs_a.T @ abs_q + abs_q.T @ abs_a @ abs_xi)
     wx = w @ abs_x
     v = abs_a @ abs_xi + abs_q @ w
 
     return {
-        "mx_upper": max_abs(wx) / max_abs(xa),
+        "mx_upper": max_abs(wx) / max_abs(abs_x),
         "cx_upper": max_abs(entrywise_div(vec(wx), vec(abs_x))),
-        "mq_upper": max_abs(v) / max_abs(qa),
+        "mq_upper": max_abs(v) / max_abs(abs_q),
         "cq_upper": max_abs(entrywise_div(vec(v), vec(abs_q))),
     }
 
@@ -120,19 +116,19 @@ class ProbeReport:
     cq: float
 
 
-def empirical_cond_probe(a, eps: float, seed: int, trials: int = 8) -> ProbeReport:
+def empirical_cond_probe(a, base, eps: float, seed: int, trials: int = 8) -> ProbeReport:
     """Measure condition ratios by refactorizing under ``dA = eps * S * A``.
 
-    The sign patterns S are centrosymmetric, so each perturbed matrix stays
-    factorizable; the measured ratios are first-order lower evidence for the
-    formula values (they may never exceed them beyond O(eps) curvature).
-    ``eps`` is capped at ``PROBE_EPS_CAP`` to stay in the linear regime.
+    ``base`` is the ``QxFactors`` of ``a``. The sign patterns S are
+    centrosymmetric, so each perturbed matrix stays factorizable; the
+    measured ratios are first-order lower evidence for the formula values
+    (they may never exceed them beyond O(eps) curvature). ``eps`` is capped
+    at ``PROBE_EPS_CAP`` to stay in the linear regime.
     """
     if not (0.0 < eps <= PROBE_EPS_CAP):
         raise ValueError(f"probe eps must lie in (0, {PROBE_EPS_CAP}], got {eps}")
     aa = as_matrix(a, "matrix")
     m, n = aa.shape
-    base = qx_decompose(aa)
     x_max = max_abs(base.x)
     q_max = max_abs(base.q)
     xv = xvec(base.x)

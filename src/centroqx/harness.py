@@ -47,7 +47,7 @@ from .condnum import cond_upper_bounds, empirical_cond_probe, mixed_comp_cond
 from .errors import CentroQxError
 from .linalg import frobenius_norm, vec
 from .matio import format_float, read_matrix
-from .qx import qx_decompose, verify_qx, x_inverse
+from .qx import qx_decompose, verify_qx
 from .rng import derive_seed, uniform_open
 from .xops import xvec
 
@@ -122,10 +122,11 @@ class TrialRecord:
     tightness_slack: Optional[float] = None
     operators_skipped: bool = False
     error: Optional[str] = None
-    # Wall seconds per stage that ran: generate (A and dA), factor (Q, X,
-    # X^{-1}), refactor (A + dA and the measured deltas), operators, bounds
-    # (report and domination), cond_upper, cond (exact condition numbers and
-    # tightness), probe.
+    # Wall seconds per stage that ran: generate (A and dA), factor (Q, X and
+    # X's halves; X^{-1} is built by the first stage that reads it, operators
+    # or else bounds), refactor (A + dA and the measured deltas), operators,
+    # bounds (report and domination), cond_upper, cond (exact condition
+    # numbers and tightness), probe.
     stage_times: dict[str, float] = field(default_factory=dict)
     wall_time: float = 0.0
 
@@ -173,7 +174,6 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         record.m, record.n = a.shape
         lap("generate")
         factors = qx_decompose(a)
-        xinv = x_inverse(factors.x)
         lap("factor")
         da, k, eps_eff = random_centro_perturbation(
             a, cfg.scale, derive_seed(cfg.seed, 0xB), cfg.k_mode
@@ -189,22 +189,22 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
 
         ops: Optional[FirstOrderOperators] = None
         if cfg.with_operators and record.m * record.n <= OPERATOR_SIZE_CAP:
-            ops = build_first_order_operators(factors.q, factors.x, xinv)
+            ops = build_first_order_operators(factors)
             lap("operators")
         else:
             record.operators_skipped = True
 
-        rep = bound_report(a, factors.q, factors.x, da, xinv, k, eps_eff, ops)
+        rep = bound_report(a, factors, da, k, eps_eff, ops)
         record.report = rep
         record.kappa2 = rep.kappa2
         record.cond_x = rep.cond_x
         _check_domination(record)
         lap("bounds")
 
-        record.cond_upper = cond_upper_bounds(a, factors.q, factors.x, xinv)
+        record.cond_upper = cond_upper_bounds(a, factors)
         lap("cond_upper")
         if ops is not None:
-            cond = mixed_comp_cond(a, ops, factors.q, factors.x)
+            cond = mixed_comp_cond(a, ops, factors)
             record.cond = asdict(cond)
             rtol = COND_DOMINANCE_RTOL
             record.cond_dominance_ok = bool(
@@ -217,7 +217,7 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
             lap("cond")
         if cfg.probe_trials > 0:
             probe = empirical_cond_probe(
-                a, min(cfg.scale, 1e-6), derive_seed(cfg.seed, 0xC), cfg.probe_trials
+                a, factors, min(cfg.scale, 1e-6), derive_seed(cfg.seed, 0xC), cfg.probe_trials
             )
             record.probe = asdict(probe)
             lap("probe")
@@ -518,8 +518,7 @@ def fd_check(m: int, n: int, seed: int, eps_values: list[float]) -> FdReport:
     """
     a = random_centro(m, n, derive_seed(seed, 0xA))
     factors = qx_decompose(a)
-    xinv = x_inverse(factors.x)
-    ops = build_first_order_operators(factors.q, factors.x, xinv)
+    ops = build_first_order_operators(factors)
     mask = random_centro(m, n, derive_seed(seed, 0xB))
     rx, rq = [], []
     for eps in eps_values:

@@ -16,9 +16,9 @@ products (BLAS-3) rather than by one rank-one update per reflector.
 ``GRAM_CROSSOVER`` it forms the k x k Gram matrix at unit scale (an exact
 power-of-two scaling, so the result scales bit for bit), raises it to a high
 power by normalised squaring, and ends with one Rayleigh-Ritz step on the
-range of that power. Larger Gram sides, and operators given only by
-matvec callbacks, use block power iteration (``operator_norm``), which works
-on the unscaled operand.
+range of that power. Larger Gram sides use block power iteration
+(``operator_norm``) at the same unit scale; operators given only by matvec
+callbacks go to ``operator_norm`` unscaled.
 """
 
 from __future__ import annotations
@@ -372,11 +372,11 @@ def _range_basis(y: np.ndarray) -> np.ndarray:
     return np.array(kept).T
 
 
-def _gram_norm(a: np.ndarray) -> float:
-    """``|A|_2`` for a nonzero A with at least as many rows as columns.
+def _gram_norm(s: np.ndarray) -> float:
+    """``|S|_2`` for a nonzero S at unit scale with at least as many rows as
+    columns.
 
-    A is scaled by ``2**-e`` with ``2**e >= max|A|`` (exact) and G = A^T A
-    formed at that scale. Normalised squaring P <- P^2/|P^2|_F raises G to
+    G = S^T S. Normalised squaring P <- P^2/|P^2|_F raises G to
     the power 2**j and stops when the Rayleigh quotient of P's largest column
     c settles. The norm is the largest Ritz value of G on span(c, P S), S the
     start block of ``operator_norm``; c keeps the dominant direction in the
@@ -384,8 +384,6 @@ def _gram_norm(a: np.ndarray) -> float:
     ``POWER_BLOCK_MAX`` while no column is dropped and its smallest Ritz
     value crowds the largest, the sign of a cluster wider than the block.
     """
-    e = _binary_exponent(a)
-    s = np.ldexp(a, -e)
     g = s.T @ s
     k = g.shape[0]
     p = g / math.sqrt(float(np.sum(g * g)))
@@ -405,22 +403,24 @@ def _gram_norm(a: np.ndarray) -> float:
         if w.shape[1] <= b or b == b_max or ritz[-1] <= (1.0 - _CLUSTER_GAP) * ritz[0]:
             break
         b = min(2 * b, b_max)
-    return float(np.ldexp(math.sqrt(max(float(ritz[0]), 0.0)), e))
+    return math.sqrt(max(float(ritz[0]), 0.0))
 
 
 def spectral_norm(mat) -> float:
     """Spectral norm ``|M|_2``, worked on the smaller Gram side k.
 
-    ``k <= GRAM_CROSSOVER``: the direct kernel, scale-safe, so
-    ``spectral_norm(2**j M) == 2**j spectral_norm(M)`` bit for bit while the
-    entries stay normal. Larger k: block power iteration on the unscaled
-    operand.
+    M is divided by ``2**e >= max|M|`` (exact) and the result multiplied
+    back, so ``spectral_norm(2**j M) == 2**j spectral_norm(M)`` bit for bit
+    while the entries stay normal. ``k <= GRAM_CROSSOVER``: the direct
+    kernel; larger k: block power iteration.
     """
     a = as_matrix(mat, "spectral_norm input")
     if a.size == 0 or max_abs(a) == 0.0:
         return 0.0
     if a.shape[0] < a.shape[1]:
         a = a.T
-    if a.shape[1] <= GRAM_CROSSOVER:
-        return _gram_norm(a)
-    return operator_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
+    e = _binary_exponent(a)
+    s = np.ldexp(a, -e)
+    if s.shape[1] > GRAM_CROSSOVER:
+        return float(np.ldexp(operator_norm(lambda v: s @ v, lambda u: s.T @ u, s.shape[1]), e))
+    return float(np.ldexp(_gram_norm(s), e))

@@ -7,12 +7,13 @@ invertible and X-type (supported on the double-cone). The algorithm folds A
 into two half-size blocks, takes their positive-diagonal thin QR
 factorizations, and unfolds the two Q halves into Q and the two triangular
 halves into X, by adds and flips, so X's off-support entries are exactly
-zero.
+zero. ``QxFactors`` keeps the triangular halves; X^{-1} is built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,10 +32,21 @@ from .xops import support_mask
 
 @dataclass
 class QxFactors:
-    """Pair (Q, X) from the factorization."""
+    """Q, X and X's triangular fold halves, ``x == unfold(rf, rg)``. X^{-1}
+    and its halves are built from ``rf`` and ``rg`` on first use and kept."""
 
     q: np.ndarray
     x: np.ndarray
+    rf: np.ndarray
+    rg: np.ndarray
+
+    @cached_property
+    def xinv_halves(self) -> tuple[np.ndarray, np.ndarray]:
+        return _invert_halves(self.rf, self.rg)
+
+    @cached_property
+    def xinv(self) -> np.ndarray:
+        return unfold(*self.xinv_halves)
 
 
 def qx_decompose(a) -> QxFactors:
@@ -51,7 +63,15 @@ def qx_decompose(a) -> QxFactors:
     folded = fold(arr)
     qf, rf = householder_qr(folded.f)
     qg, rg = householder_qr(folded.g)
-    return QxFactors(q=unfold(qf, qg), x=unfold(rf, rg))
+    return QxFactors(q=unfold(qf, qg), x=unfold(rf, rg), rf=rf, rg=rg)
+
+
+def _invert_halves(rf: np.ndarray, rg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    eye = np.eye(rf.shape[1])
+    try:
+        return triangular_solve(rf, eye), triangular_solve(rg, eye)
+    except SingularTriangular as exc:
+        raise SingularTriangular(f"X factor is numerically singular: {exc}") from exc
 
 
 def x_inverse(x) -> np.ndarray:
@@ -61,12 +81,7 @@ def x_inverse(x) -> np.ndarray:
     fold's ``NotCentrosymmetric``/``OddColumnDimension`` for an X it cannot
     fold, and ``SingularTriangular`` when a half is numerically singular.
     """
-    halves = fold(x)
-    eye = np.eye(halves.f.shape[1])
-    try:
-        return unfold(triangular_solve(halves.f, eye), triangular_solve(halves.g, eye))
-    except SingularTriangular as exc:
-        raise SingularTriangular(f"X factor is numerically singular: {exc}") from exc
+    return unfold(*_invert_halves(*fold(x)))
 
 
 @dataclass
@@ -109,7 +124,7 @@ def verify_qx(a, factors: QxFactors) -> VerificationReport:
     )
 
 
-def conditioning(x) -> dict[str, float]:
+def conditioning(factors: QxFactors) -> dict[str, float]:
     """Spectral condition number of X and its entrywise-absolute variant.
 
     Returns ``kappa2 = |X|_2 |X^{-1}|_2`` and ``cond_x = | |X| |X^{-1}| |_2``
@@ -117,6 +132,5 @@ def conditioning(x) -> dict[str, float]:
     ``FactorNorms`` context a bound report uses, so they are the report's
     ``kappa2`` and ``cond_x`` bit for bit.
     """
-    arr = as_matrix(x, "X factor")
-    norms = FactorNorms(None, arr, x_inverse(arr))
+    norms = FactorNorms(factors)
     return {"kappa2": norms.x_norm * norms.xinv_norm, "cond_x": norms.cond_x}

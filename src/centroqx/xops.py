@@ -99,13 +99,13 @@ def _require_square(arr: np.ndarray) -> None:
 
 
 def is_x_type(c, tol: float = IDENTITY_TOL) -> bool:
-    """Centrosymmetric and supported on S, both up to ``tol*(1+max|C|)``."""
+    """Centrosymmetric and supported on S, both up to ``tol*max|C|`` (relative)."""
     arr = as_matrix(c, "x-type check")
     _require_square(arr)
     n = arr.shape[0]
     if n % 2 != 0:
         return False
-    scale = tol * (1.0 + max_abs(arr))
+    scale = tol * max_abs(arr)
     if max_abs(arr[::-1, ::-1] - arr) > scale:
         return False
     off = arr * (~support_mask(n).inside)
@@ -160,8 +160,7 @@ def build_operator_matrices(n: int) -> StructuredOperatorSet:
     """Assemble the support operators for even n (cached per dimension)."""
     _require_even(n)
     mask = support_mask(n)
-    weights = np.where(mask.inside, np.where(mask.boundary, 0.5, 1.0), 0.0)
-    half = weights.reshape(-1, order="F").copy()
+    half = _weights(n).reshape(-1, order="F")
     indicator = mask.inside.reshape(-1, order="F").astype(float)
     half.setflags(write=False)
     indicator.setflags(write=False)

@@ -20,7 +20,7 @@ from centroqx.centro import exchange_matrix, random_centro
 from centroqx.cli import main as cli_main
 from centroqx.condnum import empirical_cond_probe, mixed_comp_cond
 from centroqx.harness import TrialConfig, fd_check, run_trial
-from centroqx.qx import qx_decompose, x_inverse
+from centroqx.qx import qx_decompose
 from centroqx.rng import derive_seed, uniform_open
 from centroqx.xops import (
     build_operator_matrices,
@@ -214,10 +214,8 @@ def test_criterion_6_condition_numbers(domination_trials, acceptance):
         for s in range(2):
             a = random_centro(m, n, derive_seed(9400, m, s))
             f = qx_decompose(a)
-            cond = mixed_comp_cond(
-                a, build_first_order_operators(f.q, f.x, x_inverse(f.x)), f.q, f.x
-            )
-            probe = empirical_cond_probe(a, 1e-6, derive_seed(9401, m, s), trials=50)
+            cond = mixed_comp_cond(a, build_first_order_operators(f), f)
+            probe = empirical_cond_probe(a, f, 1e-6, derive_seed(9401, m, s), trials=50)
             tol = 1.0 + 100.0 * probe.eps
             ok &= probe.mx <= cond.mx * tol
             ok &= probe.cx <= cond.cx * tol
@@ -228,9 +226,7 @@ def test_criterion_6_condition_numbers(domination_trials, acceptance):
     for n in (2, 4, 6, 8):
         eye = np.eye(n)
         f = qx_decompose(eye)
-        cond = mixed_comp_cond(
-            eye, build_first_order_operators(f.q, f.x, x_inverse(f.x)), f.q, f.x
-        )
+        cond = mixed_comp_cond(eye, build_first_order_operators(f), f)
         ok &= abs(cond.mx - 1.0) <= 1e-12
         ok &= abs(cond.cx - 1.0) <= 1e-12
         ok &= cond.mq <= 1e-12

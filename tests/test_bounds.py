@@ -14,6 +14,7 @@ import centroqx
 import centroqx.bounds as bounds_mod
 import centroqx.centro as centro_mod
 import centroqx.linalg as linalg_mod
+import centroqx.qx as qx_mod
 from centroqx.bounds import (
     BOUNDS,
     COMP_SMALLNESS_THRESHOLD,
@@ -32,11 +33,17 @@ from centroqx.bounds import (
     operator_norms,
     tightness_check,
 )
-from centroqx.centro import centro_part, fold_norm, random_centro, random_centro_perturbation
+from centroqx.centro import (
+    centro_part,
+    fold,
+    fold_norm,
+    random_centro,
+    random_centro_perturbation,
+)
 from centroqx.errors import NotCentrosymmetric, SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
 from centroqx.linalg import frobenius_norm, spectral_norm, vec
-from centroqx.qx import qx_decompose, x_inverse
+from centroqx.qx import qx_decompose
 from centroqx.rng import uniform_open
 from centroqx.xops import scaling_candidates, upx, xvec
 
@@ -44,7 +51,7 @@ SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
 
 def _identity_ops():
-    return build_first_order_operators(np.eye(2), np.eye(2), np.eye(2))
+    return build_first_order_operators(qx_decompose(np.eye(2)))
 
 
 def _factored(m, n, seed):
@@ -54,11 +61,11 @@ def _factored(m, n, seed):
 
 
 def _ops(f):
-    return build_first_order_operators(f.q, f.x, x_inverse(f.x))
+    return build_first_order_operators(f)
 
 
 def _report(a, f, da, **kwargs):
-    return bound_report(a, f.q, f.x, da, x_inverse(f.x), **kwargs)
+    return bound_report(a, f, da, **kwargs)
 
 
 # ------------------------------------------------ frozen identity oracles
@@ -171,7 +178,7 @@ def test_normwise_gate_violation():
     a = np.eye(2)
     f = qx_decompose(a)
     da = 0.2 * np.eye(2)
-    gate = gate_normwise(f.q, da, x_inverse(f.x))
+    gate = gate_normwise(f, da)
     assert not gate.satisfied
     assert gate.value == pytest.approx(0.2 * SQRT2, rel=1e-12)
     rep = _report(a, f, da)
@@ -271,7 +278,7 @@ def test_comp_matvec_dense_cross_check():
     k = np.eye(m)
     kq_fro = frobenius_norm(k @ np.abs(f.q))
     out = BoundReport(delta=0.0, eps=1e-8)
-    comp_matvec_bounds(out, ops, FactorNorms(f.q, f.x, x_inverse(f.x)), k, kq_fro)
+    comp_matvec_bounds(out, ops, FactorNorms(f), k, kq_fro)
     absx = np.abs(f.x)
     dense_a = np.abs(ops.gx) @ np.kron(absx.T, np.eye(m))
     dense_b = np.abs(ops.hx) @ np.kron(absx.T, absx.T)
@@ -309,7 +316,7 @@ def test_bound_report_rejects_small_non_centro_perturbation():
     f = qx_decompose(a)
     da = 1e-13 * uniform_open(3, 8).reshape(4, 2)
     with pytest.raises(NotCentrosymmetric):
-        bound_report(a, f.q, f.x, da, x_inverse(f.x))
+        bound_report(a, f, da)
 
 
 def test_bound_report_gate_failure_keeps_coefficients():
@@ -325,8 +332,7 @@ def test_bound_report_gate_failure_keeps_coefficients():
 
 def test_min_sym_kappa_identity():
     # X = I: both candidates give sqrt(1 + 1) * 1 = sqrt(2)
-    x = np.eye(4)
-    val, winner = min_sym_kappa(FactorNorms(None, x, x))
+    val, winner = min_sym_kappa(FactorNorms(qx_decompose(np.eye(4))))
     assert val == pytest.approx(SQRT2, rel=1e-12)
     assert winner in ("identity", "row-norms")
 
@@ -361,15 +367,14 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     m, n = 20, 10
     a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
-    xinv = x_inverse(f.x)
     ops = _ops(f)
     shapes = _record_spectral_norm_operands(monkeypatch)
 
-    closed = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps)
+    closed = bound_report(a, f, da, k=k, eps=eps)
     assert len(shapes) == 8 * 2 + 2
     assert sorted(shapes) == [(n // 2, n // 2)] * 16 + [(m // 2, n // 2)] * 2
     shapes.clear()
-    full = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps, ops=ops)
+    full = bound_report(a, f, da, k=k, eps=eps, ops=ops)
     assert len(shapes) == 18 + 3 + 1 + 2
     assert sorted(shapes[18:]) == sorted(
         [ops.gx.shape, ops.hx.shape, ops.gq.shape, ops.hx.shape, (n // 2, n // 2), (n // 2, n // 2)]
@@ -379,20 +384,54 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     assert shapes == []
 
     monkeypatch.undo()
-    envelope, winner = min_sym_kappa(FactorNorms(None, f.x, xinv))
+    envelope, winner = min_sym_kappa(FactorNorms(f))
     g = spectral_norm(ops.gx)
     assert shared == {"g": g, "envelope": envelope, "winner": winner, "slack": envelope - g}
     assert closed.sym_kappa == full.sym_kappa == shared["envelope"]
 
 
+def test_a_report_folds_only_what_has_no_kept_halves(monkeypatch):
+    """X and X^{-1} are normed from the kept triangular halves, so a report
+    folds |X||X^{-1}|, |X|X^{-1} and dA only: 3 ``fold`` calls closed-form
+    (9 when every scaled operand was folded), and the operator route adds
+    |X|: 4 (10 before)."""
+    m, n = 20, 10
+    a, f = _factored(m, n, seed=990)
+    da, k, eps = random_centro_perturbation(a, 1e-8, seed=991, k_mode="ones")
+    ops = _ops(f)
+    fresh = qx_decompose(a)  # X^{-1} not yet built
+    shapes: list[tuple[int, ...]] = []
+    original = centro_mod.fold
+
+    def recording(arr, *args, **kwargs):
+        shapes.append(np.shape(arr))
+        return original(arr, *args, **kwargs)
+
+    for module in (centro_mod, bounds_mod, qx_mod):
+        if getattr(module, "fold", None) is original:
+            monkeypatch.setattr(module, "fold", recording)
+    bound_report(a, fresh, da, k=k, eps=eps)
+    assert sorted(shapes) == [(n, n), (n, n), (m, n)]
+    shapes.clear()
+    bound_report(a, f, da, k=k, eps=eps, ops=ops)
+    assert sorted(shapes) == [(n, n), (n, n), (n, n), (m, n)]
+
+
+def _halves_norm(halves) -> float:
+    return max(spectral_norm(h) for h in halves)
+
+
 def test_context_norms_equal_direct_evaluation():
-    """Each X-side norm read from the context is the float ``fold_norm`` of
-    its operand gives, within 1e-13 of numpy's SVD; |Q D^{-1}|_2 is an upper
-    enclosure no more than 1e-13 above it. The identity candidate shares
-    the unscaled norms."""
+    """Each X-side norm read from the context is the float the norms of its
+    operand's scaled fold halves give: X's halves are (R_f, R_g), X^{-1}'s
+    their inverses, and D scales them by its half-diagonal delta (rows for
+    D^{-1}X, columns for the rest). Each is within 1e-13 of numpy's SVD of
+    the full operand and within 1e-14 of ``fold_norm`` of it; |Q D^{-1}|_2
+    is an upper enclosure no more than 1e-13 above numpy. The identity
+    candidate shares the unscaled norms."""
     a, f = _factored(20, 10, seed=992)
-    xinv = x_inverse(f.x)
-    norms = FactorNorms(f.q, f.x, xinv)
+    xinv = f.xinv
+    norms = FactorNorms(f)
     cands = norms.cands
     assert [d.diagonal().tolist() for d in cands] == [
         d.diagonal().tolist() for d in scaling_candidates(f.x)
@@ -401,24 +440,31 @@ def test_context_norms_equal_direct_evaluation():
     abs_x_abs_xinv = centro_part(np.abs(f.x) @ np.abs(xinv))
     abs_x_xinv = centro_part(np.abs(f.x) @ xinv)
     for i, d in enumerate(cands):
-        diag = d.diagonal()
-        operands = {
-            "dinv_x": f.x / diag[:, None],
-            "xinv_d": xinv * diag[None, :],
-            "cond_d": abs_x_abs_xinv * diag[None, :],
-            "abs_x_xinv_d": abs_x_xinv * diag[None, :],
+        diag, delta = d.diagonal(), d.delta
+        cases = {
+            "dinv_x": (f.x / diag[:, None], [h / delta[:, None] for h in (f.rf, f.rg)]),
+            "xinv_d": (xinv * diag[None, :], [h * delta[None, :] for h in f.xinv_halves]),
+            "cond_d": (
+                abs_x_abs_xinv * diag[None, :],
+                [h * delta[None, :] for h in fold(abs_x_abs_xinv)],
+            ),
+            "abs_x_xinv_d": (
+                abs_x_xinv * diag[None, :],
+                [h * delta[None, :] for h in fold(abs_x_xinv)],
+            ),
         }
-        for name, operand in operands.items():
+        for name, (operand, scaled) in cases.items():
             got = getattr(norms, name)(i)
             want = np.linalg.norm(operand, 2)
-            assert got == fold_norm(operand), name
+            assert got == _halves_norm(scaled), name
             assert abs(got - want) <= 1e-13 * want, name
+            assert abs(got - fold_norm(operand)) <= 1e-14 * got, name
         want = np.linalg.norm(f.q / diag[None, :], 2)
         assert want <= norms.q_dinv(i) <= want * (1.0 + 1e-13)
-    assert norms.x_norm == norms.dinv_x(0) == fold_norm(f.x)
-    assert norms.xinv_norm == fold_norm(xinv)
+    assert norms.x_norm == norms.dinv_x(0) == _halves_norm((f.rf, f.rg))
+    assert norms.xinv_norm == _halves_norm(f.xinv_halves)
     assert norms.q_norm == norms.q_dinv(0)
-    assert norms.cond_x == fold_norm(abs_x_abs_xinv)
+    assert norms.cond_x == _halves_norm(fold(abs_x_abs_xinv))
 
 
 def test_report_matches_the_direct_formulas():
@@ -427,9 +473,9 @@ def test_report_matches_the_direct_formulas():
     and the values built from them equal the closed forms bit for bit."""
     a, f = _factored(20, 10, seed=993)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=994, k_mode="ones")
-    xinv = x_inverse(f.x)
-    rep = bound_report(a, f.q, f.x, da, xinv, k=k, eps=eps)
-    norms = FactorNorms(f.q, f.x, xinv)
+    xinv = f.xinv
+    rep = bound_report(a, f, da, k=k, eps=eps)
+    norms = FactorNorms(f)
     delta = frobenius_norm(da)
     q_norm = norms.q_norm
     msym, msym_winner = min_sym_kappa(norms)
@@ -446,7 +492,7 @@ def test_report_matches_the_direct_formulas():
         bounds_mod.REFINED_Q_CONSTANT_A * mq * q_norm * delta
         + bounds_mod.REFINED_Q_CONSTANT_B * projected
     )
-    assert rep.gate("normwise-smallness") == gate_normwise(f.q, da, xinv)
+    assert rep.gate("normwise-smallness") == gate_normwise(f, da)
     assert rep.gate("normwise-smallness").value == projected
     assert rep.gate("comp-smallness").value == qtkq * cond_x * eps
     assert rep.q_comp == bounds_mod.COMP_Q_CONSTANT * qtkq * cond_x * eps
@@ -550,6 +596,23 @@ def test_no_optional_xinv_or_cands_parameters():
                 optional = isinstance(default, ast.Constant) and default.value is None
                 if arg.arg == "cands" or (arg.arg == "xinv" and optional):
                     offenders.append(f"{path.name}:{node.lineno} {arg.arg}")
+    assert offenders == []
+
+
+def test_x_inverse_is_read_from_the_factors():
+    """X^{-1} is ``QxFactors.xinv``: no package function takes an ``xinv``
+    parameter, and no module but ``qx`` calls ``x_inverse``."""
+    offenders = []
+    for path in sorted(Path(centroqx.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                if "xinv" in [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]:
+                    offenders.append(f"{path.name}:{node.lineno} takes xinv")
+            elif isinstance(node, ast.Call) and path.name != "qx.py":
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "x_inverse":
+                    offenders.append(f"{path.name}:{node.lineno} calls x_inverse")
     assert offenders == []
 
 

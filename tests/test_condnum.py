@@ -15,13 +15,12 @@ from centroqx.condnum import (
     empirical_cond_probe,
     mixed_comp_cond,
 )
-from centroqx.qx import qx_decompose, x_inverse
+from centroqx.qx import qx_decompose
 
 
 def _cond_for(a):
     f = qx_decompose(a)
-    ops = build_first_order_operators(f.q, f.x, x_inverse(f.x))
-    return mixed_comp_cond(a, ops, f.q, f.x), f
+    return mixed_comp_cond(a, build_first_order_operators(f), f), f
 
 
 # -------------------------------------------------------- identity oracle
@@ -42,7 +41,7 @@ def test_identity_exact_values(n):
 def test_identity_upper_estimates():
     n = 4
     f = qx_decompose(np.eye(n))
-    upper = cond_upper_bounds(np.eye(n), f.q, f.x, x_inverse(f.x))
+    upper = cond_upper_bounds(np.eye(n), f)
     assert upper["mx_upper"] == pytest.approx(1.0, abs=1e-12)
     assert upper["cx_upper"] == pytest.approx(1.0, abs=1e-12)
     assert upper["mq_upper"] == pytest.approx(2.0, abs=1e-12)
@@ -71,7 +70,7 @@ def test_upper_estimates_dominate(shape):
     m, n = shape
     a = random_centro(m, n, seed=50 + m)
     cond, f = _cond_for(a)
-    upper = cond_upper_bounds(a, f.q, f.x, x_inverse(f.x))
+    upper = cond_upper_bounds(a, f)
     slack = 1e-10
     assert cond.mx <= upper["mx_upper"] * (1 + slack)
     assert cond.cx <= upper["cx_upper"] * (1 + slack)
@@ -94,9 +93,9 @@ def test_positions_recorded():
 def test_probe_below_formula_values(shape):
     m, n = shape
     a = random_centro(m, n, seed=70 + m)
-    cond, _ = _cond_for(a)
+    cond, f = _cond_for(a)
     eps = 1e-6
-    probe = empirical_cond_probe(a, eps, seed=71 + m, trials=12)
+    probe = empirical_cond_probe(a, f, eps, seed=71 + m, trials=12)
     tol = 1.0 + 100.0 * probe.eps
     assert probe.mx <= cond.mx * tol
     assert probe.cx <= cond.cx * tol
@@ -106,17 +105,18 @@ def test_probe_below_formula_values(shape):
 
 def test_probe_eps_capped():
     a = random_centro(4, 2, seed=80)
+    f = qx_decompose(a)
     with pytest.raises(ValueError):
-        empirical_cond_probe(a, 1e-2, seed=81, trials=2)
+        empirical_cond_probe(a, f, 1e-2, seed=81, trials=2)
     with pytest.raises(ValueError):
-        empirical_cond_probe(a, 0.0, seed=81, trials=2)
-    probe = empirical_cond_probe(a, PROBE_EPS_CAP, seed=81, trials=2)
+        empirical_cond_probe(a, f, 0.0, seed=81, trials=2)
+    probe = empirical_cond_probe(a, f, PROBE_EPS_CAP, seed=81, trials=2)
     assert probe.eps == PROBE_EPS_CAP
     assert probe.trials == 2
 
 
 def test_probe_deterministic():
     a = random_centro(4, 2, seed=82)
-    p1 = empirical_cond_probe(a, 1e-7, seed=83, trials=4)
-    p2 = empirical_cond_probe(a, 1e-7, seed=83, trials=4)
+    p1 = empirical_cond_probe(a, qx_decompose(a), 1e-7, seed=83, trials=4)
+    p2 = empirical_cond_probe(a, qx_decompose(a), 1e-7, seed=83, trials=4)
     assert (p1.mx, p1.cx, p1.mq, p1.cq) == (p2.mx, p2.cx, p2.mq, p2.cq)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 import centroqx.bounds as bounds_mod
+import centroqx.condnum as condnum_mod
+import centroqx.harness as harness_mod
+import centroqx.qx as qx_mod
 from centroqx.bounds import OPERATOR_SIZE_CAP
 from centroqx.harness import (
     BOUND_COLUMNS,
@@ -180,6 +183,23 @@ def test_run_trial_records_stage_times():
         assert all(t >= 0.0 for t in rec.stage_times.values())
         assert sum(rec.stage_times.values()) <= rec.wall_time + 1e-12
         assert json.loads(json.dumps(rec.to_dict()))["stage_times"] == rec.stage_times
+
+
+def test_run_trial_factors_a_once(monkeypatch):
+    """A and A + dA are factored once each; the probe reuses A's factors and
+    factors only its perturbed matrices."""
+    calls = []
+    original = qx_mod.qx_decompose
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for module in (harness_mod, condnum_mod):
+        monkeypatch.setattr(module, "qx_decompose", counting)
+    rec = run_trial(TrialConfig(m=8, n=4, seed=5, probe_trials=3))
+    assert rec.error is None and rec.probe is not None
+    assert len(calls) == 2 + 3
 
 
 def test_run_trial_gate_violation_keeps_coefficients():

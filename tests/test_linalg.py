@@ -303,6 +303,20 @@ def test_direct_norm_scales_by_powers_of_two_exactly(k):
         assert spectral_norm(s * a) == s * spectral_norm(a)
 
 
+# Gram side 140 > GRAM_CROSSOVER: normed by block power iteration. Every
+# entry is at least 2**-22 in magnitude, so 2**-1000 times it is still normal.
+POWER_PATH_INPUT = _rand(150, 140, 33)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=-1000, max_value=1000))
+def test_power_norm_scales_by_powers_of_two_exactly(k):
+    """The power-iteration path runs at unit scale too. Unscaled, 2**-600 A
+    normed to 0.0 and 2**-300, 2**300 and 2**600 A raised NoConvergence."""
+    s = 2.0**k
+    assert spectral_norm(s * POWER_PATH_INPUT) == s * spectral_norm(POWER_PATH_INPUT)
+
+
 def test_operator_norm_block_callbacks():
     a = _rand(7, 5, 12)
     got = operator_norm(lambda v: a @ v, lambda u: a.T @ u, 5)

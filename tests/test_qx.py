@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centroqx.bounds import FactorNorms, bound_report
-from centroqx.centro import exchange_matrix, fold, random_centro, random_centro_perturbation
+from centroqx.centro import (
+    exchange_matrix,
+    fold,
+    random_centro,
+    random_centro_perturbation,
+    unfold,
+)
 from centroqx.errors import (
     NotCentrosymmetric,
     OddColumnDimension,
@@ -98,7 +105,7 @@ def test_verify_qx_report(instance, shape):
     # tampering must be detected
     bad = f.q.copy()
     bad[0, 0] += 1e-3
-    rep_bad = verify_qx(a, type(f)(q=bad, x=f.x))
+    rep_bad = verify_qx(a, dataclasses.replace(f, q=bad))
     assert rep_bad.max_residual() > 1e-5
 
 
@@ -143,9 +150,21 @@ def test_x_inverse_properties(instance, shape):
     _, f = instance
     n = shape[1]
     xi = x_inverse(f.x)
-    assert np.max(np.abs(f.x @ xi - np.eye(n))) <= 1e-11 * conditioning(f.x)["kappa2"]
+    assert np.max(np.abs(f.x @ xi - np.eye(n))) <= 1e-11 * conditioning(f)["kappa2"]
     assert is_x_type(xi)
     assert np.max(np.abs(xi - np.linalg.inv(f.x))) <= 1e-11 * np.max(np.abs(xi))
+
+
+def test_factors_keep_the_halves_and_invert_them_lazily(instance, shape):
+    """X is the unfold of the kept triangular halves, bit for bit; X^{-1}
+    is built from them on first use only, and agrees with ``x_inverse``."""
+    _, f = instance
+    assert np.array_equal(unfold(f.rf, f.rg), f.x)
+    assert "xinv" not in vars(f) and "xinv_halves" not in vars(f)
+    kappa2 = np.linalg.cond(f.x)
+    assert np.linalg.norm(f.xinv - x_inverse(f.x)) <= 1e-14 * kappa2 * np.linalg.norm(f.xinv)
+    assert np.array_equal(unfold(*f.xinv_halves), f.xinv)
+    assert vars(f)["xinv"] is f.xinv
 
 
 def test_x_inverse_singular():
@@ -192,8 +211,7 @@ def test_power_of_two_scaling_commutes_with_the_factorization(k):
 
 def test_conditioning_fixture():
     # X = [[2,1],[1,2]]: kappa2 = 3; |X||X^{-1}| = (1/3)[[5,4],[4,5]] has norm 3
-    x = np.array([[2.0, 1.0], [1.0, 2.0]])
-    cond = conditioning(x)
+    cond = conditioning(qx_decompose(np.array([[2.0, 1.0], [1.0, 2.0]])))
     assert cond["kappa2"] == pytest.approx(3.0, rel=1e-12)
     assert cond["cond_x"] == pytest.approx(3.0, rel=1e-12)
 
@@ -203,12 +221,11 @@ def test_conditioning_is_the_report_path(shape):
     """kappa2 and cond_x come from the bound report's own norms, bit for bit."""
     a = random_centro(*shape, seed=sum(shape))
     f = qx_decompose(a)
-    xinv = x_inverse(f.x)
-    norms = FactorNorms(None, f.x, xinv)
-    cond = conditioning(f.x)
+    norms = FactorNorms(f)
+    cond = conditioning(f)
     assert cond == {"kappa2": norms.x_norm * norms.xinv_norm, "cond_x": norms.cond_x}
     da, _, _ = random_centro_perturbation(a, 1e-8, seed=1)
-    rep = bound_report(a, f.q, f.x, da, xinv)
+    rep = bound_report(a, f, da)
     assert (cond["kappa2"], cond["cond_x"]) == (rep.kappa2, rep.cond_x)
 
 

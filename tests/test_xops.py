@@ -89,6 +89,39 @@ def test_x_type_predicate():
     assert not is_x_type(bad)
 
 
+# Dense, so neither centrosymmetric nor supported on S, but every entry of
+# the scaled copies is below the tolerance: an absolute test accepts them.
+DENSE = uniform_open(3, 16).reshape(4, 4)
+
+
+def test_x_type_test_is_relative():
+    for scale in (1.0, 1e-13, 2.0**-60):
+        assert not is_x_type(scale * DENSE)
+
+
+def _nudged_x_type(rel_defect: float) -> np.ndarray:
+    """X-type 6x6 with the off-support entry (1, 0) set to ``rel_defect * max|W|``."""
+    w = upx(random_centro(6, 6, seed=26))
+    w[1, 0] = rel_defect * np.max(np.abs(w))
+    return w
+
+
+X_TYPE_SCALE_CASES = (
+    (upx(random_centro(6, 6, seed=26)), True),
+    (DENSE, False),
+    (_nudged_x_type(2.0**-42), True),
+    (_nudged_x_type(2.0**-38), False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=-1000, max_value=1000))
+def test_x_type_test_is_scale_invariant(k):
+    for c, expected in X_TYPE_SCALE_CASES:
+        assert is_x_type(c) is expected
+        assert is_x_type(2.0**k * c) is expected
+
+
 def test_exact_recovery_for_x_type():
     # upx undoes symmetrization exactly on X-type input
     for n in (2, 4, 8):

@@ -24,10 +24,9 @@ operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D, |X|X^{-1}D)
 and dA are centrosymmetric, because D is palindromic, so each norm is the
 larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
 and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
-max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. Spectral norms
-of operator products with Kronecker structure are evaluated matrix-free
-through power iteration to keep the memory footprint at one dense operator
-per map.
+max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
+route forms its Kronecker-structured products as batched matrix products
+and norms them with ``spectral_norm`` like every other operand.
 """
 
 from __future__ import annotations
@@ -41,13 +40,7 @@ import numpy as np
 
 from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
-from .linalg import (
-    as_matrix,
-    frobenius_norm,
-    operator_norm,
-    spectral_norm,
-    vec_perm_indices,
-)
+from .linalg import as_matrix, frobenius_norm, spectral_norm, vec_perm_indices
 from .xops import ScalingD, build_operator_matrices, scaling_candidates, varsigma
 
 SQRT2 = math.sqrt(2.0)
@@ -299,7 +292,7 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     if g_rad.satisfied and a_fro > 0.0:
         den = SQRT2 - 1.0 + math.sqrt(radicand)
         qt_da = frobenius_norm(norms.factors.q.T @ daa)
-        num_a = SQRT2 * msym * (qt_da / a_fro + kappa2 * delta**2 / x_norm**2)
+        num_a = SQRT2 * msym * (qt_da / a_fro + kappa2 * (delta / x_norm) ** 2)
         num_b = SQRT3 * msym * (delta / x_norm)
         report.x_relative_a = x_norm * num_a / den
         report.x_relative_b = x_norm * num_b / den
@@ -351,22 +344,6 @@ class FirstOrderOperators:
     gq: np.ndarray
 
 
-def _columns_right_multiply(s: np.ndarray, factor: np.ndarray, rows: int) -> np.ndarray:
-    """Map each column vec(C) of ``s`` to vec(C @ factor)."""
-    k = s.shape[1]
-    cube = s.reshape(rows, -1, k, order="F")
-    out = np.einsum("ijk,jl->ilk", cube, factor)
-    return out.reshape(rows * factor.shape[1], k, order="F")
-
-
-def _columns_left_multiply(s: np.ndarray, factor: np.ndarray, rows: int) -> np.ndarray:
-    """Map each column vec(C) of ``s`` to vec(factor @ C)."""
-    k = s.shape[1]
-    cube = s.reshape(rows, -1, k, order="F")
-    out = np.einsum("ij,jlk->ilk", factor, cube)
-    return out.reshape(factor.shape[0] * cube.shape[1], k, order="F")
-
-
 def build_first_order_operators(factors) -> FirstOrderOperators:
     """Assemble the dense first-order operators for one ``QxFactors``.
 
@@ -378,21 +355,23 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     if m * n > OPERATOR_SIZE_CAP:
         raise SizeCapExceeded(f"m*n = {m * n} exceeds the operator cap {OPERATOR_SIZE_CAP}")
     ops = build_operator_matrices(n)
-    xit = factors.xinv.T
+    xinv = factors.xinv
 
-    s = np.kron(xit, qa.T)
-    s += np.kron(qa.T, xit)[:, vec_perm_indices(m, n)]
-    s *= ops.half_weights[:, None]
+    # Each map is built transposed: row j is its column j, vec(C_j). The
+    # C-order (n, n) view of that row is C_j^T, so vec(C_j F) is F^T @ C_j^T
+    # and vec(F C_j) is C_j^T @ F^T, batched over j.
+    st = np.kron(xinv, qa)
+    st += st[:, vec_perm_indices(n, n)]  # the vec(C^T) term
+    st *= ops.half_weights
+    st = st.reshape(m * n, n, n)
+    gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
 
-    gx = _columns_right_multiply(s, xa, n)[ops.indices, :]
+    ht = np.kron(xinv, xinv) * ops.half_weights
+    hx = (xa.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
 
-    h = np.kron(xit, xit) * ops.half_weights[:, None]
-    hx = _columns_right_multiply(h, xa, n)[ops.indices, :]
-
-    gq = np.kron(xit, np.eye(m))
-    gq -= _columns_left_multiply(s, qa, n)
-
-    return FirstOrderOperators(gx=gx, hx=hx, gq=gq)
+    gqt = np.kron(xinv, np.eye(m))
+    gqt -= (st @ qa.T).reshape(m * n, m * n)
+    return FirstOrderOperators(gx=gx, hx=hx, gq=gqt.T)
 
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:
@@ -435,31 +414,21 @@ def comp_matvec_bounds(
     - ``b_hat = ||hx| (|X^T| kron |X^T|)|_2 * ||Q^T| K^T K |Q||_F``
     - ``c_hat = ||hx||_2``
 
-    with the structured products evaluated matrix-free; ``kq_fro`` is
-    ``|K |Q||_F`` and ``eps`` is ``report.eps``. As in
-    ``matvec_bounds_normwise``, the values are not withheld here.
+    ``kq_fro`` is ``|K |Q||_F`` and ``eps`` is ``report.eps``. A row vec(R)
+    of an operator times ``|X^T| kron B^T`` is vec(B R |X|^T), formed on the
+    C-order view R^T of the row. As in ``matvec_bounds_normwise``, the values
+    are not withheld here.
     """
     m, n = norms.factors.q.shape
+    tau1 = ops.gx.shape[0]
     absq = norms.abs_q
     absx = np.abs(norms.factors.x)
-    abs_gx = np.abs(ops.gx)
     abs_hx = np.abs(ops.hx)
 
-    def mv_a(v: np.ndarray) -> np.ndarray:
-        return abs_gx @ _columns_right_multiply(v, absx, m)
-
-    def rmv_a(u: np.ndarray) -> np.ndarray:
-        return _columns_right_multiply(abs_gx.T @ u, absx.T, m)
-
-    gxa_norm = operator_norm(mv_a, rmv_a, m * n)
-
-    def mv_b(v: np.ndarray) -> np.ndarray:
-        return abs_hx @ _columns_right_multiply(_columns_left_multiply(v, absx.T, n), absx, n)
-
-    def rmv_b(u: np.ndarray) -> np.ndarray:
-        return _columns_right_multiply(_columns_left_multiply(abs_hx.T @ u, absx, n), absx.T, n)
-
-    hxb_norm = operator_norm(mv_b, rmv_b, n * n)
+    gxa = absx @ np.abs(ops.gx).reshape(tau1, n, m)
+    gxa_norm = spectral_norm(gxa.reshape(tau1, m * n))
+    hxb = absx @ abs_hx.reshape(tau1, n, n) @ absx.T
+    hxb_norm = spectral_norm(hxb.reshape(tau1, n * n))
 
     c_hat = spectral_norm(abs_hx)
     qtktkq_fro = frobenius_norm(absq.T @ k.T @ k @ absq)

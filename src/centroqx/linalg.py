@@ -16,15 +16,14 @@ products (BLAS-3) rather than by one rank-one update per reflector.
 ``GRAM_CROSSOVER`` it forms the k x k Gram matrix at unit scale (an exact
 power-of-two scaling, so the result scales bit for bit), raises it to a high
 power by normalised squaring, and ends with one Rayleigh-Ritz step on the
-range of that power. Larger Gram sides use block power iteration
-(``operator_norm``) at the same unit scale; operators given only by matvec
-callbacks go to ``operator_norm`` unscaled.
+range of that power. Larger Gram sides use block power iteration at the same
+unit scale. Both orthonormalize with ``_range_basis``, so ``spectral_norm``
+of an array is the package's one norm entry point.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -214,6 +213,7 @@ def triangular_solve(r, b) -> np.ndarray:
 
 POWER_BLOCK = 4
 POWER_BLOCK_MAX = 32
+POWER_SWEEPS = 10  # power steps allowed per Gram column (at least 100 columns)
 _CLUSTER_GAP = 0.05  # relative Ritz spread that flags a straddled cluster
 _WIDEN_WARMUP = 30  # iterations before the first block-widening check
 
@@ -272,79 +272,6 @@ def _start_columns(ncols: int, lo: int, hi: int) -> np.ndarray:
     return block
 
 
-def _orthonormalize_block(y: np.ndarray, fill_tag: int) -> np.ndarray:
-    """Modified Gram-Schmidt with deterministic replacement of null columns."""
-    n, b = y.shape
-    q = np.zeros((n, b))
-    for j in range(b):
-        v = y[:, j].copy()
-        for _ in range(2):  # second pass restores orthogonality after cancellation
-            for i in range(j):
-                v -= (q[:, i] @ v) * q[:, i]
-        nv = float(np.sqrt(np.sum(v * v)))
-        attempt = 0
-        while nv <= 1e-150:
-            v = uniform_open((fill_tag + 1) * 0x9E37 + attempt, n, offset=j * n)
-            for i in range(j):
-                v -= (q[:, i] @ v) * q[:, i]
-            nv = float(np.sqrt(np.sum(v * v)))
-            attempt += 1
-        q[:, j] = v / nv
-    return q
-
-
-def operator_norm(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    rmatvec: Callable[[np.ndarray], np.ndarray],
-    ncols: int,
-    max_iter: Optional[int] = None,
-) -> float:
-    """Largest singular value of a linear operator given by matvec callbacks.
-
-    Block power iteration (subspace iteration) on the Gram operator
-    ``v -> rmatvec(matvec(v))``. The callbacks must accept an ``(ncols, b)``
-    block. The starting block is deterministic: a normalized all-ones column
-    plus fixed pseudo-random columns (so starts orthogonal to the dominant
-    singular subspace cannot blind the iteration), and the largest Ritz value
-    is tracked until its relative increment falls below ``POWER_TOL``.
-
-    The block starts at width 4 and doubles (up to 32) whenever the smallest
-    Ritz value crowds the largest: that signature means a cluster of
-    near-equal singular values straddles the block edge, which would pin the
-    convergence rate of the top Ritz value near 1. Widening past the cluster
-    restores a usable rate. Structured operators routinely carry such
-    multiplets, so the single-vector method is not reliable here.
-    """
-    if ncols == 0:
-        return 0.0
-    if max_iter is None:
-        max_iter = 10 * max(ncols, 100)
-    b = min(POWER_BLOCK, ncols)
-    b_max = min(POWER_BLOCK_MAX, ncols)
-    w = _orthonormalize_block(_start_columns(ncols, 0, b), 0)
-    theta = 0.0
-    for it in range(max_iter):
-        y = rmatvec(matvec(w))
-        h = w.T @ y
-        ritz = _jacobi_eigenvalues(h)
-        theta_new = float(ritz[0])
-        if abs(theta_new - theta) <= POWER_TOL * max(abs(theta_new), 1e-300):
-            return float(np.sqrt(max(theta_new, 0.0)))
-        if (
-            b < b_max
-            and it >= _WIDEN_WARMUP
-            and float(ritz[-1]) > (1.0 - _CLUSTER_GAP) * max(theta_new, 0.0)
-        ):
-            extra = min(b, b_max - b)
-            y = np.hstack([y, _start_columns(ncols, b, b + extra)])
-            b += extra
-        w = _orthonormalize_block(y, it + 1)
-        theta = theta_new
-    raise NoConvergence(
-        f"power iteration did not settle within {max_iter} iterations"
-    )
-
-
 GRAM_CROSSOVER = 128  # largest Gram side normed by the direct kernel
 _SQUARINGS = 14  # at most 2**14 power steps
 _SQUARING_TOL = 1e-15  # relative Rayleigh-quotient change that ends the squaring
@@ -379,7 +306,7 @@ def _gram_norm(s: np.ndarray) -> float:
     G = S^T S. Normalised squaring P <- P^2/|P^2|_F raises G to
     the power 2**j and stops when the Rayleigh quotient of P's largest column
     c settles. The norm is the largest Ritz value of G on span(c, P S), S the
-    start block of ``operator_norm``; c keeps the dominant direction in the
+    deterministic start block; c keeps the dominant direction in the
     span when it is orthogonal to S. The block widens from ``POWER_BLOCK`` to
     ``POWER_BLOCK_MAX`` while no column is dropped and its smallest Ritz
     value crowds the largest, the sign of a cluster wider than the block.
@@ -406,6 +333,45 @@ def _gram_norm(s: np.ndarray) -> float:
     return math.sqrt(max(float(ritz[0]), 0.0))
 
 
+def _power_norm(s: np.ndarray) -> float:
+    """``|S|_2`` for a nonzero S at unit scale, by block power iteration on
+    G = S^T S.
+
+    The block starts as the deterministic start block (an all-ones column and
+    fixed pseudo-random ones, so a start orthogonal to the dominant singular
+    subspace cannot blind the iteration) and the largest Ritz value is
+    tracked until its relative increment falls below ``POWER_TOL``, at most
+    ``POWER_SWEEPS * max(k, 100)`` steps for Gram side k. ``_range_basis``
+    drops the columns that collapse onto the others, so a low-rank S is
+    iterated on its range alone.
+
+    The block widens by fresh start columns from ``POWER_BLOCK`` up to
+    ``POWER_BLOCK_MAX`` whenever the smallest Ritz value crowds the largest:
+    a cluster of near-equal singular values straddling the block edge would
+    pin the convergence rate of the top Ritz value near 1, and structured
+    operators routinely carry such multiplets.
+    """
+    k = s.shape[1]
+    cap = POWER_SWEEPS * max(k, 100)
+    b, b_max = min(POWER_BLOCK, k), min(POWER_BLOCK_MAX, k)
+    w = _range_basis(_start_columns(k, 0, b))
+    theta = 0.0
+    for it in range(cap):
+        y = s.T @ (s @ w)
+        ritz = _jacobi_eigenvalues(w.T @ y)
+        theta_new = float(ritz[0])
+        if abs(theta_new - theta) <= POWER_TOL * theta_new:
+            return math.sqrt(max(theta_new, 0.0))
+        crowded = float(ritz[-1]) > (1.0 - _CLUSTER_GAP) * theta_new
+        if b < b_max and it >= _WIDEN_WARMUP and crowded:
+            extra = min(b, b_max - b)
+            y = np.hstack([y, _start_columns(k, b, b + extra)])
+            b += extra
+        w = _range_basis(y)
+        theta = theta_new
+    raise NoConvergence(f"power iteration did not settle within {cap} iterations")
+
+
 def spectral_norm(mat) -> float:
     """Spectral norm ``|M|_2``, worked on the smaller Gram side k.
 
@@ -421,6 +387,5 @@ def spectral_norm(mat) -> float:
         a = a.T
     e = _binary_exponent(a)
     s = np.ldexp(a, -e)
-    if s.shape[1] > GRAM_CROSSOVER:
-        return float(np.ldexp(operator_norm(lambda v: s @ v, lambda u: s.T @ u, s.shape[1]), e))
-    return float(np.ldexp(_gram_norm(s), e))
+    norm = _power_norm(s) if s.shape[1] > GRAM_CROSSOVER else _gram_norm(s)
+    return float(np.ldexp(norm, e))

@@ -18,6 +18,7 @@ first-order operator constructions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -199,19 +200,24 @@ def scaling_candidates(x) -> list[ScalingD]:
     """Candidate scalings for the minimized bounds: identity and row norms.
 
     The row-norm candidate takes ``delta_i = |row_i(X)|_2`` for the first half
-    (palindromy of X makes the mirrored half equal). Raises ``ZeroRow`` if a
-    row norm underflows.
+    (palindromy of X makes the mirrored half equal). The norms are summed at
+    unit scale (an exact power-of-two division, as in ``frobenius_norm``), so
+    they scale with X; ``ZeroRow`` is raised if a row norm at unit scale is
+    below ``SCALE_FLOOR``.
     """
     arr = as_matrix(x, "scaling base")
     _require_square(arr)
     n = arr.shape[0]
     _require_even(n)
     l = n // 2
-    row_norms = np.sqrt(np.sum(arr[:l] ** 2, axis=1))
-    if np.any(row_norms < SCALE_FLOOR):
-        worst = int(np.argmin(row_norms))
-        raise ZeroRow(f"row {worst} of the scaling base has norm {row_norms[worst]:.3e}")
-    return [make_scaling(np.ones(l)), make_scaling(row_norms)]
+    e = math.frexp(max_abs(arr[:l]))[1]
+    unit_norms = np.sqrt(np.sum(np.ldexp(arr[:l], -e) ** 2, axis=1))
+    if np.any(unit_norms < SCALE_FLOOR):
+        worst = int(np.argmin(unit_norms))
+        raise ZeroRow(
+            f"row {worst} of the scaling base has norm {np.ldexp(unit_norms[worst], e):.3e}"
+        )
+    return [make_scaling(np.ones(l)), make_scaling(np.ldexp(unit_norms, e))]
 
 
 def varsigma(d: ScalingD) -> float:

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import centroqx
 import centroqx.bounds as bounds_mod
@@ -40,6 +42,7 @@ from centroqx.centro import (
     random_centro,
     random_centro_perturbation,
 )
+from centroqx.condnum import cond_upper_bounds, mixed_comp_cond
 from centroqx.errors import NotCentrosymmetric, SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
 from centroqx.linalg import frobenius_norm, spectral_norm, vec
@@ -271,7 +274,7 @@ def test_comp_gate_violation_withholds_bounds():
 
 
 def test_comp_matvec_dense_cross_check():
-    """Matrix-free structured norms equal dense Kronecker evaluations."""
+    """Batched structured products equal dense Kronecker evaluations."""
     m, n = 8, 4
     a, f = _factored(m, n, seed=903)
     ops = _ops(f)
@@ -342,8 +345,7 @@ def test_min_sym_kappa_identity():
 
 def _record_spectral_norm_operands(monkeypatch) -> list[tuple[int, ...]]:
     """Shapes of the operands of every ``spectral_norm`` call, made through
-    ``fold_norm`` or directly from ``bounds``; the direct ``operator_norm``
-    calls in ``bounds`` (matrix-free products) are not recorded."""
+    ``fold_norm`` or directly from ``bounds``."""
     shapes: list[tuple[int, ...]] = []
     original = linalg_mod.spectral_norm
 
@@ -362,8 +364,10 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     two halves each, and dA's two halves; |Q D^{-1}|_2 is a closed-form
     enclosure. That is 18 cheap calls (11 power iterations on full operands
     before, 21 before the norms were shared), none on Q or an m x n operand.
-    The operator route adds gx, hx, gq, |hx| and the halves of |X|: 24
-    (16 before). The tightness check reuses the report's envelope and |gx|_2."""
+    The operator route adds gx, hx, gq, |hx|, the halves of |X| and the two
+    structured products |gx|(|X^T| kron I_m) and |hx|(|X^T| kron |X^T|): 26
+    (24 while the products were normed through callbacks). The tightness
+    check reuses the report's envelope and |gx|_2."""
     m, n = 20, 10
     a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
@@ -375,9 +379,11 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     assert sorted(shapes) == [(n // 2, n // 2)] * 16 + [(m // 2, n // 2)] * 2
     shapes.clear()
     full = bound_report(a, f, da, k=k, eps=eps, ops=ops)
-    assert len(shapes) == 18 + 3 + 1 + 2
+    assert len(shapes) == 18 + 3 + 1 + 2 + 2
+    tau1 = ops.gx.shape[0]
     assert sorted(shapes[18:]) == sorted(
         [ops.gx.shape, ops.hx.shape, ops.gq.shape, ops.hx.shape, (n // 2, n // 2), (n // 2, n // 2)]
+        + [(tau1, m * n), (tau1, n * n)]
     )
     shapes.clear()
     shared = tightness_check(full)
@@ -499,6 +505,67 @@ def test_report_matches_the_direct_formulas():
     assert rep.x_comp_refined == bounds_mod.COMP_X_CONSTANT * mcomp * qtkq * eps
     assert rep.gate("comp-combined-smallness").value == cond_x * kq_fro * eps
     assert rep.x_comp_combined == bounds_mod.COMP_COMBINED_CONSTANT * mcomp * kq_fro * eps
+
+
+# ------------------------------------------------------------ homogeneity
+
+SCALE_BASE = random_centro(20, 10, 3)
+SCALE_DA, SCALE_K, SCALE_EPS = random_centro_perturbation(SCALE_BASE, 1e-8, seed=4)
+
+
+def _scaled_values(j: int, with_ops: bool) -> dict[str, tuple[float, int]]:
+    """Report bounds and condition numbers of (2**j A, 2**j dA), each with its
+    degree: X bounds scale with A, the rest stay put except
+    ``mq_q_weighted``, |gq| vec(|Q|), which scales with 1/A. ``x_comp_info``
+    is left out: it is not homogeneous (ROADMAP item 4)."""
+    s = 2.0**j
+    a = s * SCALE_BASE
+    f = qx_decompose(a)
+    ops = _ops(f) if with_ops else None
+    rep = bound_report(a, f, s * SCALE_DA, k=SCALE_K, eps=SCALE_EPS, ops=ops)
+    values = {
+        b.name: (getattr(rep, b.name), 1 if b.name.startswith("x_") else 0)
+        for b in BOUNDS
+        if b.name != "x_comp_info"
+    }
+    values.update((name, (v, 0)) for name, v in cond_upper_bounds(a, f).items())
+    if with_ops:
+        cond = mixed_comp_cond(a, ops, f)
+        values.update((name, (getattr(cond, name), 0)) for name in ("mx", "cx", "mq", "cq"))
+        values["mq_q_weighted"] = (cond.mq_q_weighted, -1)
+    return values
+
+
+def _assert_homogeneous(j: int, with_ops: bool) -> None:
+    base = _scaled_values(0, with_ops)
+    for name, (got, degree) in _scaled_values(j, with_ops).items():
+        want = base[name][0]
+        if want is None:
+            assert got is None, name
+        else:
+            assert got == pytest.approx(want * 2.0 ** (degree * j), rel=1e-12), name
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=-1000, max_value=1000))
+@example(-900)
+@example(-600)
+@example(600)
+@example(900)
+def test_closed_form_report_is_homogeneous(j):
+    """Unscaled row norms of X made the scaling candidates raise ZeroRow at
+    2**-600 and 2**-900 and a non-finite half-diagonal at 2**600 and 2**900."""
+    _assert_homogeneous(j, with_ops=False)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=-500, max_value=500))
+@example(-300)
+@example(300)
+def test_operator_report_is_homogeneous(j):
+    """Entries of kron(X^{-T}, X^{-T}) leave the normal range beyond 2**±511.
+    The unscaled callback norms raised NoConvergence at 2**±300."""
+    _assert_homogeneous(j, with_ops=True)
 
 
 # --------------------------------------------------------- bound registry

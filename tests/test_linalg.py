@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centroqx
+import centroqx.linalg as linalg_mod
 from centroqx.centro import fold_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.harness import TrialConfig
@@ -20,7 +22,6 @@ from centroqx.linalg import (
     frobenius_norm,
     householder_qr,
     max_abs,
-    operator_norm,
     spectral_norm,
     triangular_solve,
     vec,
@@ -297,7 +298,7 @@ def test_fold_norm_matches_svd(shape):
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_direct_norm_scales_by_powers_of_two_exactly(k):
     """Unit scaling is exact, so 2**k passes through the direct kernel bit for
-    bit (the power-iteration path for larger Gram sides stays unscaled)."""
+    bit."""
     s = 2.0**k
     for a in (_rand(9, 6, 31), _rand(3, 7, 32), np.ones((5, 4))):
         assert spectral_norm(s * a) == s * spectral_norm(a)
@@ -317,16 +318,36 @@ def test_power_norm_scales_by_powers_of_two_exactly(k):
     assert spectral_norm(s * POWER_PATH_INPUT) == s * spectral_norm(POWER_PATH_INPUT)
 
 
-def test_operator_norm_block_callbacks():
-    a = _rand(7, 5, 12)
-    got = operator_norm(lambda v: a @ v, lambda u: a.T @ u, 5)
-    assert got == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+@pytest.mark.parametrize("shape", [(150, 140), (140, 300), (200, 129)])
+def test_power_norm_matches_svd(shape):
+    """Gram sides above ``GRAM_CROSSOVER`` go through block power iteration,
+    which stops on a 1e-12 relative Ritz increment."""
+    assert min(shape) > linalg_mod.GRAM_CROSSOVER
+    a = _rand(*shape, shape[1])
+    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
 
 
-def test_operator_norm_no_convergence_raised():
-    a = np.diag([1.0, 1.0 - 1e-13, 0.5])
-    with pytest.raises(NoConvergence):
-        operator_norm(lambda v: a @ v, lambda u: a.T @ u, 3, max_iter=1)
+@pytest.mark.parametrize("shape", [(200, 150), (200, 129), (150, 140)])
+def test_power_norm_of_all_ones(shape):
+    """Rank one on the power path: every block column but the first collapses
+    onto the ones vector and is dropped. The modified Gram-Schmidt that
+    refilled such columns with noise gave 2x, sqrt(3)x and 2x."""
+    m, n = shape
+    assert spectral_norm(np.ones(shape)) == pytest.approx(math.sqrt(m * n), rel=1e-13)
+
+
+# Gram eigenvalues 1, then 0.949, 0.948, ... down from below the cluster
+# threshold: the width-4 block never widens, and the top Ritz value settles
+# at the rate 0.946**2 per step, in about 250 steps.
+SLOW_POWER_INPUT = _with_singular_values(np.sqrt(np.r_[1.0, 0.95 - 1e-3 * np.arange(1, 140)]), 150, 5)
+
+
+def test_power_norm_no_convergence_raised(monkeypatch):
+    want = np.linalg.norm(SLOW_POWER_INPUT, 2)
+    assert spectral_norm(SLOW_POWER_INPUT) == pytest.approx(want, rel=1e-10)
+    monkeypatch.setattr(linalg_mod, "POWER_SWEEPS", 1)  # cap 140 steps, not 1400
+    with pytest.raises(NoConvergence, match="within 140 iterations"):
+        spectral_norm(SLOW_POWER_INPUT)
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,8 +3,11 @@
 
 Each preset is emitted as csv (machine-readable) and markdown (readable)
 with a fixed seed, so re-running the script with the same numpy/BLAS build
-reproduces the files byte for byte (another build can move the last
-digits). Pass a different seed or an output directory to vary either.
+and the same BLAS thread count reproduces the files byte for byte. The
+committed results/ were written with OpenBLAS's default thread count; with
+OPENBLAS_NUM_THREADS=1, 33 operator-route cells of t1-t3 move in their last
+digits (up to 3.6e-14 relative), and another build can move them too. Pass
+a different seed or an output directory to vary either.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import numpy as np
 
 from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
-from .linalg import as_matrix, frobenius_norm, spectral_norm, vec_perm_indices
+from .linalg import as_matrix, frobenius_norm, max_abs, spectral_norm, vec_perm_indices
 from .xops import ScalingD, build_operator_matrices, scaling_candidates, varsigma
 
 SQRT2 = math.sqrt(2.0)
@@ -109,10 +109,6 @@ class GateStatus:
     threshold: float
     relation: str  # "<", "<=", or ">="
     satisfied: bool
-
-    def describe(self) -> str:
-        mark = "ok" if self.satisfied else "VIOLATED"
-        return f"{self.name}: {self.value:.6e} {self.relation} {self.threshold:.6e} [{mark}]"
 
 
 def make_gate(name: str, value: float, threshold: float, relation: str) -> GateStatus:
@@ -366,8 +362,12 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     st = st.reshape(m * n, n, n)
     gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
 
-    ht = np.kron(xinv, xinv) * ops.half_weights
-    hx = (xa.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
+    # kron(X^{-1}, X^{-1}) at unit scale; the exact 2**(2e) goes onto the n x n X.
+    e = math.frexp(max_abs(xinv))[1]
+    xu = np.ldexp(xinv, -e)
+    ht = np.kron(xu, xu) * ops.half_weights
+    xs = np.ldexp(xa, 2 * e)
+    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
 
     gqt = np.kron(xinv, np.eye(m))
     gqt -= (st @ qa.T).reshape(m * n, m * n)

@@ -34,10 +34,10 @@ def centro_defect(a) -> float:
     return max_abs(arr[::-1, ::-1] - arr)
 
 
-def is_centrosymmetric(a, tol: float = CENTRO_TOL) -> bool:
-    """Defect at most ``tol * max|A|``: relative, so scaling A does not change it."""
+def is_centrosymmetric(a) -> bool:
+    """Defect at most ``CENTRO_TOL * max|A|``: relative, so scaling A does not change it."""
     arr = as_matrix(a, "centrosymmetry check")
-    return centro_defect(arr) <= tol * max_abs(arr)
+    return centro_defect(arr) <= CENTRO_TOL * max_abs(arr)
 
 
 def fold_basis(k: int) -> np.ndarray:
@@ -80,7 +80,7 @@ class FoldedPair(NamedTuple):
     g: np.ndarray
 
 
-def fold(a, tol: float = CENTRO_TOL) -> FoldedPair:
+def fold(a) -> FoldedPair:
     """Fold a centrosymmetric matrix with an even column count.
 
     Computed directly from the blocks of A (adds/flips only), which keeps the
@@ -90,9 +90,9 @@ def fold(a, tol: float = CENTRO_TOL) -> FoldedPair:
     m, n = arr.shape
     if n % 2 != 0:
         raise OddColumnDimension(f"column count must be even, got {n}")
-    if not is_centrosymmetric(arr, tol):
+    if not is_centrosymmetric(arr):
         raise NotCentrosymmetric(
-            f"defect {centro_defect(arr):.3e} exceeds tol*max|A| = {tol * max_abs(arr):.3e}"
+            f"defect {centro_defect(arr):.3e} exceeds tol*max|A| = {CENTRO_TOL * max_abs(arr):.3e}"
         )
     p, l = m // 2, n // 2
     a11 = arr[:p, :l]

@@ -26,9 +26,11 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .bounds import BOUNDS
+from .condnum import COND_NUMBERS
 from .errors import CentroQxError
 from .harness import (
     FD_RATIO_WINDOW,
+    PRESETS,
     TrialConfig,
     fd_check,
     run_table,
@@ -206,15 +208,14 @@ def _cmd_cond(args) -> int:
     if record.cond is None:
         print("  first-order operators skipped (size cap); no exact values")
         return 0
-    labels = ("mx", "cx", "mq", "cq")
     print("  quantity   exact            upper-estimate")
-    for key in labels:
+    for key in COND_NUMBERS:
         upper = record.cond_upper.get(f"{key}_upper") if record.cond_upper else None
         print(f"  {key:<9}  {_fmt(record.cond[key]):<16} {_fmt(upper)}")
     _print_kv([("mq (Q-weighted)", record.cond["mq_q_weighted"])])
     if record.probe:
         print(f"probe ({record.probe['trials']} trials, eps={record.probe['eps']:g}):")
-        for key in labels:
+        for key in COND_NUMBERS:
             print(f"  {key:<9}  {_fmt(record.probe[key])}")
     ok = record.cond_dominance_ok in (True, None)
     print(f"upper-estimate dominance: {'PASS' if ok else 'FAIL'}")
@@ -306,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--preset",
         required=True,
-        choices=tuple(f"t{i}" for i in range(1, 8)),
+        choices=PRESETS,
         help="preset name",
     )
     p_table.add_argument("--seed", type=int, default=0)

@@ -30,6 +30,12 @@ from .rng import derive_seed
 from .xops import upx, xvec, xvec_indices
 
 PROBE_EPS_CAP = 1e-5
+COND_NUMBERS = ("mx", "cx", "mq", "cq")  # mixed and componentwise, X then Q
+
+
+def _mixed_comp(response, factor) -> tuple[float, float]:
+    """``(max|r| / max|f|, max|r_i / f_i|)`` of a response r against a factor f."""
+    return max_abs(response) / max_abs(factor), max_abs(entrywise_div(response, factor))
 
 
 @dataclass
@@ -50,37 +56,28 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
     aa = as_matrix(a, "matrix")
     m, n = factors.q.shape
     abs_a_vec = np.abs(vec(aa))
+    qv = vec(factors.q)
 
     response_x = np.abs(ops.gx) @ abs_a_vec
-    x_max = max_abs(factors.x)
-    ix = int(np.argmax(response_x))
-    pos_vec = int(xvec_indices(n)[ix])
-    mx_pos = (pos_vec % n + 1, pos_vec // n + 1)
-    mx = float(response_x[ix]) / x_max
-    cx = max_abs(entrywise_div(response_x, np.abs(xvec(factors.x))))
-
+    pos_vec = int(xvec_indices(n)[np.argmax(response_x)])
     abs_gq = np.abs(ops.gq)
     response_q = abs_gq @ abs_a_vec
-    q_max = max_abs(factors.q)
     iq = int(np.argmax(response_q))
-    mq_pos = (iq % m + 1, iq // m + 1)
-    mq = float(response_q[iq]) / q_max
-    cq = max_abs(entrywise_div(response_q, np.abs(vec(factors.q))))
-    mq_q_weighted = float(np.max(abs_gq @ np.abs(vec(factors.q)))) / q_max
-
+    mx, cx = _mixed_comp(response_x, xvec(factors.x))
+    mq, cq = _mixed_comp(response_q, qv)
     return CondReport(
         mx=mx,
         cx=cx,
         mq=mq,
         cq=cq,
-        mq_q_weighted=mq_q_weighted,
-        mx_position=mx_pos,
-        mq_position=mq_pos,
+        mq_q_weighted=_mixed_comp(abs_gq @ np.abs(qv), qv)[0],
+        mx_position=(pos_vec % n + 1, pos_vec // n + 1),
+        mq_position=(iq % m + 1, iq // m + 1),
     )
 
 
 def cond_upper_bounds(a, factors) -> dict:
-    """Operator-free upper bounds on the four condition numbers.
+    """Operator-free upper bounds on the four condition numbers, keyed ``<name>_upper``.
 
     Built from ``w = upx(|X^{-T}||A^T||Q| + |Q^T||A||X^{-1}|)`` (which
     dominates the absolute response of the X map applied to |A|) and
@@ -93,15 +90,9 @@ def cond_upper_bounds(a, factors) -> dict:
     abs_xi = np.abs(factors.xinv)
 
     w = upx(abs_xi.T @ abs_a.T @ abs_q + abs_q.T @ abs_a @ abs_xi)
-    wx = w @ abs_x
     v = abs_a @ abs_xi + abs_q @ w
-
-    return {
-        "mx_upper": max_abs(wx) / max_abs(abs_x),
-        "cx_upper": max_abs(entrywise_div(vec(wx), vec(abs_x))),
-        "mq_upper": max_abs(v) / max_abs(abs_q),
-        "cq_upper": max_abs(entrywise_div(vec(v), vec(abs_q))),
-    }
+    values = (*_mixed_comp(w @ abs_x, abs_x), *_mixed_comp(v, abs_q))
+    return {f"{name}_upper": value for name, value in zip(COND_NUMBERS, values)}
 
 
 @dataclass
@@ -129,18 +120,16 @@ def empirical_cond_probe(a, base, eps: float, seed: int, trials: int = 8) -> Pro
         raise ValueError(f"probe eps must lie in (0, {PROBE_EPS_CAP}], got {eps}")
     aa = as_matrix(a, "matrix")
     m, n = aa.shape
-    x_max = max_abs(base.x)
-    q_max = max_abs(base.q)
     xv = xvec(base.x)
     qv = vec(base.q)
-    mx = cx = mq = cq = 0.0
+    best = [0.0] * len(COND_NUMBERS)
     for t in range(trials):
         s = random_sign_centro(m, n, derive_seed(seed, t))
         perturbed = qx_decompose(aa + eps * (s * aa))
-        dx = perturbed.x - base.x
-        dq = perturbed.q - base.q
-        mx = max(mx, max_abs(dx) / x_max / eps)
-        cx = max(cx, max_abs(entrywise_div(xvec(dx), xv)) / eps)
-        mq = max(mq, max_abs(dq) / q_max / eps)
-        cq = max(cq, max_abs(entrywise_div(vec(dq), qv)) / eps)
-    return ProbeReport(eps=eps, trials=trials, mx=mx, cx=cx, mq=mq, cq=cq)
+        # X is exactly zero off its support, so its ratios run over xvec.
+        ratios = (
+            *_mixed_comp(xvec(perturbed.x - base.x), xv),
+            *_mixed_comp(vec(perturbed.q - base.q), qv),
+        )
+        best = [max(b, r / eps) for b, r in zip(best, ratios)]
+    return ProbeReport(eps=eps, trials=trials, **dict(zip(COND_NUMBERS, best)))

@@ -43,7 +43,7 @@ from .centro import (
     random_centro_perturbation,
     toeplitz_centro,
 )
-from .condnum import cond_upper_bounds, empirical_cond_probe, mixed_comp_cond
+from .condnum import COND_NUMBERS, cond_upper_bounds, empirical_cond_probe, mixed_comp_cond
 from .errors import CentroQxError
 from .linalg import frobenius_norm, vec
 from .matio import format_float, read_matrix
@@ -206,12 +206,9 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         if ops is not None:
             cond = mixed_comp_cond(a, ops, factors)
             record.cond = asdict(cond)
-            rtol = COND_DOMINANCE_RTOL
-            record.cond_dominance_ok = bool(
-                record.cond_upper["mx_upper"] >= cond.mx * (1.0 - rtol)
-                and record.cond_upper["cx_upper"] >= cond.cx * (1.0 - rtol)
-                and record.cond_upper["mq_upper"] >= cond.mq * (1.0 - rtol)
-                and record.cond_upper["cq_upper"] >= cond.cq * (1.0 - rtol)
+            upper, rtol = record.cond_upper, COND_DOMINANCE_RTOL
+            record.cond_dominance_ok = all(
+                upper[f"{name}_upper"] >= record.cond[name] * (1.0 - rtol) for name in COND_NUMBERS
             )
             record.tightness_slack = tightness_check(rep)["slack"]
             lap("cond")
@@ -239,12 +236,8 @@ T2_SIZES = [
     (10, 10), (10, 10), (20, 20), (20, 20), (30, 30),
     (30, 30), (100, 100), (110, 110), (120, 120),
 ]
-T5_EXPONENTS = [1, 0, -1, -4, -3]
-T6_EXPONENTS = [-4, 4, 3]
-T7_EXPONENTS = [2, 3, 4, 5]
 COND_PRESET_EPS = 1e-8
-
-PRESETS = ("t1", "t2", "t3", "t4", "t5", "t6", "t7")
+COND_PROBE_TRIALS = 4
 
 
 def _spread_fill_10(e: float) -> list[float]:
@@ -293,69 +286,53 @@ def _spread_fill_18(e: float) -> list[float]:
     ]
 
 
+# Size ladders: name -> (sizes, generator). t4 reruns t1's sizes at one eps.
+_LADDERS = {
+    "t1": (T1_SIZES, "random"),
+    "t2": (T2_SIZES, "random"),
+    "t3": (T2_SIZES, "toeplitz"),
+    "t4": (T1_SIZES, "random"),
+}
+# Free-half fills: name -> (m, n, fill, spread exponents), one row per exponent.
+_FILLS = {
+    "t5": (5, 4, _spread_fill_10, (1, 0, -1, -4, -3)),
+    "t6": (5, 4, _spread_fill_10_mid, (-4, 4, 3)),
+    "t7": (6, 6, _spread_fill_18, (2, 3, 4, 5)),
+}
+PRESETS = (*_LADDERS, *_FILLS)
+COND_PRESETS = ("t4", *_FILLS)  # the condition-number table layout
+
+
 def preset_configs(preset: str, seed: int) -> list[TrialConfig]:
     """Row configurations of one preset (row seeds derived from ``seed``)."""
-    if preset in ("t1", "t4"):
-        sizes = T1_SIZES
-        gen = "random"
-    elif preset == "t2":
-        sizes = T2_SIZES
-        gen = "random"
-    elif preset == "t3":
-        sizes = T2_SIZES
-        gen = "toeplitz"
-    elif preset == "t5":
+    cond = preset in COND_PRESETS
+    if preset in _LADDERS:
+        sizes, gen = _LADDERS[preset]
         return [
             TrialConfig(
-                m=5, n=4, generator="free-entries", scale=COND_PRESET_EPS,
-                seed=derive_seed(seed, row), probe_trials=4,
-                free_entries=tuple(_spread_fill_10(e)),
-            )
-            for row, e in enumerate(T5_EXPONENTS, start=1)
-        ]
-    elif preset == "t6":
-        return [
-            TrialConfig(
-                m=5, n=4, generator="free-entries", scale=COND_PRESET_EPS,
-                seed=derive_seed(seed, row), probe_trials=4,
-                free_entries=tuple(_spread_fill_10_mid(e)),
-            )
-            for row, e in enumerate(T6_EXPONENTS, start=1)
-        ]
-    elif preset == "t7":
-        return [
-            TrialConfig(
-                m=6, n=6, generator="free-entries", scale=COND_PRESET_EPS,
-                seed=derive_seed(seed, row), probe_trials=4,
-                free_entries=tuple(_spread_fill_18(e)),
-            )
-            for row, e in enumerate(T7_EXPONENTS, start=1)
-        ]
-    else:
-        raise ValueError(f"unknown preset {preset!r} (choose from {PRESETS})")
-
-    configs = []
-    for row, (m, n) in enumerate(sizes, start=1):
-        scale = COND_PRESET_EPS if preset == "t4" else 10.0 ** -(6 + row)
-        configs.append(
-            TrialConfig(
-                m=m, n=n, generator=gen, scale=scale,
+                m=m, n=n, generator=gen,
+                scale=COND_PRESET_EPS if cond else 10.0 ** -(6 + row),
                 seed=derive_seed(seed, row),
-                probe_trials=4 if preset == "t4" else 0,
+                probe_trials=COND_PROBE_TRIALS if cond else 0,
             )
-        )
-    return configs
+            for row, (m, n) in enumerate(sizes, start=1)
+        ]
+    if preset in _FILLS:
+        m, n, fill, exponents = _FILLS[preset]
+        return [
+            TrialConfig(
+                m=m, n=n, generator="free-entries", scale=COND_PRESET_EPS,
+                seed=derive_seed(seed, row), probe_trials=COND_PROBE_TRIALS,
+                free_entries=tuple(fill(e)),
+            )
+            for row, e in enumerate(exponents, start=1)
+        ]
+    raise ValueError(f"unknown preset {preset!r} (choose from {PRESETS})")
 
 
 def preset_param_labels(preset: str) -> list[str]:
-    """Row parameter annotations (the spread exponent for t5-t7)."""
-    if preset == "t5":
-        return [str(e) for e in T5_EXPONENTS]
-    if preset == "t6":
-        return [str(e) for e in T6_EXPONENTS]
-    if preset == "t7":
-        return [str(e) for e in T7_EXPONENTS]
-    return []
+    """Row parameter annotations (the spread exponent of a fill preset)."""
+    return [str(e) for e in _FILLS[preset][3]] if preset in _FILLS else []
 
 
 BOUND_COLUMNS = [
@@ -388,76 +365,37 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _bound_row(row_idx: int, record: TrialRecord) -> list[str]:
+def _row(record: TrialRecord, columns: list[str], row: int, param: Optional[str]) -> list[str]:
+    """One table row: every column is read from one name -> value map.
+
+    Later sources override earlier ones: the bound report's fields, the
+    exact and upper condition numbers, the probe (``probe_`` prefix), the
+    record's fields, then the row annotations (``eps`` is the requested
+    size; the report's ``eps`` is the effective one).
+    """
     rep = record.report
-    cells: dict[str, object] = {
-        "row": row_idx,
-        "m": record.m,
-        "n": record.n,
-        "eps": record.eps_request,
-        "eps_eff": record.eps_eff,
-        "delta_a": record.delta_a,
-        "delta_x": record.delta_x,
-        "delta_q": record.delta_q,
-        "qt_delta_q": record.qt_delta_q,
-        "kappa2": record.kappa2,
-        "cond_x": record.cond_x,
-        "gates_ok": rep.gates_ok() if rep else None,
-        "domination_ok": record.domination_ok,
-        "operators_skipped": record.operators_skipped,
-        "error": record.error,
-    }
-    for name in BOUND_COLUMNS:
-        if name not in cells:
-            cells[name] = getattr(rep, name) if rep else None
-    return [_cell(cells[name]) for name in BOUND_COLUMNS]
-
-
-def _cond_row(row_idx: int, record: TrialRecord, param: Optional[str]) -> list[str]:
-    cond = record.cond or {}
-    upper = record.cond_upper or {}
-    probe = record.probe or {}
-    cells = {
-        "row": row_idx,
-        "m": record.m,
-        "n": record.n,
+    values = {
+        **(vars(rep) if rep else {}),
+        **(record.cond or {}),
+        **(record.cond_upper or {}),
+        **{f"probe_{k}": v for k, v in (record.probe or {}).items()},
+        **vars(record),
+        "row": row,
         "param_e": param,
         "eps": record.eps_request,
-        "kappa2": record.kappa2,
-        "cond_x": record.cond_x,
-        "mx": cond.get("mx"),
-        "mx_upper": upper.get("mx_upper"),
-        "cx": cond.get("cx"),
-        "cx_upper": upper.get("cx_upper"),
-        "mq": cond.get("mq"),
-        "mq_q_weighted": cond.get("mq_q_weighted"),
-        "mq_upper": upper.get("mq_upper"),
-        "cq": cond.get("cq"),
-        "cq_upper": upper.get("cq_upper"),
-        "probe_mx": probe.get("mx"),
-        "probe_cx": probe.get("cx"),
-        "probe_mq": probe.get("mq"),
-        "probe_cq": probe.get("cq"),
-        "cond_dominance_ok": record.cond_dominance_ok,
-        "operators_skipped": record.operators_skipped,
-        "error": record.error,
+        "gates_ok": rep.gates_ok() if rep else None,
     }
-    return [_cell(cells[name]) for name in COND_COLUMNS]
+    return [_cell(values.get(name)) for name in columns]
 
 
 def render_table(preset: str, records: list[TrialRecord], fmt: str) -> str:
     """Render trial records as csv, markdown, or json text."""
-    cond_style = preset in ("t4", "t5", "t6", "t7")
     params = preset_param_labels(preset)
-    if cond_style:
-        header = COND_COLUMNS
-        rows = [
-            _cond_row(i + 1, rec, params[i] if i < len(params) else None)
-            for i, rec in enumerate(records)
-        ]
-    else:
-        header = BOUND_COLUMNS
-        rows = [_bound_row(i + 1, rec) for i, rec in enumerate(records)]
+    header = COND_COLUMNS if preset in COND_PRESETS else BOUND_COLUMNS
+    rows = [
+        _row(rec, header, i, params[i - 1] if i <= len(params) else None)
+        for i, rec in enumerate(records, start=1)
+    ]
 
     if fmt == "csv":
         buf = io.StringIO()
@@ -476,7 +414,7 @@ def render_table(preset: str, records: list[TrialRecord], fmt: str) -> str:
         for i, rec in enumerate(records):
             d = rec.to_dict()
             d["row"] = i + 1
-            if cond_style and i < len(params):
+            if i < len(params):
                 d["param_e"] = params[i]
             payload.append(d)
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -99,14 +99,14 @@ def _require_square(arr: np.ndarray) -> None:
         raise ValueError(f"expected a square matrix, got {arr.shape}")
 
 
-def is_x_type(c, tol: float = IDENTITY_TOL) -> bool:
-    """Centrosymmetric and supported on S, both up to ``tol*max|C|`` (relative)."""
+def is_x_type(c) -> bool:
+    """Centrosymmetric and supported on S, both up to ``IDENTITY_TOL*max|C|`` (relative)."""
     arr = as_matrix(c, "x-type check")
     _require_square(arr)
     n = arr.shape[0]
     if n % 2 != 0:
         return False
-    scale = tol * max_abs(arr)
+    scale = IDENTITY_TOL * max_abs(arr)
     if max_abs(arr[::-1, ::-1] - arr) > scale:
         return False
     off = arr * (~support_mask(n).inside)

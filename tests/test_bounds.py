@@ -559,12 +559,15 @@ def test_closed_form_report_is_homogeneous(j):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=-500, max_value=500))
+@given(st.integers(min_value=-1000, max_value=1000))
+@example(-520)
 @example(-300)
 @example(300)
+@example(1000)
 def test_operator_report_is_homogeneous(j):
-    """Entries of kron(X^{-T}, X^{-T}) leave the normal range beyond 2**±511.
-    The unscaled callback norms raised NoConvergence at 2**±300."""
+    """An unscaled kron(X^{-1}, X^{-1}) overflowed at 2**-520 and went
+    subnormal at 2**1000, moving ``x_majorant_root``. The unscaled callback
+    norms raised NoConvergence at 2**±300."""
     _assert_homogeneous(j, with_ops=True)
 
 

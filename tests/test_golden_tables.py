@@ -1,9 +1,10 @@
 """Golden tables: a fresh run of every preset against the committed results/.
 
-``scripts/run_tables.py`` writes ``results/<preset>.csv`` at seed 42. The
-same-process byte identity of a table is acceptance criterion 8; this test
-is the cross-build regression check, so it compares cell by cell with a
-tolerance per column group:
+``scripts/run_tables.py`` writes ``results/<preset>.csv`` and
+``results/<preset>.md`` at seed 42. The same-process byte identity of a
+table is acceptance criterion 8; these tests are the cross-build regression
+check, so they compare both formats, rendered from one fresh run per preset,
+cell by cell with a tolerance per column group:
 
 - text and boolean columns (gates, domination, skipped, error) and the
   integer columns ``row``, ``m``, ``n``: exact;
@@ -30,11 +31,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from centroqx.harness import PRESETS, run_table
+from centroqx.harness import PRESETS, render_table, run_table
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 SEED = 42
@@ -69,10 +71,22 @@ def cell_tolerance(column: str, eps: float) -> tuple[float, float] | None:
     return NUMBER_RTOL, 0.0
 
 
-def table_differences(fresh: str, golden: str) -> list[str]:
+def csv_rows(text: str) -> list[dict[str, str]]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def md_rows(text: str) -> list[dict[str, str]]:
+    """Rows of a markdown table as written by ``render_table`` (blank cells are " ")."""
+    header, _, *body = (
+        [cell.strip() for cell in line[2:-2].split(" | ")] for line in text.splitlines()
+    )
+    return [dict(zip(header, cells)) for cells in body]
+
+
+def table_differences(fresh: str, golden: str, rows=csv_rows) -> list[str]:
     """Every cell of ``fresh`` outside its column's tolerance of ``golden``."""
-    new_rows = list(csv.DictReader(io.StringIO(fresh)))
-    old_rows = list(csv.DictReader(io.StringIO(golden)))
+    new_rows = rows(fresh)
+    old_rows = rows(golden)
     if len(new_rows) != len(old_rows):
         return [f"row count {len(new_rows)} != {len(old_rows)}"]
     if new_rows and list(new_rows[0]) != list(old_rows[0]):
@@ -93,11 +107,25 @@ def table_differences(fresh: str, golden: str) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=None)
+def fresh_run(preset: str):
+    """One run per preset, shared by the csv and the markdown comparison."""
+    return run_table(preset, SEED, "csv")
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_fresh_table_matches_committed_results(preset):
-    fresh, _ = run_table(preset, SEED, "csv")
+    fresh, _ = fresh_run(preset)
     golden = (RESULTS / f"{preset}.csv").read_text(encoding="utf-8")
     assert table_differences(fresh, golden) == []
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_fresh_markdown_matches_committed_results(preset):
+    _, records = fresh_run(preset)
+    fresh = render_table(preset, records, "md")
+    golden = (RESULTS / f"{preset}.md").read_text(encoding="utf-8")
+    assert table_differences(fresh, golden, md_rows) == []
 
 
 def test_comparison_catches_moved_cells():
@@ -119,3 +147,13 @@ def test_comparison_catches_moved_cells():
     assert table_differences(cond.replace("1.0,", "1.000000001,"), cond) == []
     assert table_differences(cond.replace("1.0,", "1.0000001,"), cond) != []
     assert table_differences(cond.replace("7.0", "7.000000001"), cond) != []
+
+
+def test_markdown_comparison_reads_blank_cells():
+    golden = "| row | eps | x_refined | error |\n| --- | --- | --- | --- |\n| 1 | 1e-08 | 3.0 |   |\n"
+    assert md_rows(golden) == [{"row": "1", "eps": "1e-08", "x_refined": "3.0", "error": ""}]
+    assert table_differences(golden, golden, md_rows) == []
+    assert table_differences(golden.replace("3.0", "3.0000001"), golden, md_rows) == [
+        "row 1 x_refined: 3.0000001 vs 3.0"
+    ]
+    assert table_differences(golden.replace("3.0", " "), golden, md_rows) != []

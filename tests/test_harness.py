@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 
@@ -13,9 +14,12 @@ import centroqx.condnum as condnum_mod
 import centroqx.harness as harness_mod
 import centroqx.qx as qx_mod
 from centroqx.bounds import OPERATOR_SIZE_CAP
+from centroqx.cli import build_parser
+from centroqx.condnum import COND_NUMBERS
 from centroqx.harness import (
     BOUND_COLUMNS,
     COND_COLUMNS,
+    COND_PRESETS,
     PRESETS,
     TrialConfig,
     TrialRecord,
@@ -309,6 +313,27 @@ def test_cell_blank_for_missing_values():
     row = dict(zip(text.splitlines()[0].split(","), text.splitlines()[1].split(",")))
     assert row["x_refined"] == "" and row["delta_x"] == ""
     assert row["error"] == "RankDeficient: synthetic"
+
+
+def _subparser(name: str):
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
+def test_table_registries_are_consistent():
+    """Each condition number has its exact, upper and probe column; ``table
+    --preset`` offers exactly the presets; the condition layout is used
+    exactly for the condition presets."""
+    for key in COND_NUMBERS:
+        assert {key, f"{key}_upper", f"probe_{key}"} <= set(COND_COLUMNS)
+    preset = next(a for a in _subparser("table")._actions if a.dest == "preset")
+    assert tuple(preset.choices) == PRESETS
+    assert set(COND_PRESETS) < set(PRESETS)
+    rec = TrialRecord(m=4, n=2, generator="random", seed=0, eps_request=1e-8, k_mode="identity")
+    for name in PRESETS:
+        header = render_table(name, [rec], "csv").splitlines()[0]
+        assert header == ",".join(COND_COLUMNS if name in COND_PRESETS else BOUND_COLUMNS)
 
 
 # --------------------------------------------------- finite-difference decay

@@ -20,13 +20,14 @@ each bound with the measured quantity it must dominate and its gates;
 
 All minimizations record which scaling candidate won. Within one report
 each distinct spectral norm is computed once (``FactorNorms``). Every n x n
-operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D, |X|X^{-1}D)
-and dA are centrosymmetric, because D is palindromic, so each norm is the
+operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D) and dA are
+centrosymmetric, because D is palindromic, so each norm is the
 larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
 and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
 max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
 route forms its Kronecker-structured products as batched matrix products
-and norms them with ``spectral_norm`` like every other operand.
+and norms them with ``spectral_norm`` like every other operand. Both
+operator routes solve the same majorant equation (``majorant``).
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ BOUNDS = (
     Bound("x_majorant_twice", "x", ("majorant-x",)),
     Bound("x_majorant_linear", "x", ("majorant-x-linear",)),
     Bound("x_comp_refined", "x", ("comp-smallness",)),
-    Bound("x_comp_info", None, ("comp-smallness",)),
     Bound("x_comp_combined", "x", ("comp-smallness", "comp-combined-smallness")),
     Bound("x_comp_majorant_root", "x", ("comp-majorant",)),
     Bound("x_comp_majorant_twice", "x", ("comp-majorant",)),
@@ -130,11 +130,10 @@ class FactorNorms:
     on return; the context alone builds the scaling candidates. A norm is
     computed on first use and kept as a float. Every X-side operand is held
     as its fold halves: X as (R_f, R_g), X^{-1} as their inverses, and
-    ``|X||X^{-1}|``, ``|X| X^{-1}`` as the fold of their centrosymmetric
-    part. D = diag(delta, reversed delta) scales the halves by delta:
-    fold(D^{-1} M) = delta^{-1} (F, G) and fold(M D) = (F, G) delta. The
-    Q-side norm is the enclosure ``q_dinv``. The identity candidate shares
-    the unscaled norms.
+    ``|X||X^{-1}|`` as the fold of its centrosymmetric part. D = diag(delta,
+    reversed delta) scales the halves by delta: fold(D^{-1} M) =
+    delta^{-1} (F, G) and fold(M D) = (F, G) delta. The Q-side norm is the
+    enclosure ``q_dinv``. The identity candidate shares the unscaled norms.
     """
 
     def __init__(self, factors) -> None:
@@ -152,10 +151,6 @@ class FactorNorms:
     @cached_property
     def abs_x_abs_xinv(self) -> FoldedPair:
         return fold(centro_part(np.abs(self.factors.x) @ np.abs(self.factors.xinv)))
-
-    @cached_property
-    def abs_x_xinv(self) -> FoldedPair:
-        return fold(centro_part(np.abs(self.factors.x) @ self.factors.xinv))
 
     @cached_property
     def q_enclosure(self) -> float:
@@ -192,10 +187,6 @@ class FactorNorms:
     def cond_d(self, i: int) -> float:
         """``||X||X^{-1}|D|_2``."""
         return self._norm("cond_d", i, self.abs_x_abs_xinv, "cols")
-
-    def abs_x_xinv_d(self, i: int) -> float:
-        """``||X| X^{-1} D|_2``."""
-        return self._norm("abs_x_xinv_d", i, self.abs_x_xinv, "cols")
 
     @property
     def q_norm(self) -> float:
@@ -310,15 +301,6 @@ def _entrywise_route(
     report.q_comp = COMP_Q_CONSTANT * qtkq * cond_x * eps
     report.coef_x2 = COMP_X_CONSTANT * mcomp * qtkq
     report.coef_q1 = COMP_Q_CONSTANT * qtkq * cond_x
-
-    # Informational looser form: |X| X^{-1} D (absolute value on X only).
-    def info_value(i: int, d: ScalingD) -> float:
-        factor = math.sqrt(2.0 + 2.0 * varsigma(d) ** 2) + (SQRT3 - SQRT2)
-        return norms.abs_x_xinv_d(i) * factor
-
-    minfo, _ = _minimize(norms, info_value)
-    report.x_comp_info = minfo * qtkq * eps / (SQRT2 - 1.0)
-
     report.gates.append(
         make_gate("comp-combined-smallness", cond_x * kq_fro * eps, SMALLNESS_THRESHOLD, "<=")
     )
@@ -383,23 +365,20 @@ def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:
     }
 
 
-def matvec_bounds_normwise(
-    delta: float, g: float, h: float
-) -> tuple[list[GateStatus], float, float, float]:
-    """Majorant-equation bounds on ``|dX|_F`` from ``g = |gx|_2``, ``h = |hx|_2``.
+def majorant(
+    t: float, a: float, b: float, c: float, lin: float
+) -> tuple[float, float, float, float, float]:
+    """Solution of the majorant equation ``x = u + c x^2``, ``u = a t + b t^2``.
 
-    Returns the gates ``majorant-x`` and ``majorant-x-linear``, then the
-    quadratic-root bound, its doubled linearization and the fully linear
-    form. The values are not withheld here; ``bound_report`` drops each one
-    whose gate fails.
+    Returns the quadratic gate value ``c u`` (the small root is a bound while
+    it stays below 1/4), the linear gate value ``(c lin) t``, the small root
+    ``2u / (1 + sqrt(1 - 4 c u))``, its doubled linearization ``2u`` and the
+    linear form ``lin t``. Each route gates the values itself; ``bound_report``
+    drops each bound whose gate fails.
     """
-    u = g * delta + h * delta * delta
-    gates = [
-        make_gate("majorant-x", h * u, 0.25, "<"),
-        make_gate("majorant-x-linear", h * (1.0 + 2.0 * g) * delta, 0.5, "<"),
-    ]
-    root = 2.0 * u / (1.0 + math.sqrt(max(1.0 - 4.0 * h * u, 0.0)))
-    return gates, root, 2.0 * u, (1.0 + 2.0 * g) * delta
+    u = a * t + b * t * t
+    root = 2.0 * u / (1.0 + math.sqrt(max(1.0 - 4.0 * c * u, 0.0)))
+    return c * u, (c * lin) * t, root, 2.0 * u, lin * t
 
 
 def comp_matvec_bounds(
@@ -416,8 +395,7 @@ def comp_matvec_bounds(
 
     ``kq_fro`` is ``|K |Q||_F`` and ``eps`` is ``report.eps``. A row vec(R)
     of an operator times ``|X^T| kron B^T`` is vec(B R |X|^T), formed on the
-    C-order view R^T of the row. As in ``matvec_bounds_normwise``, the values
-    are not withheld here.
+    C-order view R^T of the row. The values are not withheld here.
     """
     m, n = norms.factors.q.shape
     tau1 = ops.gx.shape[0]
@@ -434,21 +412,15 @@ def comp_matvec_bounds(
     qtktkq_fro = frobenius_norm(absq.T @ k.T @ k @ absq)
     a_hat = gxa_norm * kq_fro
     b_hat = hxb_norm * qtktkq_fro
-    absx_norm = fold_norm(absx)
+    coef_x1 = (fold_norm(absx) + 2.0 * gxa_norm) * kq_fro
 
     eps = report.eps
-    u = a_hat * eps + b_hat * eps * eps
-    report.gates.append(make_gate("comp-majorant", c_hat * u, 0.25, "<="))
-    report.gates.append(
-        make_gate(
-            "comp-majorant-linear", c_hat * (absx_norm + 2.0 * gxa_norm) * kq_fro * eps, 0.5, "<="
-        )
-    )
-    report.a_hat, report.b_hat, report.c_hat = a_hat, b_hat, c_hat
-    report.coef_x1 = (absx_norm + 2.0 * gxa_norm) * kq_fro
-    report.x_comp_majorant_root = 2.0 * u / (1.0 + math.sqrt(max(1.0 - 4.0 * c_hat * u, 0.0)))
-    report.x_comp_majorant_twice = 2.0 * u
-    report.x_comp_majorant_linear = report.coef_x1 * eps
+    quad, linear, *majorants = majorant(eps, a_hat, b_hat, c_hat, coef_x1)
+    report.gates.append(make_gate("comp-majorant", quad, 0.25, "<="))
+    report.gates.append(make_gate("comp-majorant-linear", linear, 0.5, "<="))
+    report.a_hat, report.b_hat, report.c_hat, report.coef_x1 = a_hat, b_hat, c_hat, coef_x1
+    (report.x_comp_majorant_root, report.x_comp_majorant_twice,
+     report.x_comp_majorant_linear) = majorants
     report.x_comp_first_order = a_hat * eps
 
 
@@ -509,7 +481,6 @@ class BoundReport:
     q_operator: Optional[float] = None
     # entrywise bounds
     x_comp_refined: Optional[float] = None
-    x_comp_info: Optional[float] = None
     x_comp_combined: Optional[float] = None
     x_comp_majorant_root: Optional[float] = None
     x_comp_majorant_twice: Optional[float] = None
@@ -571,14 +542,16 @@ def bound_report(
 
     if ops is not None:
         op = operator_norms(ops)
-        report.g_x_norm, report.h_x_norm, report.g_q_norm = op["g"], op["h"], op["gq"]
-        gates, *majorants = matvec_bounds_normwise(report.delta, op["g"], op["h"])
-        report.gates.extend(gates)
+        g, h = op["g"], op["h"]
+        report.g_x_norm, report.h_x_norm, report.g_q_norm = g, h, op["gq"]
+        report.coef_x3 = 1.0 + 2.0 * g
+        quad, linear, *majorants = majorant(report.delta, g, h, h, report.coef_x3)
+        report.gates.append(make_gate("majorant-x", quad, 0.25, "<"))
+        report.gates.append(make_gate("majorant-x-linear", linear, 0.5, "<"))
         report.x_majorant_root, report.x_majorant_twice, report.x_majorant_linear = majorants
-        report.coef_x3 = 1.0 + 2.0 * op["g"]
         # (2 + sqrt2) * (|gq|_2 + |X^{-1}|_2 |Q|_2 (1 + |gx|_2)) * delta
         report.coef_q2 = OPERATOR_Q_CONSTANT * (
-            op["gq"] + norms.xinv_norm * norms.q_norm * (1.0 + op["g"])
+            op["gq"] + norms.xinv_norm * norms.q_norm * (1.0 + g)
         )
         report.q_operator = report.coef_q2 * report.delta
         if entrywise:

@@ -46,7 +46,6 @@ class CondReport:
     cx: float
     mq: float
     cq: float
-    mq_q_weighted: float  # variant driven by vec(|Q|) instead of vec(|A|)
     mx_position: tuple[int, int]
     mq_position: tuple[int, int]
 
@@ -56,21 +55,18 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
     aa = as_matrix(a, "matrix")
     m, n = factors.q.shape
     abs_a_vec = np.abs(vec(aa))
-    qv = vec(factors.q)
 
     response_x = np.abs(ops.gx) @ abs_a_vec
     pos_vec = int(xvec_indices(n)[np.argmax(response_x)])
-    abs_gq = np.abs(ops.gq)
-    response_q = abs_gq @ abs_a_vec
+    response_q = np.abs(ops.gq) @ abs_a_vec
     iq = int(np.argmax(response_q))
     mx, cx = _mixed_comp(response_x, xvec(factors.x))
-    mq, cq = _mixed_comp(response_q, qv)
+    mq, cq = _mixed_comp(response_q, vec(factors.q))
     return CondReport(
         mx=mx,
         cx=cx,
         mq=mq,
         cq=cq,
-        mq_q_weighted=_mixed_comp(abs_gq @ np.abs(qv), qv)[0],
         mx_position=(pos_vec % n + 1, pos_vec // n + 1),
         mq_position=(iq % m + 1, iq // m + 1),
     )

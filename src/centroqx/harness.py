@@ -347,7 +347,7 @@ BOUND_COLUMNS = [
 COND_COLUMNS = [
     "row", "m", "n", "param_e", "eps", "kappa2", "cond_x",
     "mx", "mx_upper", "cx", "cx_upper",
-    "mq", "mq_q_weighted", "mq_upper", "cq", "cq_upper",
+    "mq", "mq_upper", "cq", "cq_upper",
     "probe_mx", "probe_cx", "probe_mq", "probe_cq",
     "cond_dominance_ok", "operators_skipped", "error",
 ]

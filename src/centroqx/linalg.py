@@ -24,6 +24,7 @@ of an array is the package's one norm entry point.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -263,12 +264,15 @@ def _jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
     return np.sort(np.array([a[i][i] for i in range(b)]))[::-1].copy()
 
 
+@lru_cache(maxsize=32)
 def _start_columns(ncols: int, lo: int, hi: int) -> np.ndarray:
     """Columns ``lo..hi-1`` of the deterministic start block: column 0 is all
-    ones, the others fixed pseudo-random draws."""
+    ones, the others fixed pseudo-random draws. Built once per shape and
+    shared read-only."""
     block = np.empty((ncols, hi - lo))
     for j in range(lo, hi):
         block[:, j - lo] = 1.0 if j == 0 else uniform_open(0xC0FFEE ^ ncols, ncols, offset=j * ncols)
+    block.flags.writeable = False
     return block
 
 

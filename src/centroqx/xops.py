@@ -223,12 +223,7 @@ def scaling_candidates(x) -> list[ScalingD]:
 def varsigma(d: ScalingD) -> float:
     """Largest ratio ``delta_beta / delta_alpha`` over pairs alpha < beta."""
     diag = d.diagonal()
-    best = 0.0
-    running_min = diag[0]
-    for beta in range(1, diag.size):
-        best = max(best, diag[beta] / running_min)
-        running_min = min(running_min, diag[beta])
-    return float(best)
+    return float(np.max(diag[1:] / np.minimum.accumulate(diag[:-1])))
 
 
 @dataclass

@@ -28,7 +28,7 @@ from centroqx.bounds import (
     build_first_order_operators,
     comp_matvec_bounds,
     gate_normwise,
-    matvec_bounds_normwise,
+    majorant,
     min_comp_product,
     min_q_product,
     min_sym_kappa,
@@ -194,11 +194,10 @@ def test_normwise_gate_violation():
 
 def test_matvec_majorant_frozen_example():
     """g=1, h=1/2, delta=0.1: u=0.105, gate 0.0525, root/twice/linear frozen."""
-    (gate, _), root, twice, linear = matvec_bounds_normwise(0.1, g=1.0, h=0.5)
+    quad, lin_gate, root, twice, linear = majorant(0.1, 1.0, 0.5, 0.5, 3.0)
     u = 0.105
-    assert gate.name == "majorant-x"
-    assert gate.value == pytest.approx(0.0525, rel=1e-12)
-    assert gate.satisfied
+    assert quad == pytest.approx(0.0525, rel=1e-12) and quad < 0.25
+    assert lin_gate == pytest.approx(0.15, rel=1e-12) and lin_gate < 0.5
     assert twice == pytest.approx(2 * u, rel=1e-12)
     want_root = 2 * u / (1.0 + math.sqrt(1.0 - 4.0 * 0.5 * u))
     assert root == pytest.approx(want_root, rel=1e-12)
@@ -208,15 +207,39 @@ def test_matvec_majorant_frozen_example():
 
 def test_majorant_gate_fails_for_large_delta():
     """g = 1, h = 1/2 on A = I_2; delta = 0.6 fails both majorant gates."""
-    gates, *_ = matvec_bounds_normwise(0.6, g=1.0, h=0.5)
-    assert [g.name for g in gates if not g.satisfied] == ["majorant-x", "majorant-x-linear"]
+    quad, lin_gate, *_ = majorant(0.6, 1.0, 0.5, 0.5, 3.0)
+    assert quad >= 0.25 and lin_gate >= 0.5
     f = qx_decompose(np.eye(2))
     rep = _report(np.eye(2), f, 0.3 * SQRT2 * np.eye(2), ops=_ops(f))
     assert rep.delta == pytest.approx(0.6, rel=1e-15)
+    assert rep.gate("majorant-x").value == pytest.approx(quad, rel=1e-12)
+    assert rep.gate("majorant-x-linear").value == pytest.approx(lin_gate, rel=1e-12)
     assert not rep.gate("majorant-x").satisfied
     assert not rep.gate("majorant-x-linear").satisfied
     assert rep.x_majorant_root is None and rep.x_majorant_twice is None
     assert rep.x_majorant_linear is None and rep.coef_x3 == pytest.approx(3.0, rel=1e-12)
+
+
+def test_both_operator_routes_solve_one_majorant():
+    """The normwise route solves the majorant at t = delta with coefficients
+    (g, h, h, 1 + 2g), the entrywise route at t = eps with (a_hat, b_hat,
+    c_hat, coef_x1); each gates the values under its own names and relation."""
+    a, f = _factored(20, 10, seed=996)
+    da, k, eps = random_centro_perturbation(a, 1e-8, seed=997, k_mode="ones")
+    rep = _report(a, f, da, k=k, eps=eps, ops=_ops(f))
+    g, h = rep.g_x_norm, rep.h_x_norm
+    comp = (rep.a_hat, rep.b_hat, rep.c_hat, rep.coef_x1)
+    routes = (
+        (rep.delta, (g, h, h, 1.0 + 2.0 * g), "majorant-x", "<", "x_majorant"),
+        (eps, comp, "comp-majorant", "<=", "x_comp_majorant"),
+    )
+    for t, coeffs, gate, relation, prefix in routes:
+        quad, linear, *values = majorant(t, *coeffs)
+        gates = [rep.gate(gate), rep.gate(f"{gate}-linear")]
+        assert [gs.value for gs in gates] == [quad, linear]
+        assert [gs.relation for gs in gates] == [relation] * 2
+        assert all(gs.satisfied for gs in gates)
+        assert [getattr(rep, f"{prefix}_{kind}") for kind in ("root", "twice", "linear")] == values
 
 
 @pytest.mark.parametrize("shape", [(8, 4), (20, 10), (12, 12)])
@@ -267,7 +290,7 @@ def test_comp_gate_violation_withholds_bounds():
     k = np.ones((8, 8))
     rep = _report(a, f, 1e-8 * a, k=k, eps=0.5)
     assert not rep.gate("comp-smallness").satisfied
-    for name in ("x_comp_refined", "x_comp_info", "x_comp_combined", "q_comp"):
+    for name in ("x_comp_refined", "x_comp_combined", "q_comp"):
         assert getattr(rep, name) is None, name
     assert rep.coef_x2 > 0.0 and rep.coef_q1 > 0.0
     assert rep.x_refined is not None  # the normwise gates still hold
@@ -359,15 +382,13 @@ def _record_spectral_norm_operands(monkeypatch) -> list[tuple[int, ...]]:
 
 
 def test_each_distinct_norm_computed_once(monkeypatch):
-    """A closed-form report norms fold halves only: the 8 n x n X-side
-    operands (D^{-1}X, X^{-1}D, |X||X^{-1}|D, |X|X^{-1}D under both scalings)
-    two halves each, and dA's two halves; |Q D^{-1}|_2 is a closed-form
-    enclosure. That is 18 cheap calls (11 power iterations on full operands
-    before, 21 before the norms were shared), none on Q or an m x n operand.
-    The operator route adds gx, hx, gq, |hx|, the halves of |X| and the two
-    structured products |gx|(|X^T| kron I_m) and |hx|(|X^T| kron |X^T|): 26
-    (24 while the products were normed through callbacks). The tightness
-    check reuses the report's envelope and |gx|_2."""
+    """A closed-form report norms fold halves only: the 6 n x n X-side
+    operands (D^{-1}X, X^{-1}D, |X||X^{-1}|D under both scalings) two halves
+    each, and dA's two halves; |Q D^{-1}|_2 is a closed-form enclosure. That
+    is 14 cheap calls, none on Q or an m x n operand. The operator route adds
+    gx, hx, gq, |hx|, the halves of |X| and the two structured products
+    |gx|(|X^T| kron I_m) and |hx|(|X^T| kron |X^T|): 22. The tightness check
+    reuses the report's envelope and |gx|_2."""
     m, n = 20, 10
     a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
@@ -375,13 +396,13 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     shapes = _record_spectral_norm_operands(monkeypatch)
 
     closed = bound_report(a, f, da, k=k, eps=eps)
-    assert len(shapes) == 8 * 2 + 2
-    assert sorted(shapes) == [(n // 2, n // 2)] * 16 + [(m // 2, n // 2)] * 2
+    assert len(shapes) == 6 * 2 + 2 == 14
+    assert sorted(shapes) == [(n // 2, n // 2)] * 12 + [(m // 2, n // 2)] * 2
     shapes.clear()
     full = bound_report(a, f, da, k=k, eps=eps, ops=ops)
-    assert len(shapes) == 18 + 3 + 1 + 2 + 2
+    assert len(shapes) == 14 + 3 + 1 + 2 + 2 == 22
     tau1 = ops.gx.shape[0]
-    assert sorted(shapes[18:]) == sorted(
+    assert sorted(shapes[14:]) == sorted(
         [ops.gx.shape, ops.hx.shape, ops.gq.shape, ops.hx.shape, (n // 2, n // 2), (n // 2, n // 2)]
         + [(tau1, m * n), (tau1, n * n)]
     )
@@ -398,9 +419,8 @@ def test_each_distinct_norm_computed_once(monkeypatch):
 
 def test_a_report_folds_only_what_has_no_kept_halves(monkeypatch):
     """X and X^{-1} are normed from the kept triangular halves, so a report
-    folds |X||X^{-1}|, |X|X^{-1} and dA only: 3 ``fold`` calls closed-form
-    (9 when every scaled operand was folded), and the operator route adds
-    |X|: 4 (10 before)."""
+    folds |X||X^{-1}| and dA only: 2 ``fold`` calls closed-form, and the
+    operator route adds |X|: 3."""
     m, n = 20, 10
     a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991, k_mode="ones")
@@ -417,10 +437,10 @@ def test_a_report_folds_only_what_has_no_kept_halves(monkeypatch):
         if getattr(module, "fold", None) is original:
             monkeypatch.setattr(module, "fold", recording)
     bound_report(a, fresh, da, k=k, eps=eps)
-    assert sorted(shapes) == [(n, n), (n, n), (m, n)]
+    assert sorted(shapes) == [(n, n), (m, n)]
     shapes.clear()
     bound_report(a, f, da, k=k, eps=eps, ops=ops)
-    assert sorted(shapes) == [(n, n), (n, n), (n, n), (m, n)]
+    assert sorted(shapes) == [(n, n), (n, n), (m, n)]
 
 
 def _halves_norm(halves) -> float:
@@ -444,7 +464,6 @@ def test_context_norms_equal_direct_evaluation():
     ]
     assert cands[0].is_identity and not cands[1].is_identity
     abs_x_abs_xinv = centro_part(np.abs(f.x) @ np.abs(xinv))
-    abs_x_xinv = centro_part(np.abs(f.x) @ xinv)
     for i, d in enumerate(cands):
         diag, delta = d.diagonal(), d.delta
         cases = {
@@ -453,10 +472,6 @@ def test_context_norms_equal_direct_evaluation():
             "cond_d": (
                 abs_x_abs_xinv * diag[None, :],
                 [h * delta[None, :] for h in fold(abs_x_abs_xinv)],
-            ),
-            "abs_x_xinv_d": (
-                abs_x_xinv * diag[None, :],
-                [h * delta[None, :] for h in fold(abs_x_xinv)],
             ),
         }
         for name, (operand, scaled) in cases.items():
@@ -513,32 +528,49 @@ SCALE_BASE = random_centro(20, 10, 3)
 SCALE_DA, SCALE_K, SCALE_EPS = random_centro_perturbation(SCALE_BASE, 1e-8, seed=4)
 
 
+# Degree of each reported number in the scale of A: 2**j A reports it times
+# 2**(degree * j). Every ``x_`` name (X bounds and |X|_2) has degree +1.
+DEGREE_PLUS = {"delta", "a_hat", "b_hat", "coef_x1", "coef_x2"}
+DEGREE_MINUS = {"xinv_norm", "h_x_norm", "g_q_norm", "c_hat", "coef_q2", "coef_q3"}
+
+
+def _degree(name: str) -> int:
+    if name in DEGREE_PLUS or name.startswith("x_"):
+        return 1
+    return -1 if name in DEGREE_MINUS else 0
+
+
 def _scaled_values(j: int, with_ops: bool) -> dict[str, tuple[float, int]]:
-    """Report bounds and condition numbers of (2**j A, 2**j dA), each with its
-    degree: X bounds scale with A, the rest stay put except
-    ``mq_q_weighted``, |gq| vec(|Q|), which scales with 1/A. ``x_comp_info``
-    is left out: it is not homogeneous (ROADMAP item 4)."""
+    """Every number reported for (2**j A, 2**j dA), each with its degree: the
+    float fields of the bound report, its gate values, the condition-number
+    upper bounds and, with operators, the exact condition numbers."""
     s = 2.0**j
     a = s * SCALE_BASE
     f = qx_decompose(a)
     ops = _ops(f) if with_ops else None
     rep = bound_report(a, f, s * SCALE_DA, k=SCALE_K, eps=SCALE_EPS, ops=ops)
     values = {
-        b.name: (getattr(rep, b.name), 1 if b.name.startswith("x_") else 0)
-        for b in BOUNDS
-        if b.name != "x_comp_info"
+        field.name: getattr(rep, field.name)
+        for field in dataclasses.fields(BoundReport)
+        if field.name not in ("gates", "winners")
     }
-    values.update((name, (v, 0)) for name, v in cond_upper_bounds(a, f).items())
+    values.update((f"gate {g.name}", g.value) for g in rep.gates)
+    values.update(cond_upper_bounds(a, f))
     if with_ops:
         cond = mixed_comp_cond(a, ops, f)
-        values.update((name, (getattr(cond, name), 0)) for name in ("mx", "cx", "mq", "cq"))
-        values["mq_q_weighted"] = (cond.mq_q_weighted, -1)
-    return values
+        values.update(
+            (field.name, getattr(cond, field.name))
+            for field in dataclasses.fields(cond)
+            if isinstance(getattr(cond, field.name), float)
+        )
+    return {name: (value, _degree(name)) for name, value in values.items()}
 
 
 def _assert_homogeneous(j: int, with_ops: bool) -> None:
     base = _scaled_values(0, with_ops)
-    for name, (got, degree) in _scaled_values(j, with_ops).items():
+    scaled = _scaled_values(j, with_ops)
+    assert scaled.keys() == base.keys()
+    for name, (got, degree) in scaled.items():
         want = base[name][0]
         if want is None:
             assert got is None, name
@@ -577,7 +609,7 @@ TODAYS_BOUND_HEADER = (
     "row,m,n,eps,eps_eff,delta_a,delta_x,delta_q,qt_delta_q,kappa2,cond_x,"
     "x_refined,x_relative_a,x_relative_b,x_first_order,"
     "x_majorant_root,x_majorant_twice,x_majorant_linear,"
-    "x_comp_refined,x_comp_info,x_comp_combined,"
+    "x_comp_refined,x_comp_combined,"
     "x_comp_majorant_root,x_comp_majorant_twice,x_comp_majorant_linear,"
     "x_comp_first_order,q_refined,q_operator,q_comp,"
     "coef_x1,coef_x2,coef_x3,coef_x4,coef_q1,coef_q2,coef_q3,"

@@ -14,7 +14,7 @@ from centroqx import __version__
 from centroqx.centro import random_centro
 from centroqx.cli import main
 from centroqx.harness import run_table
-from centroqx.matio import read_matrices, write_matrix
+from centroqx.matio import format_float, read_matrices, write_matrix
 
 
 @pytest.fixture()
@@ -123,10 +123,22 @@ def test_cond_json(capsys):
 
 
 def test_cond_above_operator_cap_still_succeeds(capsys):
-    rc = main(["cond", "--m", "70", "--n", "40", "--seed", "5"])
+    """Above the cap there are no exact values, but the upper estimates and
+    the probe that were computed are printed; no dominance is claimed."""
+    args = ["cond", "--m", "70", "--n", "40", "--seed", "5", "--probe", "2"]
+    rc = main(args)
     out = capsys.readouterr().out
     assert rc == 0
     assert "operators skipped" in out
+    assert main([*args, "--json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    lines = out.splitlines()
+    for key in ("mx", "cx", "mq", "cq"):
+        upper = format_float(record["cond_upper"][f"{key}_upper"])
+        assert f"  {key:<9}  {'-':<16} {upper}" in lines
+        assert f"  {key:<9}  {format_float(record['probe'][key])}" in lines
+    assert "probe (2 trials, eps=1e-08):" in lines
+    assert "dominance" not in out
 
 
 # ------------------------------------------------------------------ table

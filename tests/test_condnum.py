@@ -83,7 +83,6 @@ def test_positions_recorded():
     cond, _ = _cond_for(a)
     assert len(cond.mx_position) == 2
     assert len(cond.mq_position) == 2
-    assert cond.mq_q_weighted > 0
 
 
 # ------------------------------------------------------------------ probe

@@ -90,7 +90,12 @@ def table_differences(fresh: str, golden: str, rows=csv_rows) -> list[str]:
     if len(new_rows) != len(old_rows):
         return [f"row count {len(new_rows)} != {len(old_rows)}"]
     if new_rows and list(new_rows[0]) != list(old_rows[0]):
-        return [f"columns {list(new_rows[0])} != {list(old_rows[0])}"]
+        added = [c for c in new_rows[0] if c not in old_rows[0]]
+        removed = [c for c in old_rows[0] if c not in new_rows[0]]
+        if not added and not removed:
+            return ["columns reordered"]
+        named = (", ".join(cols) or "none" for cols in (added, removed))
+        return ["columns added: {}; removed: {}".format(*named)]
     out = []
     for new, old in zip(new_rows, old_rows):
         eps = float(old["eps"]) if old.get("eps") else math.inf
@@ -143,6 +148,12 @@ def test_comparison_catches_moved_cells():
     assert table_differences(floor.replace("2e-14,", "9e-14,"), floor) == []
     assert table_differences(floor.replace("2e-14,", "2e-13,"), floor) != []
     assert table_differences(golden.replace("3.0", ""), golden) != []
+    dropped = "row,m,n,eps,delta_x,probe_cx,gates_ok\n1,4,2,1e-08,2.0,5.0,true\n"
+    assert table_differences(dropped, golden) == ["columns added: none; removed: x_refined"]
+    renamed = golden.replace("x_refined", "x_new")
+    assert table_differences(renamed, golden) == ["columns added: x_new; removed: x_refined"]
+    swapped = "row,m,n,eps,x_refined,delta_x,probe_cx,gates_ok\n1,4,2,1e-08,3.0,2.0,5.0,true\n"
+    assert table_differences(swapped, golden) == ["columns reordered"]
     cond = "row,m,n,eps,cq,kappa2\n1,4,2,1e-08,1.0,7.0\n"
     assert table_differences(cond.replace("1.0,", "1.000000001,"), cond) == []
     assert table_differences(cond.replace("1.0,", "1.0000001,"), cond) != []

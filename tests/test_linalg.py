@@ -268,6 +268,19 @@ def test_direct_norm_exact_and_rank_collapsed_inputs():
     _assert_matches_svd(spectral_norm(graded), graded, "graded")
 
 
+def test_start_block_is_built_once_per_shape_and_shared_read_only():
+    """The start block is cached per (side, column range) in a bounded cache;
+    the shared array cannot be written and equals a fresh build."""
+    block = _start_columns(8, 0, 4)
+    assert _start_columns(8, 0, 4) is block
+    assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        block[0, 0] = 2.0
+    assert np.array_equal(block, _start_columns.__wrapped__(8, 0, 4))
+    assert block[:, 0].tolist() == [1.0] * 8
+    assert _start_columns.cache_info().maxsize <= 64
+
+
 @pytest.mark.parametrize("size", [2, 6, 20])
 @pytest.mark.parametrize("gap", [1e-9, 1e-7, 1e-6])
 def test_direct_norm_resolves_near_clusters(size, gap):

@@ -181,6 +181,25 @@ def test_varsigma_identity():
     assert varsigma(make_scaling([1.0, 1.0])) == 1.0
 
 
+def _varsigma_loop(d) -> float:
+    """Reference: one pass over the diagonal with a running minimum."""
+    diag = d.diagonal()
+    best = 0.0
+    running_min = diag[0]
+    for beta in range(1, diag.size):
+        best = max(best, diag[beta] / running_min)
+        running_min = min(running_min, diag[beta])
+    return float(best)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=1, max_size=12))
+def test_varsigma_matches_the_loop_bitwise(half):
+    """The vectorized running minimum divides and compares the same floats."""
+    d = make_scaling(half)
+    assert varsigma(d) == _varsigma_loop(d)
+
+
 def test_make_scaling_rejects_nonpositive():
     with pytest.raises(ValueError):
         make_scaling([1.0, -2.0])

@@ -4,10 +4,10 @@
 Each preset is emitted as csv (machine-readable) and markdown (readable)
 with a fixed seed, so re-running the script with the same numpy/BLAS build
 and the same BLAS thread count reproduces the files byte for byte. The
-committed results/ were written with OpenBLAS's default thread count; with
-OPENBLAS_NUM_THREADS=1, 33 operator-route cells of t1-t3 move in their last
-digits (up to 3.6e-14 relative), and another build can move them too. Pass
-a different seed or an output directory to vary either.
+committed results/ were written with OpenBLAS's default thread count on a
+2-core machine, where OPENBLAS_NUM_THREADS=1 writes the same bytes; another
+thread count or build can move the last digits of the operator-route cells
+of t1-t3. Pass a different seed or an output directory to vary either.
 """
 
 from __future__ import annotations

@@ -14,7 +14,23 @@ class RankDeficient(CentroQxError):
 
 
 class NoConvergence(CentroQxError):
-    """Power iteration hit its iteration cap before the tolerance was met."""
+    """An iterative norm reached its step cap before its stopping test held.
+
+    ``estimate`` is its last estimate of the norm at the scale of the input
+    (the square root of the top Ritz value, in exact arithmetic a lower
+    bound) and ``steps`` the number of steps it took.
+    """
+
+    def __init__(self, estimate: float, steps: int) -> None:
+        super().__init__(estimate, steps)
+        self.estimate = estimate
+        self.steps = steps
+
+    def __str__(self) -> str:
+        return (
+            f"the norm iteration did not settle within {self.steps} steps"
+            f" (last estimate {self.estimate:.17g})"
+        )
 
 
 class SingularTriangular(CentroQxError):

@@ -16,9 +16,11 @@ products (BLAS-3) rather than by one rank-one update per reflector.
 ``GRAM_CROSSOVER`` it forms the k x k Gram matrix at unit scale (an exact
 power-of-two scaling, so the result scales bit for bit), raises it to a high
 power by normalised squaring, and ends with one Rayleigh-Ritz step on the
-range of that power. Larger Gram sides use block power iteration at the same
-unit scale. Both orthonormalize with ``_range_basis``, so ``spectral_norm``
-of an array is the package's one norm entry point.
+range of that power. Larger Gram sides use Lanczos on the Gram matrix at the
+same unit scale, with full reorthogonalization (Golub & Van Loan, Matrix
+Computations, 10.1-10.3), and take the top eigenvalue of its tridiagonal
+by Sturm-count bisection. ``spectral_norm`` of an array is the package's
+one norm entry point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .rng import uniform_open
 
 RANK_TOL = 1e-13
 PIVOT_TOL = 1e-14
-POWER_TOL = 1e-12
 QR_BLOCK = 16  # reflectors per compact-WY panel of householder_qr
 
 
@@ -214,16 +215,14 @@ def triangular_solve(r, b) -> np.ndarray:
 
 POWER_BLOCK = 4
 POWER_BLOCK_MAX = 32
-POWER_SWEEPS = 10  # power steps allowed per Gram column (at least 100 columns)
 _CLUSTER_GAP = 0.05  # relative Ritz spread that flags a straddled cluster
-_WIDEN_WARMUP = 30  # iterations before the first block-widening check
 
 
 def _jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Eigenvalues of a small symmetric matrix, descending, by cyclic Jacobi.
 
     The sweeps run on Python floats: on the 2- to 32-wide Ritz blocks of the
-    power iteration, slicing numpy rows per rotation costs more than the
+    direct kernel, slicing numpy rows per rotation costs more than the
     arithmetic. Each rotation updates the two columns and then the two rows
     entry by entry with the same operations, in the same order, as the
     vectorised form ``a[:, p], a[:, q] = c a_p - s a_q, s a_p + c a_q``, so
@@ -337,43 +336,83 @@ def _gram_norm(s: np.ndarray) -> float:
     return math.sqrt(max(float(ritz[0]), 0.0))
 
 
-def _power_norm(s: np.ndarray) -> float:
-    """``|S|_2`` for a nonzero S at unit scale, by block power iteration on
-    G = S^T S.
+KRYLOV_STEPS = 500  # Lanczos steps allowed before NoConvergence
+_RITZ_EVERY = 4  # Lanczos steps between Ritz-value checks
+_KRYLOV_TOL = 1e-15  # relative Ritz-value move, and beta over the largest alpha, that ends Lanczos
 
-    The block starts as the deterministic start block (an all-ones column and
-    fixed pseudo-random ones, so a start orthogonal to the dominant singular
-    subspace cannot blind the iteration) and the largest Ritz value is
-    tracked until its relative increment falls below ``POWER_TOL``, at most
-    ``POWER_SWEEPS * max(k, 100)`` steps for Gram side k. ``_range_basis``
-    drops the columns that collapse onto the others, so a low-rank S is
-    iterated on its range alone.
 
-    The block widens by fresh start columns from ``POWER_BLOCK`` up to
-    ``POWER_BLOCK_MAX`` whenever the smallest Ritz value crowds the largest:
-    a cluster of near-equal singular values straddling the block edge would
-    pin the convergence rate of the top Ritz value near 1, and structured
-    operators routinely carry such multiplets.
+def _top_tridiagonal_eigenvalue(alpha: list[float], beta: list[float], lo: float) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal T with diagonal
+    ``alpha`` and off-diagonal ``beta``, by Sturm-count bisection.
+
+    ``lo`` must not exceed that eigenvalue; the Ritz value of a leading
+    block of T is such a bound (Cauchy interlacing). The upper end is the
+    Gershgorin bound. The count of pivots of T - x I = L D L^T that are
+    negative is the number of eigenvalues below x, so x is above the largest
+    one exactly when every pivot is negative. Python floats: T has at most a
+    few hundred rows, where numpy's per-call cost exceeds the arithmetic.
+    """
+    pad = [0.0, *map(abs, beta), 0.0]
+    hi = max(a + pad[i] + pad[i + 1] for i, a in enumerate(alpha))
+    rest = [(a, b * b) for a, b in zip(alpha[1:], beta)]
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        d = alpha[0] - mid
+        for a, b2 in rest:
+            if d >= 0.0:
+                break
+            d = a - mid - b2 / d
+        if d < 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _krylov_norm(s: np.ndarray) -> float:
+    """``|S|_2`` for a nonzero S at unit scale, by Lanczos on G = S^T S with
+    full reorthogonalization.
+
+    The start vector is column 1 of the deterministic start block, a fixed
+    pseudo-random draw: the all-ones column 0 lies in an invariant subspace
+    of the structured first-order maps, where Lanczos would never see their
+    top singular direction. Each step applies G once, takes the diagonal
+    entry alpha_j of the tridiagonal T_j, and removes from the new vector its
+    components along the whole basis by two passes of classical Gram-Schmidt
+    ("twice is enough", as in ``_range_basis``); the remainder's norm is
+    beta_j. Every ``_RITZ_EVERY`` steps the largest Ritz value theta (the top
+    eigenvalue of T_j) is recomputed. The iteration stops when theta moves
+    by at most ``_KRYLOV_TOL`` relative between checks, when beta_j is below
+    ``_KRYLOV_TOL`` times the largest alpha, itself at most theta (the basis
+    spans an invariant subspace), or when the basis spans all k dimensions;
+    it raises ``NoConvergence`` after ``KRYLOV_STEPS`` steps short of that.
     """
     k = s.shape[1]
-    cap = POWER_SWEEPS * max(k, 100)
-    b, b_max = min(POWER_BLOCK, k), min(POWER_BLOCK_MAX, k)
-    w = _range_basis(_start_columns(k, 0, b))
+    steps = min(k, KRYLOV_STEPS)
+    basis = np.empty((steps, k))  # row j is the Lanczos vector v_j
+    v = _start_columns(k, 1, 2)[:, 0]
+    basis[0] = v / math.sqrt(float(v @ v))
+    alpha: list[float] = []
+    beta: list[float] = []
     theta = 0.0
-    for it in range(cap):
-        y = s.T @ (s @ w)
-        ritz = _jacobi_eigenvalues(w.T @ y)
-        theta_new = float(ritz[0])
-        if abs(theta_new - theta) <= POWER_TOL * theta_new:
-            return math.sqrt(max(theta_new, 0.0))
-        crowded = float(ritz[-1]) > (1.0 - _CLUSTER_GAP) * theta_new
-        if b < b_max and it >= _WIDEN_WARMUP and crowded:
-            extra = min(b, b_max - b)
-            y = np.hstack([y, _start_columns(k, b, b + extra)])
-            b += extra
-        w = _range_basis(y)
-        theta = theta_new
-    raise NoConvergence(f"power iteration did not settle within {cap} iterations")
+    for j in range(steps):
+        w = s.T @ (s @ basis[j])
+        alpha.append(float(basis[j] @ w))
+        span = basis[: j + 1]
+        for _ in range(2):
+            w -= span.T @ (span @ w)
+        b = math.sqrt(float(w @ w))
+        invariant = b <= _KRYLOV_TOL * max(alpha)
+        if invariant or j + 1 == k or (j + 1) % _RITZ_EVERY == 0:
+            updated = _top_tridiagonal_eigenvalue(alpha, beta, theta)
+            if invariant or j + 1 == k or updated - theta <= _KRYLOV_TOL * updated:
+                return math.sqrt(updated)
+            theta = updated
+        if j + 1 < steps:
+            basis[j + 1] = w / b
+            beta.append(b)
+    raise NoConvergence(math.sqrt(_top_tridiagonal_eigenvalue(alpha, beta, theta)), steps)
 
 
 def spectral_norm(mat) -> float:
@@ -382,7 +421,8 @@ def spectral_norm(mat) -> float:
     M is divided by ``2**e >= max|M|`` (exact) and the result multiplied
     back, so ``spectral_norm(2**j M) == 2**j spectral_norm(M)`` bit for bit
     while the entries stay normal. ``k <= GRAM_CROSSOVER``: the direct
-    kernel; larger k: block power iteration.
+    kernel; larger k: Lanczos, which raises ``NoConvergence`` (with its last
+    estimate at M's scale) if it reaches ``KRYLOV_STEPS`` steps short of k.
     """
     a = as_matrix(mat, "spectral_norm input")
     if a.size == 0 or max_abs(a) == 0.0:
@@ -391,5 +431,8 @@ def spectral_norm(mat) -> float:
         a = a.T
     e = _binary_exponent(a)
     s = np.ldexp(a, -e)
-    norm = _power_norm(s) if s.shape[1] > GRAM_CROSSOVER else _gram_norm(s)
+    try:
+        norm = _krylov_norm(s) if s.shape[1] > GRAM_CROSSOVER else _gram_norm(s)
+    except NoConvergence as exc:
+        raise NoConvergence(float(np.ldexp(exc.estimate, e)), exc.steps) from None
     return float(np.ldexp(norm, e))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import centroqx
 import centroqx.linalg as linalg_mod
+from centroqx.bounds import build_first_order_operators
 from centroqx.centro import fold_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.harness import TrialConfig
@@ -222,7 +223,7 @@ def test_spectral_norm_edge_cases():
     assert spectral_norm(r1) == pytest.approx(np.linalg.norm(r1, 2), rel=1e-12)
 
 
-NORM_RTOL = 1e-13  # direct kernel against numpy's SVD
+NORM_RTOL = 1e-13  # both kernels against numpy's SVD
 
 
 def _assert_matches_svd(got: float, a: np.ndarray, label: str = "") -> None:
@@ -317,7 +318,7 @@ def test_direct_norm_scales_by_powers_of_two_exactly(k):
         assert spectral_norm(s * a) == s * spectral_norm(a)
 
 
-# Gram side 140 > GRAM_CROSSOVER: normed by block power iteration. Every
+# Gram side 140 > GRAM_CROSSOVER: normed by the Lanczos kernel. Every
 # entry is at least 2**-22 in magnitude, so 2**-1000 times it is still normal.
 POWER_PATH_INPUT = _rand(150, 140, 33)
 
@@ -325,42 +326,78 @@ POWER_PATH_INPUT = _rand(150, 140, 33)
 @settings(max_examples=6, deadline=None)
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_power_norm_scales_by_powers_of_two_exactly(k):
-    """The power-iteration path runs at unit scale too. Unscaled, 2**-600 A
-    normed to 0.0 and 2**-300, 2**300 and 2**600 A raised NoConvergence."""
+    """The Lanczos path runs at unit scale too. Unscaled (under the block
+    power iteration it replaced), 2**-600 A normed to 0.0 and 2**-300,
+    2**300 and 2**600 A raised NoConvergence."""
     s = 2.0**k
     assert spectral_norm(s * POWER_PATH_INPUT) == s * spectral_norm(POWER_PATH_INPUT)
 
 
 @pytest.mark.parametrize("shape", [(150, 140), (140, 300), (200, 129)])
 def test_power_norm_matches_svd(shape):
-    """Gram sides above ``GRAM_CROSSOVER`` go through block power iteration,
-    which stops on a 1e-12 relative Ritz increment."""
+    """Gram sides above ``GRAM_CROSSOVER`` go through the Lanczos kernel.
+    Block power iteration, stopping on a 1e-12 relative Ritz increment, read
+    these 1.1e-12 to 2.2e-12 low."""
     assert min(shape) > linalg_mod.GRAM_CROSSOVER
     a = _rand(*shape, shape[1])
-    assert spectral_norm(a) == pytest.approx(np.linalg.norm(a, 2), rel=1e-10)
+    _assert_matches_svd(spectral_norm(a), a)
 
 
 @pytest.mark.parametrize("shape", [(200, 150), (200, 129), (150, 140)])
 def test_power_norm_of_all_ones(shape):
-    """Rank one on the power path: every block column but the first collapses
-    onto the ones vector and is dropped. The modified Gram-Schmidt that
-    refilled such columns with noise gave 2x, sqrt(3)x and 2x."""
+    """Rank one on the Lanczos path: the second Lanczos vector completes an
+    invariant subspace. The modified Gram-Schmidt that refilled collapsed
+    block columns with noise gave 2x, sqrt(3)x and 2x."""
     m, n = shape
     assert spectral_norm(np.ones(shape)) == pytest.approx(math.sqrt(m * n), rel=1e-13)
 
 
-# Gram eigenvalues 1, then 0.949, 0.948, ... down from below the cluster
-# threshold: the width-4 block never widens, and the top Ritz value settles
-# at the rate 0.946**2 per step, in about 250 steps.
+# Gram eigenvalues 1, then 0.949, 0.948, ... down: a relative gap of 5% that
+# Lanczos needs a few dozen steps to resolve to rounding level.
 SLOW_POWER_INPUT = _with_singular_values(np.sqrt(np.r_[1.0, 0.95 - 1e-3 * np.arange(1, 140)]), 150, 5)
 
 
 def test_power_norm_no_convergence_raised(monkeypatch):
+    """Under a cap of 8 Lanczos steps the kernel raises, carrying its last
+    estimate at the input's scale (exactly homogeneous, and below the norm)
+    and the steps taken."""
     want = np.linalg.norm(SLOW_POWER_INPUT, 2)
-    assert spectral_norm(SLOW_POWER_INPUT) == pytest.approx(want, rel=1e-10)
-    monkeypatch.setattr(linalg_mod, "POWER_SWEEPS", 1)  # cap 140 steps, not 1400
-    with pytest.raises(NoConvergence, match="within 140 iterations"):
+    _assert_matches_svd(spectral_norm(SLOW_POWER_INPUT), SLOW_POWER_INPUT)
+    monkeypatch.setattr(linalg_mod, "KRYLOV_STEPS", 8)
+    with pytest.raises(NoConvergence, match="within 8 steps") as unit:
         spectral_norm(SLOW_POWER_INPUT)
+    with pytest.raises(NoConvergence) as scaled:
+        spectral_norm(2.0**-40 * SLOW_POWER_INPUT)
+    assert unit.value.steps == scaled.value.steps == 8
+    assert 0.9 * want < unit.value.estimate < want
+    assert scaled.value.estimate == 2.0**-40 * unit.value.estimate
+
+
+@pytest.mark.parametrize("size", [2, 5, 20, 40, 60])
+def test_krylov_norm_resolves_clusters(size):
+    """Top singular values 1, 1 - gap, ..., 1 - (size - 1) gap above a spread
+    tail, Gram side 200. Down to gap 1e-7 the norm is resolved to NORM_RTOL;
+    below that it may read low by the cluster's relative width, never more,
+    and never raises. Block power iteration raised NoConvergence at gap 1e-7,
+    size 40 and read 1.15e-7 low at another seed."""
+    for gap in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+        for s in range(2):
+            sv = np.concatenate([1.0 - gap * np.arange(size), np.linspace(0.9, 0.1, 200 - size)])
+            a = _with_singular_values(sv, 260, 10 * size + s)
+            got, want = spectral_norm(a), np.linalg.norm(a, 2)
+            if gap >= 1e-7:
+                _assert_matches_svd(got, a, f"gap {gap} seed {s}")
+            else:
+                assert -size * gap * want <= got - want <= NORM_RTOL * want, (gap, s, got, want)
+
+
+@pytest.mark.parametrize("shape", [(20, 10), (30, 20), (40, 20), (44, 44)])
+def test_first_order_map_norms_match_svd(shape):
+    """gx, hx and gq of random centrosymmetric inputs; every map of (30, 20)
+    and above, and gq of (20, 10), has a Gram side above GRAM_CROSSOVER."""
+    ops = build_first_order_operators(qx_decompose(random_centro(*shape, seed=sum(shape))))
+    for label, op in (("gx", ops.gx), ("hx", ops.hx), ("gq", ops.gq)):
+        _assert_matches_svd(spectral_norm(op), op, label)
 
 
 @settings(max_examples=40, deadline=None)

@@ -25,9 +25,13 @@ centrosymmetric, because D is palindromic, so each norm is the
 larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
 and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
 max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
-route forms its Kronecker-structured products as batched matrix products
-and norms them with ``spectral_norm`` like every other operand. Both
-operator routes solve the same majorant equation (``majorant``).
+route builds its maps without Kronecker products: the response of the X
+change to a rank-one dA = e_r e_p^T is (X^T diag(u) H^T) diag(v) +
+(X^T diag(v) H^T) diag(u) for rows u of X^{-1} and v of Q (H the ``upx``
+weights), so one n x n product per row of X^{-1} and of Q, in O((m + n) n^3)
+flops, gives every entry. The maps are normed with ``spectral_norm`` like
+every other operand. Both operator routes solve the same majorant equation
+(``majorant``).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import numpy as np
 
 from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
-from .linalg import as_matrix, frobenius_norm, max_abs, spectral_norm, vec_perm_indices
+from .linalg import as_matrix, frobenius_norm, max_abs, spectral_norm
 from .xops import ScalingD, build_operator_matrices, scaling_candidates, varsigma
 
 SQRT2 = math.sqrt(2.0)
@@ -334,26 +338,42 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
         raise SizeCapExceeded(f"m*n = {m * n} exceeds the operator cap {OPERATOR_SIZE_CAP}")
     ops = build_operator_matrices(n)
     xinv = factors.xinv
+    wt = ops.half_weights.reshape(n, n)  # H^T, H the upx weights
+    cols = ops.indices % n  # the column t of each support entry (k, t) of X^T S
 
-    # Each map is built transposed: row j is its column j, vec(C_j). The
-    # C-order (n, n) view of that row is C_j^T, so vec(C_j F) is F^T @ C_j^T
-    # and vec(F C_j) is C_j^T @ F^T, batched over j.
-    st = np.kron(xinv, qa)
-    st += st[:, vec_perm_indices(n, n)]  # the vec(C^T) term
-    st *= ops.half_weights
-    st = st.reshape(m * n, n, n)
-    gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
-
-    # kron(X^{-1}, X^{-1}) at unit scale; the exact 2**(2e) goes onto the n x n X.
+    # Column (p, r) of gx and gq answers dA = e_r e_p^T, for which
+    # Q^T dA X^{-1} = v u^T with u = X^{-1}[p] and v = Q[r]; column (p, r) of
+    # hx answers E = e_r e_p^T, for which X^{-T} E X^{-1} = v u^T with
+    # v = X^{-1}[r]. The transposed upx image is S = diag(u) H^T diag(v) +
+    # diag(v) H^T diag(u), so the transposed X change X^T S =
+    # (X^T diag(u) H^T) diag(v) + (X^T diag(v) H^T) diag(u) needs one n x n
+    # product per row of X^{-1} and of Q, gathered at the support and scaled
+    # by the other row's entries there. X^{-1} works at unit scale; the exact
+    # 2**e goes onto X (2**(2e) for hx).
     e = math.frexp(max_abs(xinv))[1]
     xu = np.ldexp(xinv, -e)
-    ht = np.kron(xu, xu) * ops.half_weights
-    xs = np.ldexp(xa, 2 * e)
-    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
+    xs = np.ldexp(xa, e)
+    ax = ((xs.T * xu[:, None, :]) @ wt).reshape(n, n * n)[:, ops.indices].T
+    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, ops.indices].T
+    xu_s, q_s = xu[:, cols].T, qa[:, cols].T
+    # Row c of gx, as an n x m matrix, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T (rank 2).
+    gx = np.stack((ax, xu_s), axis=2) @ np.stack((q_s, aq), axis=1)
+    hx = np.ldexp(ax, e)[:, :, None] * xu_s[:, None, :]
 
-    gqt = np.kron(xinv, np.eye(m))
-    gqt -= (st @ qa.T).reshape(m * n, m * n)
-    return FirstOrderOperators(gx=gx, hx=hx, gq=gqt.T)
+    # gq is built transposed, written in blocks over the rows p of X^{-1}. Row
+    # (p, r) holds vec(dA X^{-1} - Q upx(S^T)), whose (s, i) entry is
+    # u_s (delta_ri - (H^T diag(v) Q^T)[s, i]) - v_s (H^T diag(u) Q^T)[s, i].
+    eye_minus_c = -((wt * qa[:, None, :]) @ qa.T)
+    eye_minus_c[np.arange(m), :, np.arange(m)] += 1.0
+    d = (wt * xinv[:, None, :]) @ qa.T
+    gqt = np.empty((n, m, n, m))
+    tmp = np.empty((m, n, m))
+    for p in range(n):
+        np.multiply(eye_minus_c, xinv[p][:, None], out=gqt[p])
+        gqt[p] -= np.multiply(qa[:, :, None], d[p], out=tmp)
+    return FirstOrderOperators(
+        gx=gx.reshape(-1, m * n), hx=hx.reshape(-1, n * n), gq=gqt.reshape(m * n, m * n).T
+    )
 
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:

@@ -423,13 +423,22 @@ def spectral_norm(mat) -> float:
     while the entries stay normal. ``k <= GRAM_CROSSOVER``: the direct
     kernel; larger k: Lanczos, which raises ``NoConvergence`` (with its last
     estimate at M's scale) if it reaches ``KRYLOV_STEPS`` steps short of k.
+    One ``max``/``min`` scan gives both max|M| and the rejection of
+    non-finite entries (``ValueError``) before the scaled copy is made.
     """
-    a = as_matrix(mat, "spectral_norm input")
-    if a.size == 0 or max_abs(a) == 0.0:
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2:
+        raise ValueError(f"spectral_norm input must be 2-dimensional, got ndim={a.ndim}")
+    if a.size == 0:
+        return 0.0
+    top = max(float(np.max(a)), -float(np.min(a)))
+    if not math.isfinite(top):
+        raise ValueError("spectral_norm input contains non-finite entries")
+    if top == 0.0:
         return 0.0
     if a.shape[0] < a.shape[1]:
         a = a.T
-    e = _binary_exponent(a)
+    e = math.frexp(top)[1]
     s = np.ldexp(a, -e)
     try:
         norm = _krylov_norm(s) if s.shape[1] > GRAM_CROSSOVER else _gram_norm(s)

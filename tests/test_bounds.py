@@ -45,10 +45,10 @@ from centroqx.centro import (
 from centroqx.condnum import cond_upper_bounds, mixed_comp_cond
 from centroqx.errors import NotCentrosymmetric, SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
-from centroqx.linalg import frobenius_norm, spectral_norm, vec
+from centroqx.linalg import frobenius_norm, spectral_norm, vec, vec_perm_indices
 from centroqx.qx import qx_decompose
 from centroqx.rng import uniform_open
-from centroqx.xops import scaling_candidates, upx, xvec
+from centroqx.xops import build_operator_matrices, scaling_candidates, upx, xvec
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
@@ -106,31 +106,80 @@ def test_constants():
 # ------------------------------------------------------------ action laws
 
 
-@pytest.mark.parametrize("shape", [(4, 2), (8, 4), (7, 4), (12, 12)])
+ACTION_SHAPES = [(4, 2), (8, 4), (7, 4), (12, 12), (9, 6), (31, 20), (44, 44)]
+
+
+def _action_case(m, n, seed):
+    """Factors of a random centrosymmetric A, its maps and a perturbation."""
+    a, f = _factored(m, n, seed=seed)
+    da, _, _ = random_centro_perturbation(a, 1.0, seed=seed + 1)
+    return f, _ops(f), da, np.linalg.inv(f.x)
+
+
+def _assert_action(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("shape", ACTION_SHAPES)
 def test_gx_action_law(shape):
     """G_X applied to vec(dA) equals the closed-form first-order X change."""
     m, n = shape
-    a, f = _factored(m, n, seed=300 + m)
-    ops = _ops(f)
-    da, _, _ = random_centro_perturbation(a, 1.0, seed=301 + m)
-    xinv = np.linalg.inv(f.x)
+    f, ops, da, xinv = _action_case(m, n, seed=300 + m)
     w = f.q.T @ da @ xinv
-    want = xvec(upx(w + w.T) @ f.x)
-    got = ops.gx @ vec(da)
-    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+    _assert_action(ops.gx @ vec(da), xvec(upx(w + w.T) @ f.x))
 
 
-@pytest.mark.parametrize("shape", [(4, 2), (8, 4), (7, 4)])
+@pytest.mark.parametrize("shape", ACTION_SHAPES)
+def test_hx_action_law(shape):
+    """H_X applied to vec(E) equals xvec(upx(X^{-T} E X^{-1}) X)."""
+    m, n = shape
+    f, ops, _, xinv = _action_case(m, n, seed=320 + m)
+    e = np.random.default_rng(321 + m).standard_normal((n, n))
+    _assert_action(ops.hx @ vec(e), xvec(upx(xinv.T @ e @ xinv) @ f.x))
+
+
+@pytest.mark.parametrize("shape", ACTION_SHAPES)
 def test_gq_action_law(shape):
     m, n = shape
-    a, f = _factored(m, n, seed=310 + m)
-    ops = _ops(f)
-    da, _, _ = random_centro_perturbation(a, 1.0, seed=311 + m)
-    xinv = np.linalg.inv(f.x)
+    f, ops, da, xinv = _action_case(m, n, seed=310 + m)
     w = f.q.T @ da @ xinv
-    want = vec(da @ xinv - f.q @ upx(w + w.T))
-    got = ops.gq @ vec(da)
-    assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+    _assert_action(ops.gq @ vec(da), vec(da @ xinv - f.q @ upx(w + w.T)))
+
+
+def _kron_operators(f):
+    """The Kronecker construction of the three maps, kept as an oracle.
+
+    Row j of each transposed map is vec(C_j) for the j-th column of
+    kron(X^{-1}, Q) plus its vec(C^T) permutation, weighted by upx; the
+    C-order (n, n) view of a row is C_j^T, so X^T C_j^T is batched over j.
+    """
+    qa, xa, xinv = f.q, f.x, f.xinv
+    m, n = qa.shape
+    ops = build_operator_matrices(n)
+    st = np.kron(xinv, qa)
+    st += st[:, vec_perm_indices(n, n)]
+    st *= ops.half_weights
+    st = st.reshape(m * n, n, n)
+    gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
+    e = math.frexp(np.max(np.abs(xinv)))[1]
+    xu = np.ldexp(xinv, -e)
+    ht = np.kron(xu, xu) * ops.half_weights
+    xs = np.ldexp(xa, 2 * e)
+    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
+    gqt = np.kron(xinv, np.eye(m))
+    gqt -= (st @ qa.T).reshape(m * n, m * n)
+    return gx, hx, gqt.T
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (31, 20), (44, 44)])
+def test_first_order_maps_match_kronecker_oracle(shape):
+    """The factored build equals the Kronecker construction to rounding,
+    with the same shapes and memory order (relative in the Frobenius norm)."""
+    _, f = _factored(*shape, seed=330 + sum(shape))
+    ops = _ops(f)
+    for label, got, want in zip(("gx", "hx", "gq"), (ops.gx, ops.hx, ops.gq), _kron_operators(f)):
+        assert got.shape == want.shape and got.strides == want.strides, label
+        assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want), label
 
 
 def test_first_order_exact_on_identity_diagonal():

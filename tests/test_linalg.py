@@ -223,6 +223,23 @@ def test_spectral_norm_edge_cases():
     assert spectral_norm(r1) == pytest.approx(np.linalg.norm(r1, 2), rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [8, 200])
+def test_spectral_norm_rejects_non_finite_entries(value, side):
+    """One non-finite entry raises ``ValueError`` on both kernel paths (a
+    Gram side of 8 and of 200), wherever it sits; zero and empty inputs
+    return 0.0."""
+    for pos in ((0, 0), (side + 2, side - 1), (3, 5)):
+        a = np.random.default_rng(side).standard_normal((side + 3, side))
+        a[pos] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(a)
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(a.T)
+    assert spectral_norm(np.zeros((3, 2))) == 0.0
+    assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
 NORM_RTOL = 1e-13  # both kernels against numpy's SVD
 
 

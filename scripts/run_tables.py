@@ -2,12 +2,14 @@
 """Run every experiment preset and write the tables under results/.
 
 Each preset is emitted as csv (machine-readable) and markdown (readable)
-with a fixed seed, so re-running the script with the same numpy/BLAS build
-and the same BLAS thread count reproduces the files byte for byte. The
-committed results/ were written with OpenBLAS's default thread count on a
-2-core machine, where OPENBLAS_NUM_THREADS=1 writes the same bytes; another
-thread count or build can move the last digits of the operator-route cells
-of t1-t3. Pass a different seed or an output directory to vary either.
+with a fixed seed. Re-running the script agrees with the committed results/
+within the per-column tolerances of tests/test_golden_tables.py, not byte
+for byte: changes to the norm kernels and the operator build since the
+files were written move about a hundred operator-route and
+condition-number cells in their last bits (at most 5.3e-16 relative with
+one BLAS thread on a 2-core machine). Within one build and BLAS thread
+count a re-run is deterministic. Pass a different seed or an output
+directory to vary either.
 """
 
 from __future__ import annotations

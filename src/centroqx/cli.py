@@ -190,7 +190,7 @@ def _cmd_bounds(args) -> int:
         print(title)
         _print_kv([(b.name, getattr(rep, b.name)) for b in BOUNDS if b.target == target])
     if record.tightness_slack is not None:
-        _print_kv([("tightness ratio", record.tightness_slack)])
+        _print_kv([("tightness slack", record.tightness_slack)])
     verdict = "PASS" if record.domination_ok else "FAIL"
     print(f"domination: {verdict}")
     return 0 if record.domination_ok else 1

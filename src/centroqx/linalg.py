@@ -12,15 +12,18 @@ H_1 ... H_b is held as I - V T V^T with V the unit reflector vectors and T
 b x b upper triangular, so the trailing columns and Q are updated by matrix
 products (BLAS-3) rather than by one rank-one update per reflector.
 
-``spectral_norm`` works on the smaller Gram side k of its operand. Up to
-``GRAM_CROSSOVER`` it forms the k x k Gram matrix at unit scale (an exact
-power-of-two scaling, so the result scales bit for bit), raises it to a high
-power by normalised squaring, and ends with one Rayleigh-Ritz step on the
-range of that power. Larger Gram sides use Lanczos on the Gram matrix at the
-same unit scale, with full reorthogonalization (Golub & Van Loan, Matrix
-Computations, 10.1-10.3), and take the top eigenvalue of its tridiagonal
-by Sturm-count bisection. ``spectral_norm`` of an array is the package's
-one norm entry point.
+``spectral_norm`` works on the smaller Gram side k of its operand, at unit
+scale (an exact power-of-two scaling, so the result scales bit for bit).
+One kernel, Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
+Computations, 10.1-10.3) that takes the top eigenvalue of its tridiagonal
+by Sturm-count bisection, serves every k through a matvec. Up to
+``GRAM_CROSSOVER`` the matvec is the k x k Gram matrix, formed once, and
+Lanczos starts from the dominant column of a high power of it, reached by
+normalised squaring, and runs until its basis spans an invariant subspace
+or all k dimensions, which resolves clusters of top singular values. Above
+it the matvec is two products with the operand, Lanczos starts from a fixed
+pseudo-random vector and also stops once its Ritz value settles.
+``spectral_norm`` of an array is the package's one norm entry point.
 """
 
 from __future__ import annotations
@@ -70,18 +73,6 @@ def frobenius_norm(a) -> float:
 def vec(c) -> np.ndarray:
     """Column-major flattening of a matrix."""
     return as_matrix(c, "vec argument").reshape(-1, order="F")
-
-
-def vec_perm_indices(m: int, n: int) -> np.ndarray:
-    """Index array ``p`` with ``P[p[b], b] = 1`` for the commutation matrix P.
-
-    P maps vec(E) to vec(E^T) for E of shape m x n; entry vec-index
-    ``b = i + m*j`` lands at row ``a = j + n*i``.
-    """
-    b = np.arange(m * n)
-    i = b % m
-    j = b // m
-    return j + n * i
 
 
 def entrywise_div(x, y) -> np.ndarray:
@@ -213,129 +204,16 @@ def triangular_solve(r, b) -> np.ndarray:
     return y[:, 0] if squeeze else y
 
 
-POWER_BLOCK = 4
-POWER_BLOCK_MAX = 32
-_CLUSTER_GAP = 0.05  # relative Ritz spread that flags a straddled cluster
-
-
-def _jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix, descending, by cyclic Jacobi.
-
-    The sweeps run on Python floats: on the 2- to 32-wide Ritz blocks of the
-    direct kernel, slicing numpy rows per rotation costs more than the
-    arithmetic. Each rotation updates the two columns and then the two rows
-    entry by entry with the same operations, in the same order, as the
-    vectorised form ``a[:, p], a[:, q] = c a_p - s a_q, s a_p + c a_q``, so
-    the eigenvalues are the same floats.
-    """
-    sym = 0.5 * (h + h.T)
-    b = sym.shape[0]
-    if b == 1:
-        return sym[0, :1].copy()
-    scale = max(float(np.max(np.abs(sym))), 1e-300)
-    off_tol = 1e-16 * scale
-    skip_tol = 1e-18 * scale
-    a = sym.tolist()
-    for _ in range(60):
-        if all(abs(a[p][q]) <= off_tol for p in range(b) for q in range(b) if p != q):
-            break
-        for p in range(b - 1):
-            for q in range(p + 1, b):
-                apq = a[p][q]
-                if abs(apq) <= skip_tol:
-                    continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if tau != 0:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for row in a:
-                    x, y = row[p], row[q]
-                    row[p] = c * x - s * y
-                    row[q] = s * x + c * y
-                row_p, row_q = a[p], a[q]
-                for k in range(b):
-                    x, y = row_p[k], row_q[k]
-                    row_p[k] = c * x - s * y
-                    row_q[k] = s * x + c * y
-    return np.sort(np.array([a[i][i] for i in range(b)]))[::-1].copy()
-
-
 @lru_cache(maxsize=32)
-def _start_columns(ncols: int, lo: int, hi: int) -> np.ndarray:
-    """Columns ``lo..hi-1`` of the deterministic start block: column 0 is all
-    ones, the others fixed pseudo-random draws. Built once per shape and
-    shared read-only."""
-    block = np.empty((ncols, hi - lo))
-    for j in range(lo, hi):
-        block[:, j - lo] = 1.0 if j == 0 else uniform_open(0xC0FFEE ^ ncols, ncols, offset=j * ncols)
-    block.flags.writeable = False
-    return block
+def _start_vector(k: int) -> np.ndarray:
+    """The Lanczos start vector of Gram side k, a fixed pseudo-random draw.
+    Built once per side and shared read-only."""
+    v = uniform_open(0xC0FFEE ^ k, k, offset=k)
+    v.flags.writeable = False
+    return v
 
 
-GRAM_CROSSOVER = 128  # largest Gram side normed by the direct kernel
-_SQUARINGS = 14  # at most 2**14 power steps
-_SQUARING_TOL = 1e-15  # relative Rayleigh-quotient change that ends the squaring
-_DROP_TOL = 1e-8  # residual/column-norm ratio below which a column is in the span
-
-
-def _range_basis(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical range of ``y``'s columns.
-
-    Classical Gram-Schmidt with a second pass, dropping every column whose
-    residual after both passes is below ``_DROP_TOL`` of its norm: such a
-    residual is rounding noise, and normalising it would leave a column
-    parallel to the basis (Kahan-Parlett "twice is enough" criterion).
-    """
-    kept: list[np.ndarray] = []
-    for col in y.T:
-        v = col
-        if kept:
-            basis = np.array(kept).T
-            for _ in range(2):
-                v = v - basis @ (basis.T @ v)
-        norm = math.sqrt(float(v @ v))
-        if norm > _DROP_TOL * math.sqrt(float(col @ col)):
-            kept.append(v / norm)
-    return np.array(kept).T
-
-
-def _gram_norm(s: np.ndarray) -> float:
-    """``|S|_2`` for a nonzero S at unit scale with at least as many rows as
-    columns.
-
-    G = S^T S. Normalised squaring P <- P^2/|P^2|_F raises G to
-    the power 2**j and stops when the Rayleigh quotient of P's largest column
-    c settles. The norm is the largest Ritz value of G on span(c, P S), S the
-    deterministic start block; c keeps the dominant direction in the
-    span when it is orthogonal to S. The block widens from ``POWER_BLOCK`` to
-    ``POWER_BLOCK_MAX`` while no column is dropped and its smallest Ritz
-    value crowds the largest, the sign of a cluster wider than the block.
-    """
-    g = s.T @ s
-    k = g.shape[0]
-    p = g / math.sqrt(float(np.sum(g * g)))
-    rayleigh = 0.0
-    for _ in range(_SQUARINGS):
-        p = p @ p
-        p /= math.sqrt(float(np.sum(p * p)))
-        c = p[:, int(np.argmax(np.sum(p * p, axis=0)))]
-        updated = float(c @ (g @ c)) / float(c @ c)
-        if abs(updated - rayleigh) <= _SQUARING_TOL * updated:
-            break
-        rayleigh = updated
-    b, b_max = min(POWER_BLOCK, k), min(POWER_BLOCK_MAX, k)
-    while True:
-        w = _range_basis(np.hstack([c[:, None], p @ _start_columns(k, 0, b)]))
-        ritz = _jacobi_eigenvalues(w.T @ (g @ w))
-        if w.shape[1] <= b or b == b_max or ritz[-1] <= (1.0 - _CLUSTER_GAP) * ritz[0]:
-            break
-        b = min(2 * b, b_max)
-    return math.sqrt(max(float(ritz[0]), 0.0))
-
-
+GRAM_CROSSOVER = 128  # largest Gram side normed through the explicit Gram matrix
 KRYLOV_STEPS = 500  # Lanczos steps allowed before NoConvergence
 _RITZ_EVERY = 4  # Lanczos steps between Ritz-value checks
 _KRYLOV_TOL = 1e-15  # relative Ritz-value move, and beta over the largest alpha, that ends Lanczos
@@ -370,43 +248,42 @@ def _top_tridiagonal_eigenvalue(alpha: list[float], beta: list[float], lo: float
             lo = mid
 
 
-def _krylov_norm(s: np.ndarray) -> float:
-    """``|S|_2`` for a nonzero S at unit scale, by Lanczos on G = S^T S with
-    full reorthogonalization.
+def _lanczos_top(apply, v: np.ndarray, k: int) -> float:
+    """``sqrt(lambda_max(G))`` for a symmetric positive semidefinite k x k G
+    given as the matvec ``apply(x) = G x``, by Lanczos with full
+    reorthogonalization from the nonzero start vector ``v``.
 
-    The start vector is column 1 of the deterministic start block, a fixed
-    pseudo-random draw: the all-ones column 0 lies in an invariant subspace
-    of the structured first-order maps, where Lanczos would never see their
-    top singular direction. Each step applies G once, takes the diagonal
-    entry alpha_j of the tridiagonal T_j, and removes from the new vector its
-    components along the whole basis by two passes of classical Gram-Schmidt
-    ("twice is enough", as in ``_range_basis``); the remainder's norm is
-    beta_j. Every ``_RITZ_EVERY`` steps the largest Ritz value theta (the top
-    eigenvalue of T_j) is recomputed. The iteration stops when theta moves
-    by at most ``_KRYLOV_TOL`` relative between checks, when beta_j is below
-    ``_KRYLOV_TOL`` times the largest alpha, itself at most theta (the basis
-    spans an invariant subspace), or when the basis spans all k dimensions;
-    it raises ``NoConvergence`` after ``KRYLOV_STEPS`` steps short of that.
+    Each step applies G once, takes the diagonal entry alpha_j of the
+    tridiagonal T_j, and removes from the new vector its components along
+    the whole basis by two passes of classical Gram-Schmidt ("twice is
+    enough"); the remainder's norm is beta_j. It returns the largest Ritz
+    value (the top eigenvalue of T_j) once beta_j is below ``_KRYLOV_TOL``
+    times the largest alpha (an invariant subspace) or the basis spans all k
+    dimensions. Above ``GRAM_CROSSOVER`` it also stops when that Ritz value,
+    taken every ``_RITZ_EVERY`` steps, moves by at most ``_KRYLOV_TOL``
+    relative, and raises ``NoConvergence`` after ``KRYLOV_STEPS`` steps. That
+    stop can fire inside a tight cluster of top eigenvalues before its
+    members are separated; up to the crossover k steps are cheap.
     """
-    k = s.shape[1]
     steps = min(k, KRYLOV_STEPS)
+    settle = k > GRAM_CROSSOVER
     basis = np.empty((steps, k))  # row j is the Lanczos vector v_j
-    v = _start_columns(k, 1, 2)[:, 0]
     basis[0] = v / math.sqrt(float(v @ v))
     alpha: list[float] = []
     beta: list[float] = []
     theta = 0.0
     for j in range(steps):
-        w = s.T @ (s @ basis[j])
+        w = apply(basis[j])
         alpha.append(float(basis[j] @ w))
         span = basis[: j + 1]
         for _ in range(2):
             w -= span.T @ (span @ w)
         b = math.sqrt(float(w @ w))
-        invariant = b <= _KRYLOV_TOL * max(alpha)
-        if invariant or j + 1 == k or (j + 1) % _RITZ_EVERY == 0:
+        if b <= _KRYLOV_TOL * max(alpha) or j + 1 == k:
+            return math.sqrt(_top_tridiagonal_eigenvalue(alpha, beta, theta))
+        if settle and (j + 1) % _RITZ_EVERY == 0:
             updated = _top_tridiagonal_eigenvalue(alpha, beta, theta)
-            if invariant or j + 1 == k or updated - theta <= _KRYLOV_TOL * updated:
+            if updated - theta <= _KRYLOV_TOL * updated:
                 return math.sqrt(updated)
             theta = updated
         if j + 1 < steps:
@@ -415,13 +292,56 @@ def _krylov_norm(s: np.ndarray) -> float:
     raise NoConvergence(math.sqrt(_top_tridiagonal_eigenvalue(alpha, beta, theta)), steps)
 
 
+_SQUARINGS = 14  # at most 2**14 power steps
+_SQUARING_TOL = 1e-15  # relative Rayleigh-quotient change that ends the squaring
+
+
+def _gram_norm(s: np.ndarray) -> float:
+    """``|S|_2`` for a nonzero S at unit scale with at least as many rows as
+    columns, by Lanczos on the explicit Gram matrix G = S^T S.
+
+    The start vector comes from normalised squaring P <- P^2/|P^2|_F, which
+    raises G to the power 2**j and stops when the Rayleigh quotient of P's
+    largest column c settles. c lies close to the dominant eigenvector, and
+    always in the range of G, so Lanczos from c mostly meets an invariant
+    subspace after one product with G (from ``_start_vector`` it runs all k
+    steps: 1.5 to 3 times the time on the benchmark pools' operands).
+    """
+    g = s.T @ s
+    p = g / math.sqrt(float(np.sum(g * g)))
+    rayleigh = 0.0
+    for _ in range(_SQUARINGS):
+        p = p @ p
+        p /= math.sqrt(float(np.sum(p * p)))
+        c = p[:, int(np.argmax(np.sum(p * p, axis=0)))]
+        updated = float(c @ (g @ c)) / float(c @ c)
+        if abs(updated - rayleigh) <= _SQUARING_TOL * updated:
+            break
+        rayleigh = updated
+    return _lanczos_top(lambda v: g @ v, c, g.shape[0])
+
+
+def _krylov_norm(s: np.ndarray) -> float:
+    """``|S|_2`` for a nonzero S at unit scale, by Lanczos on G = S^T S
+    applied as two products, so G is never formed.
+
+    The start vector is ``_start_vector``, a fixed pseudo-random draw: the
+    all-ones vector lies in an invariant subspace of the structured
+    first-order maps, where Lanczos would never see their top singular
+    direction.
+    """
+    k = s.shape[1]
+    return _lanczos_top(lambda v: s.T @ (s @ v), _start_vector(k), k)
+
+
 def spectral_norm(mat) -> float:
     """Spectral norm ``|M|_2``, worked on the smaller Gram side k.
 
     M is divided by ``2**e >= max|M|`` (exact) and the result multiplied
     back, so ``spectral_norm(2**j M) == 2**j spectral_norm(M)`` bit for bit
-    while the entries stay normal. ``k <= GRAM_CROSSOVER``: the direct
-    kernel; larger k: Lanczos, which raises ``NoConvergence`` (with its last
+    while the entries stay normal. ``k <= GRAM_CROSSOVER``: Lanczos on the
+    explicit Gram matrix (``_gram_norm``); larger k: Lanczos on the operand's
+    products (``_krylov_norm``), which raises ``NoConvergence`` (with its last
     estimate at M's scale) if it reaches ``KRYLOV_STEPS`` steps short of k.
     One ``max``/``min`` scan gives both max|M| and the rejection of
     non-finite entries (``ValueError``) before the scaled copy is made.

@@ -149,9 +149,6 @@ class StructuredOperatorSet:
         m[np.arange(self.tau1), self.indices] = 1.0
         return m
 
-    def half_weight_dense(self) -> np.ndarray:
-        return np.diag(self.half_weights)
-
     def indicator_dense(self) -> np.ndarray:
         return np.diag(self.indicator)
 

@@ -45,10 +45,11 @@ from centroqx.centro import (
 from centroqx.condnum import cond_upper_bounds, mixed_comp_cond
 from centroqx.errors import NotCentrosymmetric, SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
-from centroqx.linalg import frobenius_norm, spectral_norm, vec, vec_perm_indices
+from centroqx.linalg import frobenius_norm, spectral_norm, vec
 from centroqx.qx import qx_decompose
 from centroqx.rng import uniform_open
 from centroqx.xops import build_operator_matrices, scaling_candidates, upx, xvec
+from oracles import vec_perm_indices
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 

@@ -90,6 +90,18 @@ def test_bounds_json_record(capsys):
     assert record["bounds"]["x_refined"] > 0.0
 
 
+def test_bounds_text_prints_the_tightness_slack(capsys):
+    """The text report labels envelope - |gx|_2 a slack, with the value the
+    JSON record carries."""
+    args = ["bounds", "--m", "20", "--n", "10", "--seed", "3"]
+    assert main(args + ["--json"]) == 0
+    slack = json.loads(capsys.readouterr().out)["tightness_slack"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert f"  tightness slack  {format_float(slack)}\n" in out
+    assert "ratio" not in out
+
+
 def test_bounds_requires_shape_or_input(capsys):
     assert main(["bounds", "--gen", "file"]) == 2
     assert main(["bounds"]) == 2

@@ -17,8 +17,9 @@ from centroqx.centro import fold_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.harness import TrialConfig
 from centroqx.linalg import (
-    _jacobi_eigenvalues,
-    _start_columns,
+    _gram_norm,
+    _krylov_norm,
+    _start_vector,
     entrywise_div,
     frobenius_norm,
     householder_qr,
@@ -26,10 +27,10 @@ from centroqx.linalg import (
     spectral_norm,
     triangular_solve,
     vec,
-    vec_perm_indices,
 )
 from centroqx.qx import qx_decompose, x_inverse
 from centroqx.rng import uniform_open
+from oracles import vec_perm_indices
 
 
 def _rand(m, n, seed):
@@ -257,7 +258,7 @@ def _with_singular_values(sv, rows: int, seed: int) -> np.ndarray:
     return (u * np.asarray(sv)) @ v.T
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32, 33, 50, 63, 64])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 32, 33, 50, 63, 64, 96, 127, 128])
 def test_direct_norm_matches_svd_on_random_inputs(k):
     rng = np.random.default_rng(1000 + k)
     for label, shape in (("tall", (2 * k + 3, k)), ("wide", (k, 3 * k + 1)), ("square", (k, k))):
@@ -271,38 +272,55 @@ def test_direct_norm_exact_and_rank_collapsed_inputs():
         assert spectral_norm(np.array([[value]])) == abs(value)
     for k in (1, 2, 5, 32, 33, 64):
         _assert_matches_svd(spectral_norm(np.eye(k)), np.eye(k), f"identity {k}")
-    # Rank one: the squared Gram power has one numerical direction, and
-    # the start block's other columns are rounding noise to be dropped.
+    # Rank one: the squared Gram power has one numerical direction, so
+    # Lanczos from its dominant column meets an invariant subspace at once.
     for m, k in ((3, 3), (5, 2), (8, 8), (20, 3), (3, 64)):
         ones = np.ones((m, k))
         outer = np.outer(np.arange(1.0, m + 1), np.arange(1.0, k + 1))
         _assert_matches_svd(spectral_norm(ones), ones, f"ones {m}x{k}")
         _assert_matches_svd(spectral_norm(outer), outer, f"outer {m}x{k}")
-    # Rank one with the right singular vector orthogonal to the start block.
-    basis, _ = np.linalg.qr(np.column_stack([_start_columns(8, 0, 4), np.arange(8.0) ** 2]))
-    hidden = np.outer(np.arange(1.0, 21.0), basis[:, 4])
-    _assert_matches_svd(spectral_norm(hidden), hidden, "orthogonal to the start block")
-    graded = _with_singular_values(np.logspace(0, -12, 40), 60, 7)
+    # Rank one with the right singular vector orthogonal to the ones vector
+    # and to the start vector, which this path does not use; the test below
+    # puts the same input above the crossover, where Lanczos starts from it.
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(8), _start_vector(8), np.arange(8.0) ** 2]))
+    hidden = np.outer(np.arange(1.0, 21.0), basis[:, 2])
+    _assert_matches_svd(spectral_norm(hidden), hidden, "orthogonal to the start vector")
+    graded =_with_singular_values(np.logspace(0, -12, 40), 60, 7)
     _assert_matches_svd(spectral_norm(graded), graded, "graded")
 
 
-def test_start_block_is_built_once_per_shape_and_shared_read_only():
-    """The start block is cached per (side, column range) in a bounded cache;
+@pytest.mark.parametrize("shape", [(140, 130), (130, 140)])
+def test_power_norm_of_rank_one_orthogonal_to_the_start_vector(shape):
+    """Rank one at Gram side 130 > GRAM_CROSSOVER, with the right singular
+    vector orthogonal to the ones vector and to the Lanczos start vector.
+    The first product is rounding noise; its beta is not small against its
+    alpha, which is noise too, so Lanczos goes on from the normalised noise,
+    and that has a component along the hidden direction."""
+    k = min(shape)
+    basis, _ = np.linalg.qr(np.column_stack([np.ones(k), _start_vector(k), np.arange(float(k)) ** 2]))
+    hidden = np.outer(np.arange(1.0, max(shape) + 1.0), basis[:, 2])
+    if shape[0] < shape[1]:
+        hidden = hidden.T
+    assert abs(_start_vector(k) @ basis[:, 2]) <= 1e-15 * np.linalg.norm(_start_vector(k))
+    _assert_matches_svd(spectral_norm(hidden), hidden, "orthogonal to the start vector")
+
+
+def test_start_vector_is_built_once_per_side_and_shared_read_only():
+    """The Lanczos start vector is cached per Gram side in a bounded cache;
     the shared array cannot be written and equals a fresh build."""
-    block = _start_columns(8, 0, 4)
-    assert _start_columns(8, 0, 4) is block
-    assert not block.flags.writeable
+    v = _start_vector(8)
+    assert _start_vector(8) is v
+    assert not v.flags.writeable
     with pytest.raises(ValueError):
-        block[0, 0] = 2.0
-    assert np.array_equal(block, _start_columns.__wrapped__(8, 0, 4))
-    assert block[:, 0].tolist() == [1.0] * 8
-    assert _start_columns.cache_info().maxsize <= 64
+        v[0] = 2.0
+    assert np.array_equal(v, _start_vector.__wrapped__(8))
+    assert _start_vector.cache_info().maxsize <= 64
 
 
 @pytest.mark.parametrize("size", [2, 6, 20])
 @pytest.mark.parametrize("gap", [1e-9, 1e-7, 1e-6])
 def test_direct_norm_resolves_near_clusters(size, gap):
-    """A cluster wider than the start block needs the block to widen."""
+    """Clusters of 2 to 20 top singular values at gaps down to 1e-9."""
     sv = np.concatenate([1.0 - gap * np.arange(size), np.linspace(0.9, 0.1, 40 - size)])
     a = _with_singular_values(sv, 60, size)
     _assert_matches_svd(spectral_norm(a), a)
@@ -328,8 +346,8 @@ def test_fold_norm_matches_svd(shape):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_direct_norm_scales_by_powers_of_two_exactly(k):
-    """Unit scaling is exact, so 2**k passes through the direct kernel bit for
-    bit."""
+    """Unit scaling is exact, so 2**k passes through the Gram-matrix path bit
+    for bit."""
     s = 2.0**k
     for a in (_rand(9, 6, 31), _rand(3, 7, 32), np.ones((5, 4))):
         assert spectral_norm(s * a) == s * spectral_norm(a)
@@ -408,6 +426,34 @@ def test_krylov_norm_resolves_clusters(size):
                 assert -size * gap * want <= got - want <= NORM_RTOL * want, (gap, s, got, want)
 
 
+def _unit_scale(a: np.ndarray) -> np.ndarray:
+    """``a`` divided by the power of two that ``spectral_norm`` divides by."""
+    return np.ldexp(a, -math.frexp(np.max(np.abs(a)))[1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 64, 96, 127, 128])
+def test_gram_and_krylov_paths_agree(k):
+    """Both matvecs of the one Lanczos kernel, on the same operands of every
+    Gram side the Gram-matrix path takes: random, all-ones and outer-product
+    operands, and a cluster of top singular values 1, 1 - 1e-9, ... above a
+    spread tail. Up to ``GRAM_CROSSOVER`` Lanczos runs until its basis spans
+    an invariant subspace or all k dimensions, so the two agree within 4e-15
+    on all of them."""
+    rng = np.random.default_rng(2000 + k)
+    size = min(k, 6)
+    sv = np.concatenate([1.0 - 1e-9 * np.arange(size), np.linspace(0.9, 0.1, k - size)])
+    for label, a in (
+        ("random", rng.standard_normal((2 * k + 3, k))),
+        ("ones", np.ones((k + 2, k))),
+        ("outer", np.outer(np.arange(1.0, k + 3), np.arange(1.0, k + 1))),
+        ("cluster", _with_singular_values(sv, k + 5, k)),
+    ):
+        s = _unit_scale(a)
+        gram, krylov = _gram_norm(s), _krylov_norm(s)
+        assert abs(gram - krylov) <= 4e-15 * krylov, (label, gram, krylov)
+        _assert_matches_svd(gram, s, label)
+
+
 @pytest.mark.parametrize("shape", [(20, 10), (30, 20), (40, 20), (44, 44)])
 def test_first_order_map_norms_match_svd(shape):
     """gx, hx and gq of random centrosymmetric inputs; every map of (30, 20)
@@ -427,66 +473,6 @@ def test_spectral_le_frobenius_property(seed):
 def test_submultiplicativity():
     a, b = _rand(4, 4, 21), _rand(4, 4, 22)
     assert spectral_norm(a @ b) <= spectral_norm(a) * spectral_norm(b) + 1e-12
-
-
-# ------------------------------------------------------------- Ritz step
-
-
-def _jacobi_reference(h: np.ndarray) -> np.ndarray:
-    """The cyclic Jacobi with numpy row/column rotations that the scalar
-    kernel must reproduce bit for bit."""
-    a = 0.5 * (h + h.T)
-    b = a.shape[0]
-    if b == 1:
-        return a[0, :1].copy()
-    scale = max(float(np.max(np.abs(a))), 1e-300)
-    for _ in range(60):
-        off = a - np.diag(np.diag(a))
-        if np.max(np.abs(off)) <= 1e-16 * scale:
-            break
-        for p in range(b - 1):
-            for q in range(p + 1, b):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(np.diag(a))[::-1].copy()
-
-
-def _ritz_blocks(width: int):
-    """Seeded symmetric blocks: dense, Gram, near-diagonal, diagonal, and
-    dense blocks scaled far from 1 by exact powers of two."""
-    rng = np.random.default_rng(width)
-    for _ in range(3):
-        g = rng.standard_normal((width, width))
-        diag = np.diag(rng.standard_normal(width))
-        yield "dense", g
-        yield "gram", g @ g.T
-        yield "near-diagonal", diag + 1e-9 * (g + g.T)
-        yield "diagonal", diag
-        yield "scaled-up", 2.0**500 * (g + g.T)
-        yield "scaled-down", 2.0**-500 * (g @ g.T)
-
-
-@pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 8, 16, 32])
-def test_jacobi_eigenvalues_bit_identical_to_numpy_rotations(width):
-    for kind, h in _ritz_blocks(width):
-        got = _jacobi_eigenvalues(h)
-        want = _jacobi_reference(h)
-        assert got.dtype == want.dtype and got.shape == want.shape, kind
-        assert np.array_equal(got, want), kind
-        sym = 0.5 * (h + h.T)
-        ref = np.linalg.eigvalsh(sym)[::-1]
-        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), kind
 
 
 def test_library_never_calls_numpy_linalg():

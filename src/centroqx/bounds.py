@@ -5,10 +5,10 @@ perturbation models:
 
 - *refined* bounds evaluate closed-form expressions minimized over a list of
   palindromic diagonal scalings (identity and row norms of X);
-- *operator* bounds build the dense first-order maps ``gx`` (perturbation of
-  A to the support entries of the X perturbation), ``hx`` (quadratic-term
-  map), and ``gq`` (perturbation of A to the Q perturbation) and evaluate
-  majorant-equation bounds from their spectral norms.
+- *operator* bounds evaluate majorant-equation bounds from the spectral
+  norms of the first-order maps ``gx`` (perturbation of A to the support
+  entries of the X perturbation), ``hx`` (quadratic-term map) and ``gq``
+  (perturbation of A to the Q perturbation).
 
 The perturbation models are normwise (``delta = |dA|_F``) and entrywise
 (``|dA| <= eps * K |A|`` for a nonnegative ``K``). Every bound is only
@@ -25,13 +25,10 @@ centrosymmetric, because D is palindromic, so each norm is the
 larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
 and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
 max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
-route builds its maps without Kronecker products: the response of the X
-change to a rank-one dA = e_r e_p^T is (X^T diag(u) H^T) diag(v) +
-(X^T diag(v) H^T) diag(u) for rows u of X^{-1} and v of Q (H the ``upx``
-weights), so one n x n product per row of X^{-1} and of Q, in O((m + n) n^3)
-flops, gives every entry. The maps are normed with ``spectral_norm`` like
-every other operand. Both operator routes solve the same majorant equation
-(``majorant``).
+route norms its maps through their actions (``operator_norm``), at
+O(mn^2 + n^3) flops per product; only ``gx`` is formed, without Kronecker
+products, for the entrywise consumers. Both operator routes solve the same
+majorant equation (``majorant``).
 """
 
 from __future__ import annotations
@@ -39,13 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
-from .linalg import as_matrix, frobenius_norm, max_abs, spectral_norm
+from .linalg import as_matrix, frobenius_norm, max_abs, operator_norm, spectral_norm
 from .xops import ScalingD, build_operator_matrices, scaling_candidates, varsigma
 
 SQRT2 = math.sqrt(2.0)
@@ -311,27 +308,92 @@ def _entrywise_route(
     report.x_comp_combined = COMP_COMBINED_CONSTANT * mcomp * kq_fro * eps
 
 
+class LinearMap(NamedTuple):
+    """``operator_norm``'s arguments for 2**e A: forward(V) = V A^T, adjoint(Y) = Y A."""
+
+    forward: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    rows: int
+    cols: int
+    e: int = 0
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return np.ldexp(self.forward(v[None]), self.e)[0]
+
+
+def _rank_one_rows(a: np.ndarray, u: np.ndarray, e: int) -> LinearMap:
+    """The map whose row c, in the C-order n x n view, is ``2**e a_c u_c^T``."""
+    n = a.shape[1]
+    return LinearMap(
+        lambda v: np.sum((a @ v.reshape(-1, n, n)) * u, axis=2),
+        lambda y: (a.T @ (y[:, :, None] * u)).reshape(len(y), -1), len(a), n * n, e,
+    )
+
+
 @dataclass
 class FirstOrderOperators:
-    """Dense first-order maps from vec(dA) to the factor perturbations.
-
-    ``gx`` (tau1 x mn) sends vec(dA) to the support entries of the
-    first-order X perturbation, ``hx`` (tau1 x n^2) is the quadratic-term
-    map on vec-space, and ``gq`` (mn x mn) sends vec(dA) to vec of the
-    first-order Q perturbation.
+    """The first-order maps of one factorization, held as the factors that
+    apply them. ``gx`` (tau1 x mn) sends vec(dA) to the support entries of
+    the first-order X perturbation, ``hx`` (tau1 x n^2) is the
+    quadratic-term map and ``gq`` (mn x mn) sends vec(dA) to vec of the
+    first-order Q perturbation; ``maps`` applies each in O(mn^2 + n^3) flops
+    per vector: gx vec(E) = xvec(upx(W + W^T) X) with W = Q^T E X^{-1}, hx
+    vec(E) = xvec(upx(X^{-T} E X^{-1}) X) and gq vec(E) = vec(E X^{-1} - Q
+    upx(W + W^T)), with adjoints gx^T y = vec(Q (Z + Z^T) X^{-T}) and hx^T y
+    = vec(X^{-1} Z X^{-T}) for Z = H o (Y X^T), Y the support matrix of y,
+    and gq^T vec(F) = vec((F - Q (Z + Z^T)) X^{-T}) for Z = H o (Q^T F), on
+    stacks of transposed matrices (the C-order views of the vecs). Only
+    ``gx`` is kept dense, for the entrywise consumers; row c of hx is the
+    rank-one 2**e a_c u_c^T (``hx_rows``), and ``mixed_comp_cond`` forms
+    |gq| vec|A| in blocks.
     """
 
-    gx: np.ndarray
-    hx: np.ndarray
-    gq: np.ndarray
+    q: np.ndarray
+    xu: np.ndarray  # X^{-1} / 2**e, at unit scale
+    xs: np.ndarray  # X * 2**e
+    e: int
+    ht: np.ndarray  # H^T, H the upx weights
+    indices: np.ndarray  # the support, in the C-order view of a transpose
+    hx_rows: tuple[np.ndarray, np.ndarray]  # (a, u), each tau1 x n
+    gx: np.ndarray  # tau1 x mn
+
+    @property
+    def maps(self) -> dict[str, LinearMap]:
+        """gx, hx and gq, keyed as ``operator_norms`` reports their norms."""
+        q, xu, xs, ht, idx = self.q, self.xu, self.xs, self.ht, self.indices
+        m, n = q.shape
+        def sym(t):
+            return t + t.swapaxes(1, 2)
+        def flat(t):
+            return t.reshape(len(t), -1)
+        def zt(y):  # Z^T = H^T o (X Y^T)
+            yt = np.zeros((len(y), n * n))
+            yt[:, idx] = y
+            return ht * (xs @ yt.reshape(-1, n, n))
+        def gq(v):
+            at = xu.T @ v.reshape(-1, n, m)
+            return flat(at - (ht * sym(at @ q)) @ q.T)
+        def gq_t(f):
+            ft = f.reshape(-1, n, m)
+            return flat(xu @ (ft - sym(ht * (ft @ q)) @ q.T))
+
+        return {
+            "g": LinearMap(
+                lambda v: flat(xs.T @ (ht * sym(xu.T @ v.reshape(-1, n, m) @ q)))[:, idx],
+                lambda y: flat(xu @ sym(zt(y)) @ q.T), len(idx), m * n,
+            ),
+            "h": LinearMap(
+                lambda v: flat(xs.T @ (ht * (xu.T @ v.reshape(-1, n, n) @ xu)))[:, idx],
+                lambda y: flat(xu @ zt(y) @ xu.T), len(idx), n * n, self.e,
+            ),
+            "gq": LinearMap(gq, gq_t, m * n, m * n, self.e),
+        }
 
 
 def build_first_order_operators(factors) -> FirstOrderOperators:
-    """Assemble the dense first-order operators for one ``QxFactors``.
-
-    Raises ``SizeCapExceeded`` when ``m*n`` exceeds ``OPERATOR_SIZE_CAP``
-    (the maps cost O((mn)^2) memory).
-    """
+    """The first-order operators of one ``QxFactors``. Raises
+    ``SizeCapExceeded`` when ``m*n`` exceeds ``OPERATOR_SIZE_CAP`` (the dense
+    ``gx`` costs O(mn^3) memory)."""
     qa, xa = factors.q, factors.x
     m, n = qa.shape
     if m * n > OPERATOR_SIZE_CAP:
@@ -341,15 +403,11 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     wt = ops.half_weights.reshape(n, n)  # H^T, H the upx weights
     cols = ops.indices % n  # the column t of each support entry (k, t) of X^T S
 
-    # Column (p, r) of gx and gq answers dA = e_r e_p^T, for which
-    # Q^T dA X^{-1} = v u^T with u = X^{-1}[p] and v = Q[r]; column (p, r) of
-    # hx answers E = e_r e_p^T, for which X^{-T} E X^{-1} = v u^T with
-    # v = X^{-1}[r]. The transposed upx image is S = diag(u) H^T diag(v) +
-    # diag(v) H^T diag(u), so the transposed X change X^T S =
-    # (X^T diag(u) H^T) diag(v) + (X^T diag(v) H^T) diag(u) needs one n x n
-    # product per row of X^{-1} and of Q, gathered at the support and scaled
-    # by the other row's entries there. X^{-1} works at unit scale; the exact
-    # 2**e goes onto X (2**(2e) for hx).
+    # Column (p, r) of gx answers dA = e_r e_p^T, for which Q^T dA X^{-1} =
+    # v u^T with u = X^{-1}[p] and v = Q[r]. The transposed X change is then
+    # (X^T diag(u) H^T) diag(v) + (X^T diag(v) H^T) diag(u): one n x n product
+    # per row of X^{-1} and of Q, gathered at the support and scaled by the
+    # other row's entries there. Row c of hx is 2**e ax[c] xu_s[c]^T.
     e = math.frexp(max_abs(xinv))[1]
     xu = np.ldexp(xinv, -e)
     xs = np.ldexp(xa, e)
@@ -358,31 +416,12 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     xu_s, q_s = xu[:, cols].T, qa[:, cols].T
     # Row c of gx, as an n x m matrix, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T (rank 2).
     gx = np.stack((ax, xu_s), axis=2) @ np.stack((q_s, aq), axis=1)
-    hx = np.ldexp(ax, e)[:, :, None] * xu_s[:, None, :]
-
-    # gq is built transposed, written in blocks over the rows p of X^{-1}. Row
-    # (p, r) holds vec(dA X^{-1} - Q upx(S^T)), whose (s, i) entry is
-    # u_s (delta_ri - (H^T diag(v) Q^T)[s, i]) - v_s (H^T diag(u) Q^T)[s, i].
-    eye_minus_c = -((wt * qa[:, None, :]) @ qa.T)
-    eye_minus_c[np.arange(m), :, np.arange(m)] += 1.0
-    d = (wt * xinv[:, None, :]) @ qa.T
-    gqt = np.empty((n, m, n, m))
-    tmp = np.empty((m, n, m))
-    for p in range(n):
-        np.multiply(eye_minus_c, xinv[p][:, None], out=gqt[p])
-        gqt[p] -= np.multiply(qa[:, :, None], d[p], out=tmp)
-    return FirstOrderOperators(
-        gx=gx.reshape(-1, m * n), hx=hx.reshape(-1, n * n), gq=gqt.reshape(m * n, m * n).T
-    )
+    return FirstOrderOperators(qa, xu, xs, e, wt, ops.indices, (ax, xu_s), gx.reshape(-1, m * n))
 
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:
-    """Spectral norms of the three first-order maps."""
-    return {
-        "g": spectral_norm(ops.gx),
-        "h": spectral_norm(ops.hx),
-        "gq": spectral_norm(ops.gq),
-    }
+    """Spectral norms of the three first-order maps, through their actions."""
+    return {name: operator_norm(*op) for name, op in ops.maps.items()}
 
 
 def majorant(
@@ -413,22 +452,24 @@ def comp_matvec_bounds(
     - ``b_hat = ||hx| (|X^T| kron |X^T|)|_2 * ||Q^T| K^T K |Q||_F``
     - ``c_hat = ||hx||_2``
 
-    ``kq_fro`` is ``|K |Q||_F`` and ``eps`` is ``report.eps``. A row vec(R)
-    of an operator times ``|X^T| kron B^T`` is vec(B R |X|^T), formed on the
-    C-order view R^T of the row. The values are not withheld here.
+    ``kq_fro`` is ``|K |Q||_F`` and ``eps`` is ``report.eps``. Each product
+    is normed through its action, with |X| = 2**-e |xs|: a row vec(R) of |gx|
+    times ``|X^T| kron I_m`` is vec(|X| R), and row c of |hx| (|X^T| kron
+    |X^T|) is 2**e (|X| |a_c|)(|X| |u_c|)^T. The values are not withheld here.
     """
-    m, n = norms.factors.q.shape
-    tau1 = ops.gx.shape[0]
+    m, n = ops.q.shape
     absq = norms.abs_q
     absx = np.abs(norms.factors.x)
-    abs_hx = np.abs(ops.hx)
+    absxs, abs_gx = np.abs(ops.xs), np.abs(ops.gx)
+    a, u = (np.abs(f) for f in ops.hx_rows)
 
-    gxa = absx @ np.abs(ops.gx).reshape(tau1, n, m)
-    gxa_norm = spectral_norm(gxa.reshape(tau1, m * n))
-    hxb = absx @ abs_hx.reshape(tau1, n, n) @ absx.T
-    hxb_norm = spectral_norm(hxb.reshape(tau1, n * n))
-
-    c_hat = spectral_norm(abs_hx)
+    gxa_norm = operator_norm(
+        lambda v: (absxs.T @ v.reshape(-1, n, m)).reshape(len(v), -1) @ abs_gx.T,
+        lambda y: (absxs @ (y @ abs_gx).reshape(-1, n, m)).reshape(len(y), -1),
+        len(abs_gx), m * n, -ops.e,
+    )
+    hxb_norm = operator_norm(*_rank_one_rows(a @ absxs.T, u @ absxs.T, -ops.e))
+    c_hat = operator_norm(*_rank_one_rows(a, u, ops.e))
     qtktkq_fro = frobenius_norm(absq.T @ k.T @ k @ absq)
     a_hat = gxa_norm * kq_fro
     b_hat = hxb_norm * qtktkq_fro

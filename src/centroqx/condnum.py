@@ -51,17 +51,27 @@ class CondReport:
 
 
 def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
-    """Exact mixed/component-wise condition numbers from the operators."""
+    """Exact mixed/component-wise condition numbers from the operators. |gq|
+    vec|A| is summed over blocks of gq^T, one per row p of X^{-1}: row (p, r)
+    holds at (s, i) u_s (delta_ri - (H^T diag(v) Q^T)[s, i]) - v_s (H^T
+    diag(u) Q^T)[s, i] for u = X^{-1}[p] (at unit scale) and v = Q[r]."""
     aa = as_matrix(a, "matrix")
-    m, n = factors.q.shape
+    q, xu = ops.q, ops.xu
+    m, n = q.shape
     abs_a_vec = np.abs(vec(aa))
 
     response_x = np.abs(ops.gx) @ abs_a_vec
     pos_vec = int(xvec_indices(n)[np.argmax(response_x)])
-    response_q = np.abs(ops.gq) @ abs_a_vec
+    eye_minus_c = np.eye(m)[:, None, :] - (ops.ht * q[:, None, :]) @ q.T
+    d = (ops.ht * xu[:, None, :]) @ q.T
+    block, tmp, response_q = np.empty((m, n, m)), np.empty((m, n, m)), np.zeros(n * m)
+    for p, wp in enumerate(abs_a_vec.reshape(n, m)):
+        np.multiply(eye_minus_c, xu[p][:, None], out=block)
+        block -= np.multiply(q[:, :, None], d[p], out=tmp)
+        response_q += wp @ np.abs(block, out=block).reshape(m, n * m)
     iq = int(np.argmax(response_q))
     mx, cx = _mixed_comp(response_x, xvec(factors.x))
-    mq, cq = _mixed_comp(response_q, vec(factors.q))
+    mq, cq = _mixed_comp(np.ldexp(response_q, ops.e), vec(factors.q))
     return CondReport(
         mx=mx,
         cx=cx,

@@ -464,10 +464,10 @@ def fd_check(m: int, n: int, seed: int, eps_values: list[float]) -> FdReport:
         perturbed = qx_decompose(a + da)
         scale = frobenius_norm(da)
         rx.append(
-            frobenius_norm(xvec(perturbed.x - factors.x) - ops.gx @ vec(da)) / scale
+            frobenius_norm(xvec(perturbed.x - factors.x) - ops.maps["g"].matvec(vec(da))) / scale
         )
         rq.append(
-            frobenius_norm(vec(perturbed.q - factors.q) - ops.gq @ vec(da)) / scale
+            frobenius_norm(vec(perturbed.q - factors.q) - ops.maps["gq"].matvec(vec(da))) / scale
         )
     rx_ratios = [rx[i] / rx[i + 1] for i in range(len(rx) - 1) if rx[i + 1] > 0]
     rq_ratios = [rq[i] / rq[i + 1] for i in range(len(rq) - 1) if rq[i + 1] > 0]

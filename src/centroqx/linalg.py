@@ -12,8 +12,9 @@ H_1 ... H_b is held as I - V T V^T with V the unit reflector vectors and T
 b x b upper triangular, so the trailing columns and Q are updated by matrix
 products (BLAS-3) rather than by one rank-one update per reflector.
 
-``spectral_norm`` works on the smaller Gram side k of its operand, at unit
-scale (an exact power-of-two scaling, so the result scales bit for bit).
+``spectral_norm`` (of an array) and ``operator_norm`` (of a map given by its
+action and adjoint) work on the smaller Gram side k, at unit scale (exact
+powers of two, so results scale bit for bit).
 One kernel, Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
 Computations, 10.1-10.3) that takes the top eigenvalue of its tridiagonal
 by Sturm-count bisection, serves every k through a matvec. Up to
@@ -21,9 +22,9 @@ by Sturm-count bisection, serves every k through a matvec. Up to
 Lanczos starts from the dominant column of a high power of it, reached by
 normalised squaring, and runs until its basis spans an invariant subspace
 or all k dimensions, which resolves clusters of top singular values. Above
-it the matvec is two products with the operand, Lanczos starts from a fixed
-pseudo-random vector and also stops once its Ritz value settles.
-``spectral_norm`` of an array is the package's one norm entry point.
+it the matvec is the map and its adjoint (two products for an array),
+Lanczos starts from a fixed pseudo-random vector and also stops once its
+Ritz value settles.
 """
 
 from __future__ import annotations
@@ -230,6 +231,8 @@ def _top_tridiagonal_eigenvalue(alpha: list[float], beta: list[float], lo: float
     one exactly when every pivot is negative. Python floats: T has at most a
     few hundred rows, where numpy's per-call cost exceeds the arithmetic.
     """
+    if len(alpha) == 1:
+        return alpha[0]
     pad = [0.0, *map(abs, beta), 0.0]
     hi = max(a + pad[i] + pad[i + 1] for i, a in enumerate(alpha))
     rest = [(a, b * b) for a, b in zip(alpha[1:], beta)]
@@ -296,9 +299,8 @@ _SQUARINGS = 14  # at most 2**14 power steps
 _SQUARING_TOL = 1e-15  # relative Rayleigh-quotient change that ends the squaring
 
 
-def _gram_norm(s: np.ndarray) -> float:
-    """``|S|_2`` for a nonzero S at unit scale with at least as many rows as
-    columns, by Lanczos on the explicit Gram matrix G = S^T S.
+def _gram_norm(g: np.ndarray) -> float:
+    """``sqrt(lambda_max(G))`` for a nonzero Gram matrix G, by Lanczos on G.
 
     The start vector comes from normalised squaring P <- P^2/|P^2|_F, which
     raises G to the power 2**j and stops when the Rayleigh quotient of P's
@@ -307,7 +309,6 @@ def _gram_norm(s: np.ndarray) -> float:
     subspace after one product with G (from ``_start_vector`` it runs all k
     steps: 1.5 to 3 times the time on the benchmark pools' operands).
     """
-    g = s.T @ s
     p = g / math.sqrt(float(np.sum(g * g)))
     rayleigh = 0.0
     for _ in range(_SQUARINGS):
@@ -321,27 +322,14 @@ def _gram_norm(s: np.ndarray) -> float:
     return _lanczos_top(lambda v: g @ v, c, g.shape[0])
 
 
-def _krylov_norm(s: np.ndarray) -> float:
-    """``|S|_2`` for a nonzero S at unit scale, by Lanczos on G = S^T S
-    applied as two products, so G is never formed.
-
-    The start vector is ``_start_vector``, a fixed pseudo-random draw: the
-    all-ones vector lies in an invariant subspace of the structured
-    first-order maps, where Lanczos would never see their top singular
-    direction.
-    """
-    k = s.shape[1]
-    return _lanczos_top(lambda v: s.T @ (s @ v), _start_vector(k), k)
-
-
 def spectral_norm(mat) -> float:
     """Spectral norm ``|M|_2``, worked on the smaller Gram side k.
 
     M is divided by ``2**e >= max|M|`` (exact) and the result multiplied
     back, so ``spectral_norm(2**j M) == 2**j spectral_norm(M)`` bit for bit
     while the entries stay normal. ``k <= GRAM_CROSSOVER``: Lanczos on the
-    explicit Gram matrix (``_gram_norm``); larger k: Lanczos on the operand's
-    products (``_krylov_norm``), which raises ``NoConvergence`` (with its last
+    explicit Gram matrix (``_gram_norm``); larger k: ``operator_norm`` of the
+    operand's products, which raises ``NoConvergence`` (with its last
     estimate at M's scale) if it reaches ``KRYLOV_STEPS`` steps short of k.
     One ``max``/``min`` scan gives both max|M| and the rejection of
     non-finite entries (``ValueError``) before the scaled copy is made.
@@ -360,8 +348,29 @@ def spectral_norm(mat) -> float:
         a = a.T
     e = math.frexp(top)[1]
     s = np.ldexp(a, -e)
+    if s.shape[1] > GRAM_CROSSOVER:
+        return operator_norm(lambda v: v @ s.T, lambda y: y @ s, *s.shape, e)
+    return float(np.ldexp(_gram_norm(s.T @ s), e))
+
+
+def operator_norm(forward, adjoint, rows: int, cols: int, e: int = 0) -> float:
+    """``2**e |A|_2`` for the rows x cols map A given at unit scale by
+    ``forward(V) = V A^T`` and ``adjoint(Y) = Y A`` on stacks of vectors;
+    ``NoConvergence`` carries its estimate at the scale 2**e. Up to
+    ``GRAM_CROSSOVER`` the Gram matrix comes from one stacked application to
+    the identity. Lanczos starts from ``_start_vector(k)``, not all-ones:
+    that lies in an invariant subspace of the structured first-order maps,
+    which misses their top singular direction.
+    """
+    k = min(rows, cols)
+    inner, outer = (forward, adjoint) if cols <= rows else (adjoint, forward)
     try:
-        norm = _krylov_norm(s) if s.shape[1] > GRAM_CROSSOVER else _gram_norm(s)
+        if k > GRAM_CROSSOVER:
+            norm = _lanczos_top(lambda v: outer(inner(v[None]))[0], _start_vector(k), k)
+        else:
+            f = inner(np.eye(k))
+            g = f @ f.T
+            norm = _gram_norm(g) if g.any() else 0.0
     except NoConvergence as exc:
         raise NoConvergence(float(np.ldexp(exc.estimate, e)), exc.steps) from None
     return float(np.ldexp(norm, e))

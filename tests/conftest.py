@@ -6,7 +6,6 @@ under test never does.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from centroqx.centro import random_centro
@@ -53,11 +52,3 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in _acceptance_lines:
             terminalreporter.write_line(line)
-
-
-def assert_close(got, want, rtol=0.0, atol=0.0, label=""):
-    got = np.asarray(got, dtype=float)
-    want = np.asarray(want, dtype=float)
-    err = np.max(np.abs(got - want)) if got.size else 0.0
-    bound = atol + rtol * (np.max(np.abs(want)) if want.size else 0.0)
-    assert err <= bound, f"{label}: max err {err:.3e} > {bound:.3e}"

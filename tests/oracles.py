@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from centroqx.xops import build_operator_matrices
 
 
 def vec_perm_indices(m: int, n: int) -> np.ndarray:
@@ -15,3 +19,34 @@ def vec_perm_indices(m: int, n: int) -> np.ndarray:
     i = b % m
     j = b // m
     return j + n * i
+
+
+def kron_operators(f):
+    """The dense gx, hx and gq of one ``QxFactors`` by the Kronecker
+    construction, kept as an oracle for the factored maps.
+
+    Row j of each transposed map is vec(C_j) for the j-th column of
+    kron(X^{-1}, Q) plus its vec(C^T) permutation, weighted by upx; the
+    C-order (n, n) view of a row is C_j^T, so X^T C_j^T is batched over j.
+    """
+    qa, xa, xinv = f.q, f.x, f.xinv
+    m, n = qa.shape
+    ops = build_operator_matrices(n)
+    st = np.kron(xinv, qa)
+    st += st[:, vec_perm_indices(n, n)]
+    st *= ops.half_weights
+    st = st.reshape(m * n, n, n)
+    gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
+    e = math.frexp(np.max(np.abs(xinv)))[1]
+    xu = np.ldexp(xinv, -e)
+    ht = np.kron(xu, xu) * ops.half_weights
+    xs = np.ldexp(xa, 2 * e)
+    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
+    gqt = np.kron(xinv, np.eye(m))
+    gqt -= (st @ qa.T).reshape(m * n, m * n)
+    return gx, hx, gqt.T
+
+
+def materialize(op) -> np.ndarray:
+    """The dense matrix of a ``bounds.LinearMap``, one column per unit vector."""
+    return np.ldexp(op.forward(np.eye(op.cols)), op.e).T

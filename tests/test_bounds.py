@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import centroqx
 import centroqx.bounds as bounds_mod
 import centroqx.centro as centro_mod
+import centroqx.condnum as condnum_mod
 import centroqx.linalg as linalg_mod
 import centroqx.qx as qx_mod
 from centroqx.bounds import (
@@ -45,11 +46,11 @@ from centroqx.centro import (
 from centroqx.condnum import cond_upper_bounds, mixed_comp_cond
 from centroqx.errors import NotCentrosymmetric, SizeCapExceeded
 from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
-from centroqx.linalg import frobenius_norm, spectral_norm, vec
+from centroqx.linalg import frobenius_norm, operator_norm, spectral_norm, vec
 from centroqx.qx import qx_decompose
 from centroqx.rng import uniform_open
-from centroqx.xops import build_operator_matrices, scaling_candidates, upx, xvec
-from oracles import vec_perm_indices
+from centroqx.xops import scaling_candidates, upx, xvec
+from oracles import kron_operators, materialize
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
@@ -87,8 +88,9 @@ def test_identity_operator_matrices():
     )
     perm = np.eye(4)[[0, 2, 1, 3]]  # vec(E) -> vec(E^T) for 2 x 2 E
     assert np.max(np.abs(ops.gx - gx_want)) <= 1e-15
-    assert np.max(np.abs(ops.hx - 0.5 * np.eye(4))) <= 1e-15
-    assert np.max(np.abs(ops.gq - 0.5 * (np.eye(4) - perm))) <= 1e-15
+    assert np.max(np.abs(materialize(ops.maps["g"]) - gx_want)) <= 1e-15
+    assert np.max(np.abs(materialize(ops.maps["h"]) - 0.5 * np.eye(4))) <= 1e-15
+    assert np.max(np.abs(materialize(ops.maps["gq"]) - 0.5 * (np.eye(4) - perm))) <= 1e-15
 
 
 def test_identity_operator_norms():
@@ -114,7 +116,7 @@ def _action_case(m, n, seed):
     """Factors of a random centrosymmetric A, its maps and a perturbation."""
     a, f = _factored(m, n, seed=seed)
     da, _, _ = random_centro_perturbation(a, 1.0, seed=seed + 1)
-    return f, _ops(f), da, np.linalg.inv(f.x)
+    return f, _ops(f).maps, da, np.linalg.inv(f.x)
 
 
 def _assert_action(got, want):
@@ -127,7 +129,7 @@ def test_gx_action_law(shape):
     m, n = shape
     f, ops, da, xinv = _action_case(m, n, seed=300 + m)
     w = f.q.T @ da @ xinv
-    _assert_action(ops.gx @ vec(da), xvec(upx(w + w.T) @ f.x))
+    _assert_action(ops["g"].matvec(vec(da)), xvec(upx(w + w.T) @ f.x))
 
 
 @pytest.mark.parametrize("shape", ACTION_SHAPES)
@@ -136,7 +138,7 @@ def test_hx_action_law(shape):
     m, n = shape
     f, ops, _, xinv = _action_case(m, n, seed=320 + m)
     e = np.random.default_rng(321 + m).standard_normal((n, n))
-    _assert_action(ops.hx @ vec(e), xvec(upx(xinv.T @ e @ xinv) @ f.x))
+    _assert_action(ops["h"].matvec(vec(e)), xvec(upx(xinv.T @ e @ xinv) @ f.x))
 
 
 @pytest.mark.parametrize("shape", ACTION_SHAPES)
@@ -144,43 +146,73 @@ def test_gq_action_law(shape):
     m, n = shape
     f, ops, da, xinv = _action_case(m, n, seed=310 + m)
     w = f.q.T @ da @ xinv
-    _assert_action(ops.gq @ vec(da), vec(da @ xinv - f.q @ upx(w + w.T)))
+    _assert_action(ops["gq"].matvec(vec(da)), vec(da @ xinv - f.q @ upx(w + w.T)))
 
 
-def _kron_operators(f):
-    """The Kronecker construction of the three maps, kept as an oracle.
-
-    Row j of each transposed map is vec(C_j) for the j-th column of
-    kron(X^{-1}, Q) plus its vec(C^T) permutation, weighted by upx; the
-    C-order (n, n) view of a row is C_j^T, so X^T C_j^T is batched over j.
-    """
-    qa, xa, xinv = f.q, f.x, f.xinv
-    m, n = qa.shape
-    ops = build_operator_matrices(n)
-    st = np.kron(xinv, qa)
-    st += st[:, vec_perm_indices(n, n)]
-    st *= ops.half_weights
-    st = st.reshape(m * n, n, n)
-    gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
-    e = math.frexp(np.max(np.abs(xinv)))[1]
-    xu = np.ldexp(xinv, -e)
-    ht = np.kron(xu, xu) * ops.half_weights
-    xs = np.ldexp(xa, 2 * e)
-    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
-    gqt = np.kron(xinv, np.eye(m))
-    gqt -= (st @ qa.T).reshape(m * n, m * n)
-    return gx, hx, gqt.T
+@pytest.mark.parametrize("shape", ACTION_SHAPES)
+def test_adjoint_identities(shape):
+    """<G v, y> = <v, G^T y> for gx, hx and gq, on stacks of three vectors."""
+    m, n = shape
+    f, ops, _, _ = _action_case(m, n, seed=340 + m)
+    rng = np.random.default_rng(341 + m)
+    for label, op in ops.items():
+        v, y = rng.standard_normal((3, op.cols)), rng.standard_normal((3, op.rows))
+        gv, gty = op.forward(v), op.adjoint(y)
+        assert gv.shape == y.shape and gty.shape == v.shape, label
+        lhs, rhs = np.sum(gv * y, axis=1), np.sum(v * gty, axis=1)
+        scale = np.linalg.norm(gv, axis=1) * np.linalg.norm(y, axis=1)
+        scale += np.linalg.norm(v, axis=1) * np.linalg.norm(gty, axis=1)
+        assert np.all(np.abs(lhs - rhs) <= 1e-13 * scale), label
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (31, 20), (44, 44)])
 def test_first_order_maps_match_kronecker_oracle(shape):
-    """The factored build equals the Kronecker construction to rounding,
-    with the same shapes and memory order (relative in the Frobenius norm)."""
+    """The dense gx, the three maps applied to the identity and the rank-one
+    rows of hx equal the Kronecker construction to rounding (relative in the
+    Frobenius norm); the dense gx has the oracle's shape and memory order."""
     _, f = _factored(*shape, seed=330 + sum(shape))
     ops = _ops(f)
-    for label, got, want in zip(("gx", "hx", "gq"), (ops.gx, ops.hx, ops.gq), _kron_operators(f)):
-        assert got.shape == want.shape and got.strides == want.strides, label
+    gx, hx, gq = kron_operators(f)
+    assert ops.gx.shape == gx.shape and ops.gx.strides == gx.strides
+    a, u = ops.hx_rows
+    rows = np.ldexp(a, ops.e)[:, :, None] * u[:, None, :]
+    for label, got, want in (
+        ("gx", ops.gx, gx),
+        ("gx map", materialize(ops.maps["g"]), gx),
+        ("hx map", materialize(ops.maps["h"]), hx),
+        ("hx rows", rows.reshape(hx.shape), hx),
+        ("gq map", materialize(ops.maps["gq"]), gq),
+    ):
+        assert got.shape == want.shape, label
         assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want), label
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (44, 44)])
+def test_streamed_absolute_products_match_oracle(shape, monkeypatch):
+    """|gx| vec|A| and |gq| vec|A|, the latter summed in blocks over the rows
+    of X^{-1}, and the exact condition numbers built from them equal the
+    dense oracle's to 1e-14 relative."""
+    a, f = _factored(*shape, seed=350 + sum(shape))
+    gx, _, gq = kron_operators(f)
+    responses = []
+    original = condnum_mod._mixed_comp
+    monkeypatch.setattr(
+        condnum_mod, "_mixed_comp", lambda r, fac: responses.append(r) or original(r, fac)
+    )
+    cond = mixed_comp_cond(a, _ops(f), f)
+    w = np.abs(vec(a))
+    want_x, want_q = np.abs(gx) @ w, np.abs(gq) @ w
+    assert len(responses) == 2
+    for got, want in zip(responses, (want_x, want_q)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+    want = {
+        "mx": np.max(want_x) / np.max(np.abs(xvec(f.x))),
+        "cx": np.max(want_x / np.abs(xvec(f.x))),
+        "mq": np.max(want_q) / np.max(np.abs(f.q)),
+        "cq": np.max(want_q / np.abs(vec(f.q))),
+    }
+    for name, value in want.items():
+        assert getattr(cond, name) == pytest.approx(value, rel=1e-14), name
 
 
 def test_first_order_exact_on_identity_diagonal():
@@ -317,7 +349,7 @@ def test_tightness_inequality(shape=None):
         ops = _ops(f)
         da, _, _ = random_centro_perturbation(a, 1e-8, seed=801 + m)
         out = tightness_check(_report(a, f, da, ops=ops))
-        assert out["g"] == spectral_norm(ops.gx)
+        assert out["g"] == operator_norm(*ops.maps["g"])
         assert out["g"] <= out["envelope"] + 1e-10
         assert out["slack"] >= -1e-10
 
@@ -347,24 +379,26 @@ def test_comp_gate_violation_withholds_bounds():
 
 
 def test_comp_matvec_dense_cross_check():
-    """Batched structured products equal dense Kronecker evaluations."""
+    """The norms taken through the maps' actions equal dense Kronecker
+    evaluations of |gx|(|X^T| kron I_m), |hx|(|X^T| kron |X^T|) and |hx|."""
     m, n = 8, 4
     a, f = _factored(m, n, seed=903)
     ops = _ops(f)
+    _, hx, _ = kron_operators(f)
     k = np.eye(m)
     kq_fro = frobenius_norm(k @ np.abs(f.q))
     out = BoundReport(delta=0.0, eps=1e-8)
     comp_matvec_bounds(out, ops, FactorNorms(f), k, kq_fro)
     absx = np.abs(f.x)
     dense_a = np.abs(ops.gx) @ np.kron(absx.T, np.eye(m))
-    dense_b = np.abs(ops.hx) @ np.kron(absx.T, absx.T)
+    dense_b = np.abs(hx) @ np.kron(absx.T, absx.T)
     assert out.a_hat / kq_fro == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-9)
     want_b_norm = np.linalg.norm(dense_b, 2)
     got_b_norm = out.b_hat / np.linalg.norm(
         np.abs(f.q).T @ k.T @ k @ np.abs(f.q)
     )
     assert got_b_norm == pytest.approx(want_b_norm, rel=1e-9)
-    assert out.c_hat == pytest.approx(np.linalg.norm(np.abs(ops.hx), 2), rel=1e-9)
+    assert out.c_hat == pytest.approx(np.linalg.norm(np.abs(hx), 2), rel=1e-9)
 
 
 # ------------------------------------------------------------ aggregation
@@ -416,53 +450,64 @@ def test_min_sym_kappa_identity():
 # --------------------------------------------------- norms computed once
 
 
-def _record_spectral_norm_operands(monkeypatch) -> list[tuple[int, ...]]:
+def _record_norm_operands(monkeypatch) -> tuple[list, list]:
     """Shapes of the operands of every ``spectral_norm`` call, made through
-    ``fold_norm`` or directly from ``bounds``."""
+    ``fold_norm`` or directly from ``bounds``, and (rows, cols) of every
+    ``operator_norm`` call."""
     shapes: list[tuple[int, ...]] = []
-    original = linalg_mod.spectral_norm
+    maps: list[tuple[int, int]] = []
+    original, original_op = linalg_mod.spectral_norm, linalg_mod.operator_norm
 
     def recording(mat):
         shapes.append(np.shape(mat))
         return original(mat)
 
+    def recording_op(forward, adjoint, rows, cols, e=0):
+        maps.append((rows, cols))
+        return original_op(forward, adjoint, rows, cols, e)
+
     for module in (centro_mod, bounds_mod):
         monkeypatch.setattr(module, "spectral_norm", recording)
-    return shapes
+    monkeypatch.setattr(bounds_mod, "operator_norm", recording_op)
+    return shapes, maps
 
 
 def test_each_distinct_norm_computed_once(monkeypatch):
     """A closed-form report norms fold halves only: the 6 n x n X-side
     operands (D^{-1}X, X^{-1}D, |X||X^{-1}|D under both scalings) two halves
     each, and dA's two halves; |Q D^{-1}|_2 is a closed-form enclosure. That
-    is 14 cheap calls, none on Q or an m x n operand. The operator route adds
-    gx, hx, gq, |hx|, the halves of |X| and the two structured products
-    |gx|(|X^T| kron I_m) and |hx|(|X^T| kron |X^T|): 22. The tightness check
-    reuses the report's envelope and |gx|_2."""
+    is 14 cheap ``spectral_norm`` calls, none on Q or an m x n operand, and
+    no ``operator_norm`` call. The operator route adds the two halves of |X|
+    to ``spectral_norm`` (16 calls) and norms six maps through their
+    actions with ``operator_norm``: gx, hx and gq, |hx| and the two
+    structured products |gx|(|X^T| kron I_m) and |hx|(|X^T| kron |X^T|).
+    No array of the size of a map reaches ``spectral_norm``. The tightness
+    check reuses the report's envelope and |gx|_2."""
     m, n = 20, 10
     a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
     ops = _ops(f)
-    shapes = _record_spectral_norm_operands(monkeypatch)
+    shapes, maps = _record_norm_operands(monkeypatch)
 
     closed = bound_report(a, f, da, k=k, eps=eps)
-    assert len(shapes) == 6 * 2 + 2 == 14
+    assert len(shapes) == 6 * 2 + 2 == 14 and maps == []
     assert sorted(shapes) == [(n // 2, n // 2)] * 12 + [(m // 2, n // 2)] * 2
     shapes.clear()
     full = bound_report(a, f, da, k=k, eps=eps, ops=ops)
-    assert len(shapes) == 14 + 3 + 1 + 2 + 2 == 22
-    tau1 = ops.gx.shape[0]
-    assert sorted(shapes[14:]) == sorted(
-        [ops.gx.shape, ops.hx.shape, ops.gq.shape, ops.hx.shape, (n // 2, n // 2), (n // 2, n // 2)]
-        + [(tau1, m * n), (tau1, n * n)]
+    assert len(shapes) == 14 + 2 == 16
+    assert sorted(shapes[14:]) == [(n // 2, n // 2)] * 2
+    tau1 = n * (n + 2) // 2
+    assert sorted(maps) == sorted(
+        [(tau1, m * n), (tau1, n * n), (m * n, m * n)] + [(tau1, n * n), (tau1, m * n), (tau1, n * n)]
     )
     shapes.clear()
+    maps.clear()
     shared = tightness_check(full)
-    assert shapes == []
+    assert shapes == [] and maps == []
 
     monkeypatch.undo()
     envelope, winner = min_sym_kappa(FactorNorms(f))
-    g = spectral_norm(ops.gx)
+    g = operator_norm(*ops.maps["g"])
     assert shared == {"g": g, "envelope": envelope, "winner": winner, "slack": envelope - g}
     assert closed.sym_kappa == full.sym_kappa == shared["envelope"]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,22 @@ def test_run_trial_respects_operator_cap():
     assert rec.report.q_operator is None
     # closed-form route still produces checked bounds
     assert rec.domination_ok and rec.domination
+
+
+def test_operator_trial_stores_no_map_of_size_mn_squared():
+    """One (44, 44) operator trial (as in the benchmark's heavy trials:
+    entrywise model, 4 probe samples) peaks below 60 MB of traced
+    allocations. The dense gx is 15.6 MB; hx and gq at (44, 44) would be
+    15.6 and 30 MB more, and a dense trial peaked at 122 MB."""
+    cfg = TrialConfig(m=44, n=44, seed=5, scale=1e-8, k_mode="ones", probe_trials=4)
+    tracemalloc.start()
+    try:
+        rec = run_trial(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.error is None and rec.cond is not None
+    assert peak < 60 * 2**20, peak / 2**20
 
 
 def test_run_trial_with_operators_disabled():

@@ -11,26 +11,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centroqx
+import centroqx.bounds as bounds_mod
+import centroqx.centro as centro_mod
 import centroqx.linalg as linalg_mod
 from centroqx.bounds import build_first_order_operators
 from centroqx.centro import fold_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
-from centroqx.harness import TrialConfig
+from centroqx.harness import TrialConfig, run_trial
 from centroqx.linalg import (
     _gram_norm,
-    _krylov_norm,
+    _lanczos_top,
     _start_vector,
     entrywise_div,
     frobenius_norm,
     householder_qr,
     max_abs,
+    operator_norm,
     spectral_norm,
     triangular_solve,
     vec,
 )
 from centroqx.qx import qx_decompose, x_inverse
 from centroqx.rng import uniform_open
-from oracles import vec_perm_indices
+from oracles import kron_operators, vec_perm_indices
 
 
 def _rand(m, n, seed):
@@ -431,6 +434,12 @@ def _unit_scale(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -math.frexp(np.max(np.abs(a)))[1])
 
 
+def _krylov_norm(s: np.ndarray) -> float:
+    """The Lanczos path of ``operator_norm`` for an array S, at any Gram side."""
+    k = s.shape[1]
+    return _lanczos_top(lambda v: s.T @ (s @ v), _start_vector(k), k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 64, 96, 127, 128])
 def test_gram_and_krylov_paths_agree(k):
     """Both matvecs of the one Lanczos kernel, on the same operands of every
@@ -449,18 +458,93 @@ def test_gram_and_krylov_paths_agree(k):
         ("cluster", _with_singular_values(sv, k + 5, k)),
     ):
         s = _unit_scale(a)
-        gram, krylov = _gram_norm(s), _krylov_norm(s)
+        gram, krylov = _gram_norm(s.T @ s), _krylov_norm(s)
         assert abs(gram - krylov) <= 4e-15 * krylov, (label, gram, krylov)
         _assert_matches_svd(gram, s, label)
 
 
 @pytest.mark.parametrize("shape", [(20, 10), (30, 20), (40, 20), (44, 44)])
 def test_first_order_map_norms_match_svd(shape):
-    """gx, hx and gq of random centrosymmetric inputs; every map of (30, 20)
-    and above, and gq of (20, 10), has a Gram side above GRAM_CROSSOVER."""
-    ops = build_first_order_operators(qx_decompose(random_centro(*shape, seed=sum(shape))))
-    for label, op in (("gx", ops.gx), ("hx", ops.hx), ("gq", ops.gq)):
-        _assert_matches_svd(spectral_norm(op), op, label)
+    """gx, hx and gq of random centrosymmetric inputs, normed through their
+    actions, against numpy's SVD of the Kronecker oracle; every map of
+    (30, 20) and above, and gq of (20, 10), has a Gram side above
+    GRAM_CROSSOVER."""
+    f = qx_decompose(random_centro(*shape, seed=sum(shape)))
+    maps = build_first_order_operators(f).maps
+    for (label, op), dense in zip(maps.items(), kron_operators(f)):
+        _assert_matches_svd(operator_norm(*op), dense, label)
+
+
+@pytest.mark.parametrize("k", [1, 7, 60, 128, 129, 200])
+def test_operator_norm_of_an_array_matches_svd(k):
+    """An array given only by its action and adjoint, on both sides of the
+    crossover and both orientations, is normed within NORM_RTOL of numpy;
+    the exponent e scales the result exactly, zero maps norm to 0 and
+    ``NoConvergence`` carries its estimate at the scale 2**e."""
+    a = np.random.default_rng(k).standard_normal((k + 5, k))
+    for s in (a, a.T):
+        pair = (lambda v, s=s: v @ s.T, lambda y, s=s: y @ s, *s.shape)
+        norm = operator_norm(*pair)
+        _assert_matches_svd(norm, s, str(s.shape))
+        assert operator_norm(*pair, e=-40) == math.ldexp(norm, -40)
+        assert operator_norm(lambda v: 0 * v @ s.T, lambda y: 0 * y @ s, *s.shape) == 0.0
+    if k > 128:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg_mod, "KRYLOV_STEPS", 3)
+            with pytest.raises(NoConvergence) as info:
+                operator_norm(lambda v: v @ a.T, lambda y: y @ a, *a.shape, e=7)
+        assert 0.0 < info.value.estimate <= math.ldexp(np.linalg.norm(a, 2), 7)
+        assert info.value.steps == 3
+
+
+def _sturm_bisection(alpha, beta, lo):
+    """The top eigenvalue of the tridiagonal by Sturm-count bisection alone,
+    with no 1 x 1 shortcut."""
+    pad = [0.0, *map(abs, beta), 0.0]
+    hi = max(a + pad[i] + pad[i + 1] for i, a in enumerate(alpha))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        d = alpha[0] - mid
+        for a, b in zip(alpha[1:], beta):
+            if d >= 0.0:
+                break
+            d = a - mid - b * b / d
+        if d < 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+def test_one_step_lanczos_shortcut_is_bit_identical(monkeypatch):
+    """A 1 x 1 tridiagonal returns its entry at once; bisection returned it
+    too, after about 53 halvings. Every ``spectral_norm`` operand of a
+    sample of the seed-3 closed-form benchmark pool (a tall input with its
+    fixed harness seed, and the first random and Toeplitz 100 x 100 inputs)
+    norms to the same float both ways."""
+    seeds = np.random.SeedSequence([3, 1]).generate_state(2)
+    configs = [
+        TrialConfig(m=150, n=50, seed=0, scale=1e-8),
+        TrialConfig(m=100, n=100, seed=int(seeds[0]), scale=1e-8, k_mode="ones"),
+        TrialConfig(m=100, n=100, generator="toeplitz", seed=int(seeds[1]), scale=1e-8),
+    ]
+    operands = []
+    original = linalg_mod.spectral_norm
+    for module in (bounds_mod, centro_mod):
+        monkeypatch.setattr(module, "spectral_norm", lambda mat: operands.append(mat) or original(mat))
+    steps = []
+    top = linalg_mod._top_tridiagonal_eigenvalue
+    monkeypatch.setattr(
+        linalg_mod, "_top_tridiagonal_eigenvalue",
+        lambda alpha, beta, lo: steps.append(len(alpha)) or top(alpha, beta, lo),
+    )
+    for cfg in configs:
+        assert run_trial(cfg).error is None
+    shortcut = [spectral_norm(op) for op in operands]
+    assert len(operands) >= 40 and steps.count(1) >= len(operands) // 2
+    monkeypatch.setattr(linalg_mod, "_top_tridiagonal_eigenvalue", _sturm_bisection)
+    assert [spectral_norm(op) for op in operands] == shortcut
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,9 +26,9 @@ larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
 and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
 max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
 route norms its maps through their actions (``operator_norm``), at
-O(mn^2 + n^3) flops per product; only ``gx`` is formed, without Kronecker
-products, for the entrywise consumers. Both operator routes solve the same
-majorant equation (``majorant``).
+O(mn^2 + n^3) flops per product; only |gx| is formed, without Kronecker
+products, for the entrywise consumers (``abs_responses``). Both operator
+routes solve the same majorant equation (``majorant``).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
-from .linalg import as_matrix, frobenius_norm, max_abs, operator_norm, spectral_norm
+from .linalg import as_matrix, binary_exponent, frobenius_norm, operator_norm, spectral_norm
 from .xops import ScalingD, build_operator_matrices, scaling_candidates, varsigma
 
 SQRT2 = math.sqrt(2.0)
@@ -342,10 +342,10 @@ class FirstOrderOperators:
     upx(W + W^T)), with adjoints gx^T y = vec(Q (Z + Z^T) X^{-T}) and hx^T y
     = vec(X^{-1} Z X^{-T}) for Z = H o (Y X^T), Y the support matrix of y,
     and gq^T vec(F) = vec((F - Q (Z + Z^T)) X^{-T}) for Z = H o (Q^T F), on
-    stacks of transposed matrices (the C-order views of the vecs). Only
-    ``gx`` is kept dense, for the entrywise consumers; row c of hx is the
-    rank-one 2**e a_c u_c^T (``hx_rows``), and ``mixed_comp_cond`` forms
-    |gq| vec|A| in blocks.
+    stacks of transposed matrices (the C-order views of the vecs). Only |gx|
+    is kept dense, in ``gx``, for the entrywise consumers (the signed map is
+    ``maps["g"]``); row c of hx is the rank-one 2**e a_c u_c^T (``hx_rows``),
+    and ``abs_responses`` forms |gq| vec|A| in blocks.
     """
 
     q: np.ndarray
@@ -355,7 +355,7 @@ class FirstOrderOperators:
     ht: np.ndarray  # H^T, H the upx weights
     indices: np.ndarray  # the support, in the C-order view of a transpose
     hx_rows: tuple[np.ndarray, np.ndarray]  # (a, u), each tau1 x n
-    gx: np.ndarray  # tau1 x mn
+    gx: np.ndarray  # |gx|, tau1 x mn: the absolute value, not the signed map
 
     @property
     def maps(self) -> dict[str, LinearMap]:
@@ -389,11 +389,26 @@ class FirstOrderOperators:
             "gq": LinearMap(gq, gq_t, m * n, m * n, self.e),
         }
 
+    def abs_responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(|gx| w, |gq| w)`` at the scale of A. |gq| w sums blocks of gq^T,
+        one per row p of X^{-1}: row (p, r) holds at (s, i) u_s (delta_ri - (H^T
+        diag(v) Q^T)[s, i]) - v_s (H^T diag(u) Q^T)[s, i], u = X^{-1}[p] / 2**e, v = Q[r]."""
+        q, xu, ht = self.q, self.xu, self.ht
+        m, n = q.shape
+        eye_minus_c = np.eye(m)[:, None, :] - (ht * q[:, None, :]) @ q.T
+        d = (ht * xu[:, None, :]) @ q.T
+        block, tmp, response_q = np.empty((m, n, m)), np.empty((m, n, m)), np.zeros(n * m)
+        for p, wp in enumerate(w.reshape(n, m)):
+            np.multiply(eye_minus_c, xu[p][:, None], out=block)
+            block -= np.multiply(q[:, :, None], d[p], out=tmp)
+            response_q += wp @ np.abs(block, out=block).reshape(m, n * m)
+        return self.gx @ w, np.ldexp(response_q, self.e)
+
 
 def build_first_order_operators(factors) -> FirstOrderOperators:
     """The first-order operators of one ``QxFactors``. Raises
     ``SizeCapExceeded`` when ``m*n`` exceeds ``OPERATOR_SIZE_CAP`` (the dense
-    ``gx`` costs O(mn^3) memory)."""
+    |gx| costs O(mn^3) memory)."""
     qa, xa = factors.q, factors.x
     m, n = qa.shape
     if m * n > OPERATOR_SIZE_CAP:
@@ -408,7 +423,7 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     # (X^T diag(u) H^T) diag(v) + (X^T diag(v) H^T) diag(u): one n x n product
     # per row of X^{-1} and of Q, gathered at the support and scaled by the
     # other row's entries there. Row c of hx is 2**e ax[c] xu_s[c]^T.
-    e = math.frexp(max_abs(xinv))[1]
+    e = binary_exponent(xinv)
     xu = np.ldexp(xinv, -e)
     xs = np.ldexp(xa, e)
     ax = ((xs.T * xu[:, None, :]) @ wt).reshape(n, n * n)[:, ops.indices].T
@@ -416,6 +431,7 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     xu_s, q_s = xu[:, cols].T, qa[:, cols].T
     # Row c of gx, as an n x m matrix, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T (rank 2).
     gx = np.stack((ax, xu_s), axis=2) @ np.stack((q_s, aq), axis=1)
+    np.abs(gx, out=gx)
     return FirstOrderOperators(qa, xu, xs, e, wt, ops.indices, (ax, xu_s), gx.reshape(-1, m * n))
 
 
@@ -450,7 +466,7 @@ def comp_matvec_bounds(
 
     - ``a_hat = ||gx| (|X^T| kron I_m)|_2 * |K |Q||_F``
     - ``b_hat = ||hx| (|X^T| kron |X^T|)|_2 * ||Q^T| K^T K |Q||_F``
-    - ``c_hat = ||hx||_2``
+    - ``c_hat = | |hx| |_2``, at least ``|hx|_2``, so the majorant stays a bound
 
     ``kq_fro`` is ``|K |Q||_F`` and ``eps`` is ``report.eps``. Each product
     is normed through its action, with |X| = 2**-e |xs|: a row vec(R) of |gx|
@@ -460,7 +476,7 @@ def comp_matvec_bounds(
     m, n = ops.q.shape
     absq = norms.abs_q
     absx = np.abs(norms.factors.x)
-    absxs, abs_gx = np.abs(ops.xs), np.abs(ops.gx)
+    absxs, abs_gx = np.abs(ops.xs), ops.gx
     a, u = (np.abs(f) for f in ops.hx_rows)
 
     gxa_norm = operator_norm(

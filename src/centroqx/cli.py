@@ -243,13 +243,11 @@ def _cmd_fd_check(args) -> int:
     print("  eps          X residual        Q residual")
     for eps, rx, rq in zip(report.eps_values, report.rx, report.rq):
         print(f"  {eps:<12g} {format_float(rx):<17} {format_float(rq)}")
-    ok = True
     print(f"  decade ratios (expect within [{lo:g}, {hi:g}]):")
     for pair, ratios in (("X", report.rx_ratios), ("Q", report.rq_ratios)):
         for val in ratios:
-            good = lo <= val <= hi
-            ok = ok and good
-            print(f"    {pair}: {val:.3f} [{'ok' if good else 'OUT OF WINDOW'}]")
+            print(f"    {pair}: {val:.3f} [{'ok' if lo <= val <= hi else 'OUT OF WINDOW'}]")
+    ok = report.ratios_within(lo, hi)
     print(f"fd-check: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 1
 

@@ -40,7 +40,7 @@ def _mixed_comp(response, factor) -> tuple[float, float]:
 
 @dataclass
 class CondReport:
-    """Exact condition numbers with argmax positions (1-indexed)."""
+    """Exact condition numbers with argmax positions (1-indexed, first of a mirrored pair)."""
 
     mx: float
     cx: float
@@ -50,36 +50,22 @@ class CondReport:
     mq_position: tuple[int, int]
 
 
-def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
-    """Exact mixed/component-wise condition numbers from the operators. |gq|
-    vec|A| is summed over blocks of gq^T, one per row p of X^{-1}: row (p, r)
-    holds at (s, i) u_s (delta_ri - (H^T diag(v) Q^T)[s, i]) - v_s (H^T
-    diag(u) Q^T)[s, i] for u = X^{-1}[p] (at unit scale) and v = Q[r]."""
-    aa = as_matrix(a, "matrix")
-    q, xu = ops.q, ops.xu
-    m, n = q.shape
-    abs_a_vec = np.abs(vec(aa))
+def _mirror_argmax(response: np.ndarray) -> int:
+    """Argmax, as the lower index of its pair under reversal (the centro mirror)."""
+    return int(np.argmax(np.maximum(response, response[::-1])))
 
-    response_x = np.abs(ops.gx) @ abs_a_vec
-    pos_vec = int(xvec_indices(n)[np.argmax(response_x)])
-    eye_minus_c = np.eye(m)[:, None, :] - (ops.ht * q[:, None, :]) @ q.T
-    d = (ops.ht * xu[:, None, :]) @ q.T
-    block, tmp, response_q = np.empty((m, n, m)), np.empty((m, n, m)), np.zeros(n * m)
-    for p, wp in enumerate(abs_a_vec.reshape(n, m)):
-        np.multiply(eye_minus_c, xu[p][:, None], out=block)
-        block -= np.multiply(q[:, :, None], d[p], out=tmp)
-        response_q += wp @ np.abs(block, out=block).reshape(m, n * m)
-    iq = int(np.argmax(response_q))
+
+def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
+    """Exact mixed/component-wise condition numbers from the absolute
+    responses |gx| vec|A| and |gq| vec|A| (``ops.abs_responses``)."""
+    aa = as_matrix(a, "matrix")
+    m, n = aa.shape
+    response_x, response_q = ops.abs_responses(np.abs(vec(aa)))
     mx, cx = _mixed_comp(response_x, xvec(factors.x))
-    mq, cq = _mixed_comp(np.ldexp(response_q, ops.e), vec(factors.q))
-    return CondReport(
-        mx=mx,
-        cx=cx,
-        mq=mq,
-        cq=cq,
-        mx_position=(pos_vec % n + 1, pos_vec // n + 1),
-        mq_position=(iq % m + 1, iq // m + 1),
-    )
+    mq, cq = _mixed_comp(response_q, vec(factors.q))
+    jx = int(xvec_indices(n)[_mirror_argmax(response_x)])  # in vec(X)
+    jq = _mirror_argmax(response_q)
+    return CondReport(mx, cx, mq, cq, (jx % n + 1, jx // n + 1), (jq % m + 1, jq // m + 1))
 
 
 def cond_upper_bounds(a, factors) -> dict:

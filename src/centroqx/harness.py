@@ -32,7 +32,6 @@ from .bounds import (
     BOUNDS,
     BoundReport,
     FirstOrderOperators,
-    OPERATOR_SIZE_CAP,
     bound_report,
     build_first_order_operators,
     tightness_check,
@@ -44,7 +43,7 @@ from .centro import (
     toeplitz_centro,
 )
 from .condnum import COND_NUMBERS, cond_upper_bounds, empirical_cond_probe, mixed_comp_cond
-from .errors import CentroQxError
+from .errors import CentroQxError, SizeCapExceeded
 from .linalg import frobenius_norm, vec
 from .matio import format_float, read_matrix
 from .qx import qx_decompose, verify_qx
@@ -188,11 +187,13 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
         lap("refactor")
 
         ops: Optional[FirstOrderOperators] = None
-        if cfg.with_operators and record.m * record.n <= OPERATOR_SIZE_CAP:
-            ops = build_first_order_operators(factors)
-            lap("operators")
-        else:
-            record.operators_skipped = True
+        if cfg.with_operators:
+            try:
+                ops = build_first_order_operators(factors)
+                lap("operators")
+            except SizeCapExceeded:
+                pass
+        record.operators_skipped = ops is None
 
         rep = bound_report(a, factors, da, k, eps_eff, ops)
         record.report = rep

@@ -57,7 +57,7 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(arr))) if arr.size else 0.0
 
 
-def _binary_exponent(arr: np.ndarray) -> int:
+def binary_exponent(arr: np.ndarray) -> int:
     """Exponent e with ``max|arr| <= 2**e``; scaling by ``2**-e`` is exact."""
     return math.frexp(max_abs(arr))[1]
 
@@ -65,7 +65,7 @@ def _binary_exponent(arr: np.ndarray) -> int:
 def frobenius_norm(a) -> float:
     """``|A|_F``, summed at unit scale so it neither overflows nor underflows."""
     arr = np.asarray(a, dtype=float)
-    e = _binary_exponent(arr)
+    e = binary_exponent(arr)
     squares = np.ldexp(arr, -e)
     squares *= squares
     return float(np.ldexp(np.sqrt(np.sum(squares)), e))
@@ -129,7 +129,7 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     p, l = a.shape
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
-    e = _binary_exponent(a)
+    e = binary_exponent(a)
     r = np.asfortranarray(np.ldexp(a, -e))  # column-major: panel columns are contiguous
     scale = frobenius_norm(r)
     panels: list[tuple[int, np.ndarray, np.ndarray]] = []

@@ -18,14 +18,13 @@ first-order operator constructions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import OddDimension, ZeroRow
-from .linalg import as_matrix, frobenius_norm, max_abs, vec
+from .linalg import as_matrix, binary_exponent, frobenius_norm, max_abs, vec
 
 SCALE_FLOOR = 1e-300
 IDENTITY_TOL = 1e-12
@@ -207,7 +206,7 @@ def scaling_candidates(x) -> list[ScalingD]:
     n = arr.shape[0]
     _require_even(n)
     l = n // 2
-    e = math.frexp(max_abs(arr[:l]))[1]
+    e = binary_exponent(arr[:l])
     unit_norms = np.sqrt(np.sum(np.ldexp(arr[:l], -e) ** 2, axis=1))
     if np.any(unit_norms < SCALE_FLOOR):
         worst = int(np.argmin(unit_norms))

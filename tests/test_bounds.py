@@ -167,9 +167,10 @@ def test_adjoint_identities(shape):
 
 @pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (31, 20), (44, 44)])
 def test_first_order_maps_match_kronecker_oracle(shape):
-    """The dense gx, the three maps applied to the identity and the rank-one
-    rows of hx equal the Kronecker construction to rounding (relative in the
-    Frobenius norm); the dense gx has the oracle's shape and memory order."""
+    """The dense |gx|, the three maps applied to the identity and the
+    rank-one rows of hx equal the Kronecker construction to rounding
+    (relative in the Frobenius norm); the dense |gx| has the oracle's shape
+    and memory order."""
     _, f = _factored(*shape, seed=330 + sum(shape))
     ops = _ops(f)
     gx, hx, gq = kron_operators(f)
@@ -177,7 +178,7 @@ def test_first_order_maps_match_kronecker_oracle(shape):
     a, u = ops.hx_rows
     rows = np.ldexp(a, ops.e)[:, :, None] * u[:, None, :]
     for label, got, want in (
-        ("gx", ops.gx, gx),
+        ("|gx|", ops.gx, np.abs(gx)),
         ("gx map", materialize(ops.maps["g"]), gx),
         ("hx map", materialize(ops.maps["h"]), hx),
         ("hx rows", rows.reshape(hx.shape), hx),
@@ -224,7 +225,7 @@ def test_first_order_exact_on_identity_diagonal():
     da = np.diag([eps, 2 * eps, 2 * eps, eps])  # centrosymmetric diagonal
     f2 = qx_decompose(np.eye(n) + da)
     actual = xvec(f2.x - f.x)
-    predicted = ops.gx @ vec(da)
+    predicted = ops.maps["g"].matvec(vec(da))
     assert np.max(np.abs(actual - predicted)) <= 1e-14
 
 
@@ -390,7 +391,7 @@ def test_comp_matvec_dense_cross_check():
     out = BoundReport(delta=0.0, eps=1e-8)
     comp_matvec_bounds(out, ops, FactorNorms(f), k, kq_fro)
     absx = np.abs(f.x)
-    dense_a = np.abs(ops.gx) @ np.kron(absx.T, np.eye(m))
+    dense_a = ops.gx @ np.kron(absx.T, np.eye(m))
     dense_b = np.abs(hx) @ np.kron(absx.T, absx.T)
     assert out.a_hat / kq_fro == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-9)
     want_b_norm = np.linalg.norm(dense_b, 2)
@@ -417,6 +418,8 @@ def test_bound_report_full(shape):
         assert value is not None and value > 0, name
     for name in ("coef_x1", "coef_x2", "coef_x3", "coef_x4", "coef_q1", "coef_q2", "coef_q3"):
         assert getattr(rep, name) > 0
+    # c_hat norms |hx|, which majorizes hx, so the entrywise majorant stays a bound.
+    assert rep.c_hat >= rep.h_x_norm
 
 
 def test_bound_report_rejects_small_non_centro_perturbation():

@@ -15,7 +15,9 @@ from centroqx.condnum import (
     empirical_cond_probe,
     mixed_comp_cond,
 )
+from centroqx.harness import run_table
 from centroqx.qx import qx_decompose
+from centroqx.xops import xvec_indices
 
 
 def _cond_for(a):
@@ -83,6 +85,31 @@ def test_positions_recorded():
     cond, _ = _cond_for(a)
     assert len(cond.mx_position) == 2
     assert len(cond.mq_position) == 2
+
+
+def test_positions_are_lower_member_of_mirrored_pair():
+    """Mirrored entries (i, j) and (m+1-i, n+1-j) of a response are equal in
+    exact arithmetic, so each reported position is the one of its pair with
+    the lower index in vec(Q) or xvec(X), whichever one rounding made
+    larger; a plain argmax picks the higher one for five of these 34."""
+    checked = 0
+    for preset in ("t4", "t5", "t6", "t7"):
+        for rec in run_table(preset, 42)[1]:
+            if rec.cond is None:
+                continue
+            m, n = rec.m, rec.n
+            support = xvec_indices(n)
+            # Reversing xvec(X) is the centro mirror, as reversing vec(Q) is.
+            assert np.array_equal(support[::-1], n * n - 1 - support)
+            i, j = rec.cond["mx_position"]
+            k = int(np.searchsorted(support, (j - 1) * n + i - 1))
+            assert support[k] == (j - 1) * n + i - 1
+            assert k <= len(support) - 1 - k, (preset, m, n, "mx", (i, j))
+            i, j = rec.cond["mq_position"]
+            iq = (j - 1) * m + i - 1
+            assert iq <= m * n - 1 - iq, (preset, m, n, "mq", (i, j))
+            checked += 2
+    assert checked == 34
 
 
 # ------------------------------------------------------------------ probe

@@ -20,7 +20,6 @@ from .centro import (
 )
 from .qx import QxFactors, conditioning, qx_decompose, verify_qx, x_inverse
 from .xops import (
-    build_operator_matrices,
     is_x_type,
     lowx,
     scaling_candidates,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QxFactors",
-    "build_operator_matrices",
     "centro_from_free_entries",
     "conditioning",
     "exchange_matrix",

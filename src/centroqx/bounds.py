@@ -43,7 +43,7 @@ import numpy as np
 from .centro import FoldedPair, centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
 from .linalg import as_matrix, binary_exponent, frobenius_norm, operator_norm, spectral_norm
-from .xops import ScalingD, build_operator_matrices, scaling_candidates, varsigma
+from .xops import ScalingD, scaling_candidates, support_mask, varsigma
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -340,7 +340,8 @@ class FirstOrderOperators:
     per vector: gx vec(E) = xvec(upx(W + W^T) X) with W = Q^T E X^{-1}, hx
     vec(E) = xvec(upx(X^{-T} E X^{-1}) X) and gq vec(E) = vec(E X^{-1} - Q
     upx(W + W^T)), with adjoints gx^T y = vec(Q (Z + Z^T) X^{-T}) and hx^T y
-    = vec(X^{-1} Z X^{-T}) for Z = H o (Y X^T), Y the support matrix of y,
+    = vec(X^{-1} Z X^{-T}) for Z = H o (Y X^T), Y the support matrix of y
+    (H, the upx weights, and the support come from ``support_mask(n)``),
     and gq^T vec(F) = vec((F - Q (Z + Z^T)) X^{-T}) for Z = H o (Q^T F), on
     stacks of transposed matrices (the C-order views of the vecs). Only |gx|
     is kept dense, in ``gx``, for the entrywise consumers (the signed map is
@@ -352,16 +353,16 @@ class FirstOrderOperators:
     xu: np.ndarray  # X^{-1} / 2**e, at unit scale
     xs: np.ndarray  # X * 2**e
     e: int
-    ht: np.ndarray  # H^T, H the upx weights
-    indices: np.ndarray  # the support, in the C-order view of a transpose
     hx_rows: tuple[np.ndarray, np.ndarray]  # (a, u), each tau1 x n
     gx: np.ndarray  # |gx|, tau1 x mn: the absolute value, not the signed map
 
     @property
     def maps(self) -> dict[str, LinearMap]:
         """gx, hx and gq, keyed as ``operator_norms`` reports their norms."""
-        q, xu, xs, ht, idx = self.q, self.xu, self.xs, self.ht, self.indices
+        q, xu, xs = self.q, self.xu, self.xs
         m, n = q.shape
+        support = support_mask(n)
+        ht, idx = support.weights.T, support.indices  # H^T; S in a transpose's C-order view
         def sym(t):
             return t + t.swapaxes(1, 2)
         def flat(t):
@@ -393,8 +394,9 @@ class FirstOrderOperators:
         """``(|gx| w, |gq| w)`` at the scale of A. |gq| w sums blocks of gq^T,
         one per row p of X^{-1}: row (p, r) holds at (s, i) u_s (delta_ri - (H^T
         diag(v) Q^T)[s, i]) - v_s (H^T diag(u) Q^T)[s, i], u = X^{-1}[p] / 2**e, v = Q[r]."""
-        q, xu, ht = self.q, self.xu, self.ht
+        q, xu = self.q, self.xu
         m, n = q.shape
+        ht = support_mask(n).weights.T
         eye_minus_c = np.eye(m)[:, None, :] - (ht * q[:, None, :]) @ q.T
         d = (ht * xu[:, None, :]) @ q.T
         block, tmp, response_q = np.empty((m, n, m)), np.empty((m, n, m)), np.zeros(n * m)
@@ -413,10 +415,10 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     m, n = qa.shape
     if m * n > OPERATOR_SIZE_CAP:
         raise SizeCapExceeded(f"m*n = {m * n} exceeds the operator cap {OPERATOR_SIZE_CAP}")
-    ops = build_operator_matrices(n)
+    support = support_mask(n)
     xinv = factors.xinv
-    wt = ops.half_weights.reshape(n, n)  # H^T, H the upx weights
-    cols = ops.indices % n  # the column t of each support entry (k, t) of X^T S
+    wt, idx = support.weights.T, support.indices  # H^T, H the upx weights
+    cols = idx % n  # the column t of each support entry (k, t) of X^T S
 
     # Column (p, r) of gx answers dA = e_r e_p^T, for which Q^T dA X^{-1} =
     # v u^T with u = X^{-1}[p] and v = Q[r]. The transposed X change is then
@@ -426,13 +428,13 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     e = binary_exponent(xinv)
     xu = np.ldexp(xinv, -e)
     xs = np.ldexp(xa, e)
-    ax = ((xs.T * xu[:, None, :]) @ wt).reshape(n, n * n)[:, ops.indices].T
-    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, ops.indices].T
+    ax = ((xs.T * xu[:, None, :]) @ wt).reshape(n, n * n)[:, idx].T
+    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, idx].T
     xu_s, q_s = xu[:, cols].T, qa[:, cols].T
     # Row c of gx, as an n x m matrix, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T (rank 2).
     gx = np.stack((ax, xu_s), axis=2) @ np.stack((q_s, aq), axis=1)
     np.abs(gx, out=gx)
-    return FirstOrderOperators(qa, xu, xs, e, wt, ops.indices, (ax, xu_s), gx.reshape(-1, m * n))
+    return FirstOrderOperators(qa, xu, xs, e, (ax, xu_s), gx.reshape(-1, m * n))
 
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:

@@ -27,7 +27,7 @@ from .centro import random_sign_centro
 from .linalg import as_matrix, entrywise_div, max_abs, vec
 from .qx import qx_decompose
 from .rng import derive_seed
-from .xops import upx, xvec, xvec_indices
+from .xops import support_mask, upx, xvec
 
 PROBE_EPS_CAP = 1e-5
 COND_NUMBERS = ("mx", "cx", "mq", "cq")  # mixed and componentwise, X then Q
@@ -63,7 +63,7 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
     response_x, response_q = ops.abs_responses(np.abs(vec(aa)))
     mx, cx = _mixed_comp(response_x, xvec(factors.x))
     mq, cq = _mixed_comp(response_q, vec(factors.q))
-    jx = int(xvec_indices(n)[_mirror_argmax(response_x)])  # in vec(X)
+    jx = int(support_mask(n).indices[_mirror_argmax(response_x)])  # in vec(X)
     jq = _mirror_argmax(response_q)
     return CondReport(mx, cx, mq, cq, (jx % n + 1, jx // n + 1), (jq % m + 1, jq // m + 1))
 

@@ -137,8 +137,6 @@ class TrialRecord:
 def _check_domination(record: TrialRecord) -> None:
     """Flag every applicable absolute bound against its measured quantity."""
     rep = record.report
-    if rep is None:
-        return
     measured = {"x": record.delta_x, "q": record.delta_q}
     flags: dict[str, bool] = {}
     for bound in BOUNDS:
@@ -518,7 +516,7 @@ def verify(trials: int = 40, seed: int = 0) -> VerifySummary:
     ``trials`` scales the number of factorization/domination instances; the
     remaining sections run a fixed set of structural identities.
     """
-    from .xops import build_operator_matrices, lemma1_check, lowx, make_scaling, upx
+    from .xops import lemma1_check, lowx, make_scaling, support_mask, upx
 
     summary = VerifySummary()
 
@@ -536,15 +534,15 @@ def verify(trials: int = 40, seed: int = 0) -> VerifySummary:
     # Structured-operator identities.
     outcomes = []
     for n in (2, 4, 6, 8):
-        ops = build_operator_matrices(n)
-        sel = ops.selection_dense()
+        support = support_mask(n)
+        sel = support.selection_dense()
         ident = sel @ sel.T
         outcomes.append(
-            (np.array_equal(ident, np.eye(ops.tau1)), f"n={n}: selection rows not orthonormal")
+            (np.array_equal(ident, np.eye(support.tau1)), f"n={n}: selection rows not orthonormal")
         )
         outcomes.append(
             (
-                np.array_equal(sel.T @ sel, ops.indicator_dense()),
+                np.array_equal(sel.T @ sel, support.indicator_dense()),
                 f"n={n}: selection gram != indicator",
             )
         )

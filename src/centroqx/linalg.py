@@ -187,9 +187,6 @@ def triangular_solve(r, b) -> np.ndarray:
     if ra.shape[1] != l:
         raise ValueError(f"triangular matrix must be square, got {ra.shape}")
     b_arr = np.asarray(b, dtype=float)
-    squeeze = b_arr.ndim == 1
-    if squeeze:
-        b_arr = b_arr[:, None]
     if b_arr.shape[0] != l:
         raise ValueError("right-hand side row count does not match")
     pivot_floor = PIVOT_TOL * max_abs(ra)
@@ -202,7 +199,7 @@ def triangular_solve(r, b) -> np.ndarray:
     y = np.zeros_like(b_arr)
     for i in range(l - 1, -1, -1):
         y[i] = (b_arr[i] - ra[i, i + 1:] @ y[i + 1:]) / diag[i]
-    return y[:, 0] if squeeze else y
+    return y
 
 
 @lru_cache(maxsize=32)
@@ -217,7 +214,9 @@ def _start_vector(k: int) -> np.ndarray:
 GRAM_CROSSOVER = 128  # largest Gram side normed through the explicit Gram matrix
 KRYLOV_STEPS = 500  # Lanczos steps allowed before NoConvergence
 _RITZ_EVERY = 4  # Lanczos steps between Ritz-value checks
-_KRYLOV_TOL = 1e-15  # relative Ritz-value move, and beta over the largest alpha, that ends Lanczos
+_KRYLOV_TOL = 1e-15  # relative Ritz-value move that ends Lanczos above the crossover
+_EPS = 2.0**-52  # machine epsilon: beta <= k * _EPS * max(alpha) is an invariant subspace
+_BASIS_ROWS = 16  # Lanczos basis rows reserved first, doubled whenever they fill
 
 
 def _top_tridiagonal_eigenvalue(alpha: list[float], beta: list[float], lo: float) -> float:
@@ -260,17 +259,20 @@ def _lanczos_top(apply, v: np.ndarray, k: int) -> float:
     tridiagonal T_j, and removes from the new vector its components along
     the whole basis by two passes of classical Gram-Schmidt ("twice is
     enough"); the remainder's norm is beta_j. It returns the largest Ritz
-    value (the top eigenvalue of T_j) once beta_j is below ``_KRYLOV_TOL``
-    times the largest alpha (an invariant subspace) or the basis spans all k
-    dimensions. Above ``GRAM_CROSSOVER`` it also stops when that Ritz value,
-    taken every ``_RITZ_EVERY`` steps, moves by at most ``_KRYLOV_TOL``
-    relative, and raises ``NoConvergence`` after ``KRYLOV_STEPS`` steps. That
+    value (the top eigenvalue of T_j) once beta_j is at most k eps times the
+    largest alpha (an invariant subspace to the rounding of one product with
+    G, eps = 2**-52) or the basis spans all k dimensions. Above
+    ``GRAM_CROSSOVER`` it also stops when that Ritz value, taken every
+    ``_RITZ_EVERY`` steps, moves by at most ``_KRYLOV_TOL`` relative, and
+    raises ``NoConvergence`` after ``KRYLOV_STEPS`` steps. That
     stop can fire inside a tight cluster of top eigenvalues before its
-    members are separated; up to the crossover k steps are cheap.
+    members are separated; up to the crossover k steps are cheap. The basis
+    starts at ``_BASIS_ROWS`` rows and doubles when it fills, since most
+    norms stop within a few steps.
     """
     steps = min(k, KRYLOV_STEPS)
     settle = k > GRAM_CROSSOVER
-    basis = np.empty((steps, k))  # row j is the Lanczos vector v_j
+    basis = np.empty((min(steps, _BASIS_ROWS), k))  # row j is the Lanczos vector v_j
     basis[0] = v / math.sqrt(float(v @ v))
     alpha: list[float] = []
     beta: list[float] = []
@@ -282,7 +284,7 @@ def _lanczos_top(apply, v: np.ndarray, k: int) -> float:
         for _ in range(2):
             w -= span.T @ (span @ w)
         b = math.sqrt(float(w @ w))
-        if b <= _KRYLOV_TOL * max(alpha) or j + 1 == k:
+        if b <= k * _EPS * max(alpha) or j + 1 == k:
             return math.sqrt(_top_tridiagonal_eigenvalue(alpha, beta, theta))
         if settle and (j + 1) % _RITZ_EVERY == 0:
             updated = _top_tridiagonal_eigenvalue(alpha, beta, theta)
@@ -290,6 +292,10 @@ def _lanczos_top(apply, v: np.ndarray, k: int) -> float:
                 return math.sqrt(updated)
             theta = updated
         if j + 1 < steps:
+            if j + 1 == len(basis):
+                grown = np.empty((min(2 * len(basis), steps), k))
+                grown[: j + 1] = basis
+                basis = grown
             basis[j + 1] = w / b
             beta.append(b)
     raise NoConvergence(math.sqrt(_top_tridiagonal_eigenvalue(alpha, beta, theta)), steps)

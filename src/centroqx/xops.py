@@ -11,9 +11,10 @@ needs three linear maps on n x n matrices tied to S:
 - ``upx``   like ``utx`` but halve the entries on the two diagonals;
 - ``lowx``  the complement, ``C - upx(C)``.
 
-``xvec`` stacks the entries of S in column-major order; the dense matrices of
-all these maps are packaged by :func:`build_operator_matrices` for the
-first-order operator constructions.
+``xvec`` stacks the entries of S in column-major order. All of them read one
+:class:`SupportMask` per n, built once by :func:`support_mask`: the mask, the
+``upx`` weights and the ``xvec`` positions, which the first-order operator
+constructions read too.
 """
 
 from __future__ import annotations
@@ -32,16 +33,27 @@ IDENTITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SupportMask:
-    """Boolean views of the double-cone support for one even dimension."""
+    """The double-cone support S of one even dimension n (built once per n)."""
 
     n: int
     inside: np.ndarray  # n x n bool: position lies in S
-    boundary: np.ndarray  # n x n bool: position on the main or anti diagonal
-    tau1: int  # |S| = n(n+2)/2
+    weights: np.ndarray  # n x n entries of upx: 1 on S, 1/2 on its two diagonals, 0 off S
+    indices: np.ndarray  # positions of S in vec(C), ascending: the xvec scan
 
-    def member(self, alpha: int, beta: int) -> bool:
-        """1-indexed membership test."""
-        return bool(self.inside[alpha - 1, beta - 1])
+    @property
+    def tau1(self) -> int:
+        """|S| = n(n+2)/2."""
+        return len(self.indices)
+
+    def selection_dense(self) -> np.ndarray:
+        """The tau1 x n^2 matrix whose rows pick the S positions out of vec(C)."""
+        m = np.zeros((self.tau1, self.n * self.n))
+        m[np.arange(self.tau1), self.indices] = 1.0
+        return m
+
+    def indicator_dense(self) -> np.ndarray:
+        """The n^2 x n^2 matrix of ``utx`` on vec(C)."""
+        return np.diag(self.inside.reshape(-1, order="F").astype(float))
 
 
 def _require_even(n: int) -> None:
@@ -57,15 +69,11 @@ def support_mask(n: int) -> SupportMask:
     inside = ((alpha <= beta) & (alpha + beta <= n + 1)) | (
         (alpha >= beta) & (alpha + beta >= n + 1)
     )
-    boundary = (alpha == beta) | (alpha + beta == n + 1)
-    inside.setflags(write=False)
-    boundary.setflags(write=False)
-    return SupportMask(n=n, inside=inside, boundary=boundary, tau1=n * (n + 2) // 2)
-
-
-def _weights(n: int) -> np.ndarray:
-    mask = support_mask(n)
-    return np.where(mask.inside, np.where(mask.boundary, 0.5, 1.0), 0.0)
+    weights = np.where(inside, np.where((alpha == beta) | (alpha + beta == n + 1), 0.5, 1.0), 0.0)
+    indices = np.flatnonzero(inside.reshape(-1, order="F"))
+    for arr in (inside, weights, indices):
+        arr.setflags(write=False)
+    return SupportMask(n=n, inside=inside, weights=weights, indices=indices)
 
 
 def upx(c) -> np.ndarray:
@@ -76,14 +84,16 @@ def upx(c) -> np.ndarray:
     """
     arr = as_matrix(c, "upx input")
     _require_square(arr)
-    return arr * _weights(arr.shape[0])
+    return arr * support_mask(arr.shape[0]).weights
 
 
 def lowx(c) -> np.ndarray:
-    """Complementary part ``C - upx(C)`` (equals ``upx(C^T)^T``)."""
+    """Complementary part ``C - upx(C)``, which is ``upx(C^T)^T``: S and its
+    transpose cover every position and overlap on the two diagonals, so the
+    complementary weights are the transposed ones."""
     arr = as_matrix(c, "lowx input")
     _require_square(arr)
-    return arr * (1.0 - _weights(arr.shape[0]))
+    return arr * support_mask(arr.shape[0]).weights.T
 
 
 def utx(c) -> np.ndarray:
@@ -112,62 +122,11 @@ def is_x_type(c) -> bool:
     return max_abs(off) <= scale
 
 
-@lru_cache(maxsize=64)
-def xvec_indices(n: int) -> np.ndarray:
-    """Positions of S inside vec(C), ascending (column-major scan)."""
-    mask = support_mask(n)
-    idx = np.flatnonzero(mask.inside.reshape(-1, order="F"))
-    idx.setflags(write=False)
-    return idx
-
-
 def xvec(c) -> np.ndarray:
     """Entries of C on S, stacked column-major."""
     arr = as_matrix(c, "xvec input")
     _require_square(arr)
-    return vec(arr)[xvec_indices(arr.shape[0])]
-
-
-@dataclass(frozen=True)
-class StructuredOperatorSet:
-    """Compact form of the support-tied linear maps for one dimension.
-
-    ``selection`` rows pick the S positions out of vec(C); ``half_weights``
-    and ``indicator`` are the diagonals of the vec-space forms of ``upx`` and
-    ``utx``. Dense materializations are provided for tests and small-n use.
-    """
-
-    n: int
-    tau1: int
-    indices: np.ndarray  # tau1 vec-positions of S
-    half_weights: np.ndarray  # n^2 diagonal of the halving projection
-    indicator: np.ndarray  # n^2 diagonal of the indicator projection
-
-    def selection_dense(self) -> np.ndarray:
-        m = np.zeros((self.tau1, self.n * self.n))
-        m[np.arange(self.tau1), self.indices] = 1.0
-        return m
-
-    def indicator_dense(self) -> np.ndarray:
-        return np.diag(self.indicator)
-
-
-@lru_cache(maxsize=64)
-def build_operator_matrices(n: int) -> StructuredOperatorSet:
-    """Assemble the support operators for even n (cached per dimension)."""
-    _require_even(n)
-    mask = support_mask(n)
-    half = _weights(n).reshape(-1, order="F")
-    indicator = mask.inside.reshape(-1, order="F").astype(float)
-    half.setflags(write=False)
-    indicator.setflags(write=False)
-    return StructuredOperatorSet(
-        n=n,
-        tau1=mask.tau1,
-        indices=xvec_indices(n),
-        half_weights=half,
-        indicator=indicator,
-    )
+    return vec(arr)[support_mask(arr.shape[0]).indices]
 
 
 @dataclass(frozen=True)

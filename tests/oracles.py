@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from centroqx.xops import build_operator_matrices
+from centroqx.xops import support_mask
 
 
 def vec_perm_indices(m: int, n: int) -> np.ndarray:
@@ -31,17 +31,18 @@ def kron_operators(f):
     """
     qa, xa, xinv = f.q, f.x, f.xinv
     m, n = qa.shape
-    ops = build_operator_matrices(n)
+    support = support_mask(n)
+    half_weights = support.weights.reshape(-1, order="F")
     st = np.kron(xinv, qa)
     st += st[:, vec_perm_indices(n, n)]
-    st *= ops.half_weights
+    st *= half_weights
     st = st.reshape(m * n, n, n)
-    gx = (xa.T @ st).reshape(m * n, n * n)[:, ops.indices].T
+    gx = (xa.T @ st).reshape(m * n, n * n)[:, support.indices].T
     e = math.frexp(np.max(np.abs(xinv)))[1]
     xu = np.ldexp(xinv, -e)
-    ht = np.kron(xu, xu) * ops.half_weights
+    ht = np.kron(xu, xu) * half_weights
     xs = np.ldexp(xa, 2 * e)
-    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, ops.indices].T
+    hx = (xs.T @ ht.reshape(n * n, n, n)).reshape(n * n, n * n)[:, support.indices].T
     gqt = np.kron(xinv, np.eye(m))
     gqt -= (st @ qa.T).reshape(m * n, m * n)
     return gx, hx, gqt.T

@@ -23,7 +23,6 @@ from centroqx.harness import TrialConfig, fd_check, run_trial
 from centroqx.qx import qx_decompose
 from centroqx.rng import derive_seed, uniform_open
 from centroqx.xops import (
-    build_operator_matrices,
     lemma1_check,
     lowx,
     make_scaling,
@@ -88,7 +87,7 @@ def test_criterion_2_operator_identities(acceptance):
     start = time.perf_counter()
     ok = True
     for n in (2, 4, 6, 8, 10):
-        ops = build_operator_matrices(n)
+        ops = support_mask(n)
         sel = ops.selection_dense()
         ok &= ops.tau1 == n * (n + 2) // 2
         ok &= int(np.sum(support_mask(n).inside)) == n * (n + 2) // 2

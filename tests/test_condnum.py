@@ -17,7 +17,7 @@ from centroqx.condnum import (
 )
 from centroqx.harness import run_table
 from centroqx.qx import qx_decompose
-from centroqx.xops import xvec_indices
+from centroqx.xops import support_mask
 
 
 def _cond_for(a):
@@ -98,7 +98,7 @@ def test_positions_are_lower_member_of_mirrored_pair():
             if rec.cond is None:
                 continue
             m, n = rec.m, rec.n
-            support = xvec_indices(n)
+            support = support_mask(n).indices
             # Reversing xvec(X) is the centro mirror, as reversing vec(Q) is.
             assert np.array_equal(support[::-1], n * n - 1 - support)
             i, j = rec.cond["mx_position"]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -318,6 +319,36 @@ def test_start_vector_is_built_once_per_side_and_shared_read_only():
         v[0] = 2.0
     assert np.array_equal(v, _start_vector.__wrapped__(8))
     assert _start_vector.cache_info().maxsize <= 64
+
+
+def test_settled_start_ends_after_one_gram_application(monkeypatch):
+    """The invariant-subspace stop is beta <= k eps max(alpha): a squared-Gram
+    start that is the top eigenvector to rounding ends after one product
+    with G, where a stop at 1e-15 max(alpha) ran all 40 steps."""
+    calls = []
+    lanczos = linalg_mod._lanczos_top
+    monkeypatch.setattr(
+        linalg_mod, "_lanczos_top",
+        lambda apply, v, k: lanczos(lambda x: calls.append(1) or apply(x), v, k),
+    )
+    a = np.random.default_rng(0).standard_normal((80, 40))
+    _assert_matches_svd(spectral_norm(a), a)
+    assert len(calls) == 1
+
+
+def test_lanczos_basis_grows_with_its_steps():
+    """The basis starts at a few rows and doubles when they fill: norming the
+    (44, 44) gq map (Gram side 1936, about a dozen steps) allocates under
+    1 MB, where reserving all KRYLOV_STEPS rows took 7.7 MB."""
+    op = build_first_order_operators(qx_decompose(random_centro(44, 44, 3))).maps["gq"]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        operator_norm(*op)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("size", [2, 6, 20])

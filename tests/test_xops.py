@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import centroqx.xops as xops_mod
+from centroqx.bounds import FirstOrderOperators
 from centroqx.centro import random_centro
 from centroqx.errors import OddDimension, ZeroRow
 from centroqx.linalg import vec
 from centroqx.rng import uniform_open
 from centroqx.xops import (
-    build_operator_matrices,
     is_x_type,
     lemma1_check,
     lowx,
@@ -25,7 +27,6 @@ from centroqx.xops import (
     utx,
     varsigma,
     xvec,
-    xvec_indices,
 )
 
 
@@ -41,7 +42,7 @@ def test_support_mask_matches_predicate(n):
     mask = support_mask(n)
     for alpha in range(1, n + 1):
         for beta in range(1, n + 1):
-            assert mask.member(alpha, beta) == _in_support_ref(alpha, beta, n)
+            assert bool(mask.inside[alpha - 1, beta - 1]) == _in_support_ref(alpha, beta, n)
     assert mask.tau1 == n * (n + 2) // 2  # exact integer count
     assert mask.tau1 == int(np.sum(mask.inside))
 
@@ -136,7 +137,7 @@ def test_xvec_column_major_scan():
     mask = support_mask(n).inside
     want = vec(c)[vec(mask).astype(bool)]  # column-major scan of the support
     assert np.array_equal(xvec(c), want)
-    assert np.array_equal(xvec(c), vec(c)[xvec_indices(n)])
+    assert np.array_equal(xvec(c), vec(c)[support_mask(n).indices])
     assert len(xvec(c)) == n * (n + 2) // 2
 
 
@@ -150,7 +151,7 @@ def test_xvec_rejects_rectangular():
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_structured_operator_matrices(n):
-    ops = build_operator_matrices(n)
+    ops = support_mask(n)
     sel = ops.selection_dense()
     tau1 = n * (n + 2) // 2
     assert sel.shape == (tau1, n * n)
@@ -158,7 +159,7 @@ def test_structured_operator_matrices(n):
     assert np.array_equal(sel.T @ sel, ops.indicator_dense())
     c = uniform_open(70 + n, n * n).reshape(n, n)
     # half-weight operator realizes the halved projection in vec coordinates
-    hw = np.diag(ops.half_weights)
+    hw = np.diag(ops.weights.reshape(-1, order="F"))
     assert np.allclose(hw @ vec(c), vec(upx(c)), rtol=0, atol=1e-15)
     # selection composed with halving lands in xvec coordinates
     assert np.allclose(sel @ hw @ vec(c), xvec(upx(c)), rtol=0, atol=1e-15)
@@ -166,6 +167,22 @@ def test_structured_operator_matrices(n):
     assert np.allclose(
         ops.indicator_dense() @ vec(c), vec(utx(c)), rtol=0, atol=1e-15
     )
+
+
+def test_one_support_object_per_dimension():
+    """The mask, the upx weights and the xvec positions of each n come from
+    one cached constructor, and the first-order operators keep none of them."""
+    cached = [
+        name for name, obj in vars(xops_mod).items()
+        if hasattr(obj, "cache_info") and obj.__module__ == xops_mod.__name__
+    ]
+    assert cached == ["support_mask"]
+    support = support_mask(6)
+    assert support_mask(6) is support
+    assert np.array_equal(upx(np.ones((6, 6))), support.weights)
+    assert np.array_equal(lowx(np.ones((6, 6))), support.weights.T)
+    fields = {f.name for f in dataclasses.fields(FirstOrderOperators)}
+    assert not fields & {"ht", "indices", "inside", "weights", "support"}
 
 
 # ------------------------------------------------------------ scalings

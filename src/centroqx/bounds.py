@@ -19,7 +19,7 @@ each bound with the measured quantity it must dominate and its gates;
 ``bound_report`` withholds every bound whose gates do not all hold.
 
 All minimizations record which scaling candidate won. Within one report
-each distinct spectral norm is computed once (``FactorNorms``). Every n x n
+every norm is computed once, when ``FactorNorms`` is built. Every n x n
 operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D) and dA are
 centrosymmetric, because D is palindromic, so each norm is the
 larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .centro import FoldedPair, centro_part, fold, fold_norm
+from .centro import centro_part, fold, fold_norm
 from .errors import SizeCapExceeded
 from .linalg import as_matrix, binary_exponent, frobenius_norm, operator_norm, spectral_norm
 from .xops import ScalingD, scaling_candidates, support_mask, varsigma
@@ -125,86 +124,39 @@ def make_gate(name: str, value: float, threshold: float, relation: str) -> GateS
 
 
 class FactorNorms:
-    """Spectral norms of one factorization's operands, each computed once.
+    """Every norm a bound report reads, each computed once, on construction.
 
     ``bound_report`` builds one per call from the ``QxFactors`` and drops it
-    on return; the context alone builds the scaling candidates. A norm is
-    computed on first use and kept as a float. Every X-side operand is held
-    as its fold halves: X as (R_f, R_g), X^{-1} as their inverses, and
-    ``|X||X^{-1}|`` as the fold of its centrosymmetric part. D = diag(delta,
-    reversed delta) scales the halves by delta: fold(D^{-1} M) =
-    delta^{-1} (F, G) and fold(M D) = (F, G) delta. The Q-side norm is the
-    enclosure ``q_dinv``. The identity candidate shares the unscaled norms.
+    on return. Each scaled norm is a pair indexed by the scaling candidate
+    in ``cands``: 0 is the identity, 1 the row norms of X. Every X-side
+    operand is normed from its fold halves: X as (R_f, R_g), X^{-1} as their
+    inverses, and ``|X||X^{-1}|`` as the fold of its centrosymmetric part.
+    D = diag(delta, reversed delta) scales the halves by delta: fold(D^{-1}
+    M) = delta^{-1} (F, G) and fold(M D) = (F, G) delta. The Q-side norm
+    ``q_dinv`` is the enclosure ``max(1/d_i) sqrt(1 + |Q^T Q - I|_F)`` of
+    ``|Q D^{-1}|_2``. The unscaled norms are the pairs' ``[0]`` entries.
     """
 
     def __init__(self, factors) -> None:
         self.factors = factors
-        self._norms: dict[tuple[str, int], float] = {}
+        self.cands = scaling_candidates(factors.x)
+        self.abs_q = np.abs(factors.q)
+        self.abs_x = np.abs(factors.x)
+        delta = self.cands[1].delta
 
-    @cached_property
-    def cands(self) -> list[ScalingD]:
-        return scaling_candidates(self.factors.x)
+        def pair(halves, side: str) -> tuple[float, float]:
+            scaled = [h / delta[:, None] if side == "rows" else h * delta[None, :] for h in halves]
+            return tuple(max(spectral_norm(h) for h in hs) for hs in (halves, scaled))
 
-    @cached_property
-    def abs_q(self) -> np.ndarray:
-        return np.abs(self.factors.q)
-
-    @cached_property
-    def abs_x_abs_xinv(self) -> FoldedPair:
-        return fold(centro_part(np.abs(self.factors.x) @ np.abs(self.factors.xinv)))
-
-    @cached_property
-    def q_enclosure(self) -> float:
-        """``sqrt(1 + |Q^T Q - I|_F)``, an upper bound on ``|Q|_2``."""
-        q = self.factors.q
-        return math.sqrt(1.0 + frobenius_norm(q.T @ q - np.eye(q.shape[1])))
-
-    def _norm(self, name: str, i: int, halves, side: str) -> float:
-        """``|M|_2`` from M's fold ``halves``, as D^{-1} M or M D on ``side``."""
-        if i >= 0 and self.cands[i].is_identity:
-            i = -1
-        key = (name, i)
-        if key not in self._norms:
-            if i >= 0:
-                d = self.cands[i].delta
-                halves = [h / d[:, None] if side == "rows" else h * d[None, :] for h in halves]
-            self._norms[key] = max(spectral_norm(h) for h in halves)
-        return self._norms[key]
-
-    def dinv_x(self, i: int) -> float:
-        """``|D^{-1} X|_2``."""
-        return self._norm("dinv_x", i, (self.factors.rf, self.factors.rg), "rows")
-
-    def xinv_d(self, i: int) -> float:
-        """``|X^{-1} D|_2``."""
-        return self._norm("xinv_d", i, self.factors.xinv_halves, "cols")
-
-    def q_dinv(self, i: int) -> float:
-        """Upper enclosure ``max(1/d_i) sqrt(1 + |Q^T Q - I|_F)`` of ``|Q D^{-1}|_2``."""
-        if i < 0 or self.cands[i].is_identity:
-            return self.q_enclosure
-        return (1.0 / float(np.min(self.cands[i].delta))) * self.q_enclosure
-
-    def cond_d(self, i: int) -> float:
-        """``||X||X^{-1}|D|_2``."""
-        return self._norm("cond_d", i, self.abs_x_abs_xinv, "cols")
-
-    @property
-    def q_norm(self) -> float:
-        return self.q_dinv(-1)
-
-    @property
-    def x_norm(self) -> float:
-        return self.dinv_x(-1)
-
-    @property
-    def xinv_norm(self) -> float:
-        return self.xinv_d(-1)
-
-    @property
-    def cond_x(self) -> float:
-        """``||X||X^{-1}||_2``."""
-        return self.cond_d(-1)
+        self.dinv_x = pair((factors.rf, factors.rg), "rows")  # |D^{-1} X|_2
+        self.xinv_d = pair(factors.xinv_halves, "cols")  # |X^{-1} D|_2
+        # ||X||X^{-1}|D|_2
+        self.cond_d = pair(fold(centro_part(self.abs_x @ np.abs(factors.xinv))), "cols")
+        q = factors.q
+        enclosure = math.sqrt(1.0 + frobenius_norm(q.T @ q - np.eye(q.shape[1])))
+        self.q_dinv = (enclosure, (1.0 / float(np.min(delta))) * enclosure)
+        self.x_norm, self.xinv_norm = self.dinv_x[0], self.xinv_d[0]
+        self.cond_x, self.q_norm = self.cond_d[0], self.q_dinv[0]
 
 
 def _minimize(
@@ -216,7 +168,7 @@ def _minimize(
         v = float(value_fn(i, d))
         if v < best:
             best = v
-            label = "identity" if d.is_identity else "row-norms"
+            label = ("identity", "row-norms")[i]
     return best, label
 
 
@@ -224,28 +176,21 @@ def min_sym_kappa(norms: FactorNorms) -> tuple[float, str]:
     """Minimized ``sqrt(1 + varsigma_D^2) * kappa2(D^{-1} X)`` over ``norms.cands``."""
     return _minimize(
         norms,
-        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * norms.dinv_x(i) * norms.xinv_d(i),
+        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * norms.dinv_x[i] * norms.xinv_d[i],
     )
 
 
 def min_q_product(norms: FactorNorms) -> tuple[float, str]:
     """Minimized ``|Q D^{-1}|_2 * |X^{-1} D|_2``."""
-    return _minimize(norms, lambda i, d: norms.q_dinv(i) * norms.xinv_d(i))
+    return _minimize(norms, lambda i, d: norms.q_dinv[i] * norms.xinv_d[i])
 
 
 def min_comp_product(norms: FactorNorms) -> tuple[float, str]:
     """Minimized ``sqrt(1 + varsigma_D^2) * ||X||X^{-1}|D|_2 * |D^{-1} X|_2``."""
     return _minimize(
         norms,
-        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * norms.cond_d(i) * norms.dinv_x(i),
+        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * norms.cond_d[i] * norms.dinv_x[i],
     )
-
-
-def gate_normwise(factors, da) -> GateStatus:
-    """Smallness gate on the projected perturbation ``|Q^T dA X^{-1}|_F``."""
-    daa = as_matrix(da, "perturbation")
-    value = frobenius_norm(factors.q.T @ daa @ factors.xinv)
-    return make_gate("normwise-smallness", value, SMALLNESS_THRESHOLD, "<=")
 
 
 def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray) -> None:
@@ -256,8 +201,10 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     kappa2 = x_norm * xinv_norm
     # Perturbation smaller than the inverse's reach: |dA|_2 |X^{-1}|_2 < 1.
     g_inv = make_gate("inverse-dominance", fold_norm(daa) * xinv_norm, 1.0, "<")
-    g_small = gate_normwise(norms.factors, daa)
-    projected = g_small.value
+    # Smallness of the projected perturbation |Q^T dA X^{-1}|_F.
+    qt_da = norms.factors.q.T @ daa
+    projected = frobenius_norm(qt_da @ norms.factors.xinv)
+    g_small = make_gate("normwise-smallness", projected, SMALLNESS_THRESHOLD, "<=")
 
     msym, report.winners["sym_kappa"] = min_sym_kappa(norms)
     mq, report.winners["q_product"] = min_q_product(norms)
@@ -279,19 +226,17 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     report.gates.extend([g_inv, g_small, g_rad])
     if g_rad.satisfied and a_fro > 0.0:
         den = SQRT2 - 1.0 + math.sqrt(radicand)
-        qt_da = frobenius_norm(norms.factors.q.T @ daa)
-        num_a = SQRT2 * msym * (qt_da / a_fro + kappa2 * (delta / x_norm) ** 2)
+        num_a = SQRT2 * msym * (frobenius_norm(qt_da) / a_fro + kappa2 * (delta / x_norm) ** 2)
         num_b = SQRT3 * msym * (delta / x_norm)
         report.x_relative_a = x_norm * num_a / den
         report.x_relative_b = x_norm * num_b / den
 
 
 def _entrywise_route(
-    report: BoundReport, norms: FactorNorms, k: np.ndarray, kq_fro: float
+    report: BoundReport, norms: FactorNorms, kq: np.ndarray, kq_fro: float
 ) -> None:
     eps = report.eps
-    absq = norms.abs_q
-    qtkq = frobenius_norm(absq.T @ k @ absq)
+    qtkq = frobenius_norm(norms.abs_q.T @ kq)
     cond_x = norms.cond_x
     report.gates.append(
         make_gate("comp-smallness", qtkq * cond_x * eps, COMP_SMALLNESS_THRESHOLD, "<")
@@ -459,7 +404,7 @@ def majorant(
 
 
 def comp_matvec_bounds(
-    report: BoundReport, ops: FirstOrderOperators, norms: FactorNorms, k: np.ndarray,
+    report: BoundReport, ops: FirstOrderOperators, norms: FactorNorms, kq: np.ndarray,
     kq_fro: float,
 ) -> None:
     """Majorant-equation bounds under the entrywise model, written into ``report``.
@@ -470,14 +415,13 @@ def comp_matvec_bounds(
     - ``b_hat = ||hx| (|X^T| kron |X^T|)|_2 * ||Q^T| K^T K |Q||_F``
     - ``c_hat = | |hx| |_2``, at least ``|hx|_2``, so the majorant stays a bound
 
-    ``kq_fro`` is ``|K |Q||_F`` and ``eps`` is ``report.eps``. Each product
+    ``kq`` is ``K |Q|``, ``kq_fro`` its Frobenius norm (so ``||Q^T| K^T K
+    |Q||_F = |kq^T kq|_F``) and ``eps`` is ``report.eps``. Each product
     is normed through its action, with |X| = 2**-e |xs|: a row vec(R) of |gx|
     times ``|X^T| kron I_m`` is vec(|X| R), and row c of |hx| (|X^T| kron
     |X^T|) is 2**e (|X| |a_c|)(|X| |u_c|)^T. The values are not withheld here.
     """
     m, n = ops.q.shape
-    absq = norms.abs_q
-    absx = np.abs(norms.factors.x)
     absxs, abs_gx = np.abs(ops.xs), ops.gx
     a, u = (np.abs(f) for f in ops.hx_rows)
 
@@ -488,10 +432,10 @@ def comp_matvec_bounds(
     )
     hxb_norm = operator_norm(*_rank_one_rows(a @ absxs.T, u @ absxs.T, -ops.e))
     c_hat = operator_norm(*_rank_one_rows(a, u, ops.e))
-    qtktkq_fro = frobenius_norm(absq.T @ k.T @ k @ absq)
+    qtktkq_fro = frobenius_norm(kq.T @ kq)
     a_hat = gxa_norm * kq_fro
     b_hat = hxb_norm * qtktkq_fro
-    coef_x1 = (fold_norm(absx) + 2.0 * gxa_norm) * kq_fro
+    coef_x1 = (fold_norm(norms.abs_x) + 2.0 * gxa_norm) * kq_fro
 
     eps = report.eps
     quad, linear, *majorants = majorant(eps, a_hat, b_hat, c_hat, coef_x1)
@@ -615,9 +559,10 @@ def bound_report(
 
     entrywise = k is not None and eps is not None
     if entrywise:
-        ka = as_matrix(k, "entrywise weight")
-        kq_fro = frobenius_norm(ka @ norms.abs_q)
-        _entrywise_route(report, norms, ka, kq_fro)
+        # K enters every entrywise bound through K|Q| only.
+        kq = as_matrix(k, "entrywise weight") @ norms.abs_q
+        kq_fro = frobenius_norm(kq)
+        _entrywise_route(report, norms, kq, kq_fro)
 
     if ops is not None:
         op = operator_norms(ops)
@@ -634,7 +579,7 @@ def bound_report(
         )
         report.q_operator = report.coef_q2 * report.delta
         if entrywise:
-            comp_matvec_bounds(report, ops, norms, ka, kq_fro)
+            comp_matvec_bounds(report, ops, norms, kq, kq_fro)
 
     held = {g.name for g in report.gates if g.satisfied}
     for bound in BOUNDS:

@@ -71,7 +71,7 @@ def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
 def cond_upper_bounds(a, factors) -> dict:
     """Operator-free upper bounds on the four condition numbers, keyed ``<name>_upper``.
 
-    Built from ``w = upx(|X^{-T}||A^T||Q| + |Q^T||A||X^{-1}|)`` (which
+    Built from ``w = upx(P + P^T)`` with ``P = |Q^T||A||X^{-1}|`` (w
     dominates the absolute response of the X map applied to |A|) and
     ``v = |A||X^{-1}| + |Q| w`` for the Q map.
     """
@@ -81,7 +81,8 @@ def cond_upper_bounds(a, factors) -> dict:
     abs_x = np.abs(factors.x)
     abs_xi = np.abs(factors.xinv)
 
-    w = upx(abs_xi.T @ abs_a.T @ abs_q + abs_q.T @ abs_a @ abs_xi)
+    p = abs_q.T @ abs_a @ abs_xi
+    w = upx(p + p.T)
     v = abs_a @ abs_xi + abs_q @ w
     values = (*_mixed_comp(w @ abs_x, abs_x), *_mixed_comp(v, abs_q))
     return {f"{name}_upper": value for name, value in zip(COND_NUMBERS, values)}

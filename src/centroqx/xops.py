@@ -139,10 +139,6 @@ class ScalingD:
     def diagonal(self) -> np.ndarray:
         return np.concatenate([self.delta, self.delta[::-1]])
 
-    @property
-    def is_identity(self) -> bool:
-        return bool(np.all(self.delta == 1.0))
-
 
 def make_scaling(delta) -> ScalingD:
     d = np.asarray(delta, dtype=float).reshape(-1)

@@ -28,8 +28,8 @@ from centroqx.bounds import (
     bound_report,
     build_first_order_operators,
     comp_matvec_bounds,
-    gate_normwise,
     majorant,
+    make_gate,
     min_comp_product,
     min_q_product,
     min_sym_kappa,
@@ -49,7 +49,7 @@ from centroqx.harness import BOUND_COLUMNS, TrialConfig, run_trial
 from centroqx.linalg import frobenius_norm, operator_norm, spectral_norm, vec
 from centroqx.qx import qx_decompose
 from centroqx.rng import uniform_open
-from centroqx.xops import scaling_candidates, upx, xvec
+from centroqx.xops import ScalingD, scaling_candidates, upx, xvec
 from oracles import kron_operators, materialize
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
@@ -104,6 +104,14 @@ def test_constants():
     assert REFINED_X_CONSTANT == pytest.approx(SQRT6 + SQRT3, rel=1e-15)
     assert SMALLNESS_THRESHOLD == pytest.approx(math.sqrt(1.5) - 1.0, rel=1e-15)
     assert COMP_SMALLNESS_THRESHOLD == pytest.approx(1.0 / (SQRT6 + 2.0), rel=1e-15)
+
+
+def test_gate_relations_and_lookup():
+    with pytest.raises(ValueError, match="unknown relation"):
+        make_gate("g", 1.0, 2.0, "!=")
+    rep = BoundReport(delta=0.0, eps=None, gates=[make_gate("g", 1.0, 2.0, "<")])
+    assert rep.gate("g").satisfied
+    assert rep.gate("majorant-x") is None
 
 
 # ------------------------------------------------------------ action laws
@@ -264,10 +272,10 @@ def test_normwise_gate_violation():
     a = np.eye(2)
     f = qx_decompose(a)
     da = 0.2 * np.eye(2)
-    gate = gate_normwise(f, da)
+    rep = _report(a, f, da)
+    gate = rep.gate("normwise-smallness")
     assert not gate.satisfied
     assert gate.value == pytest.approx(0.2 * SQRT2, rel=1e-12)
-    rep = _report(a, f, da)
     assert rep.gate("normwise-smallness") == gate
     assert rep.gate("inverse-dominance").satisfied
     for name in ("x_refined", "x_relative_a", "x_relative_b", "x_first_order", "q_refined"):
@@ -387,9 +395,10 @@ def test_comp_matvec_dense_cross_check():
     ops = _ops(f)
     _, hx, _ = kron_operators(f)
     k = np.eye(m)
-    kq_fro = frobenius_norm(k @ np.abs(f.q))
+    kq = k @ np.abs(f.q)
+    kq_fro = frobenius_norm(kq)
     out = BoundReport(delta=0.0, eps=1e-8)
-    comp_matvec_bounds(out, ops, FactorNorms(f), k, kq_fro)
+    comp_matvec_bounds(out, ops, FactorNorms(f), kq, kq_fro)
     absx = np.abs(f.x)
     dense_a = ops.gx @ np.kron(absx.T, np.eye(m))
     dense_b = np.abs(hx) @ np.kron(absx.T, absx.T)
@@ -560,7 +569,7 @@ def test_context_norms_equal_direct_evaluation():
     assert [d.diagonal().tolist() for d in cands] == [
         d.diagonal().tolist() for d in scaling_candidates(f.x)
     ]
-    assert cands[0].is_identity and not cands[1].is_identity
+    assert np.all(cands[0].delta == 1) and not np.all(cands[1].delta == 1)
     abs_x_abs_xinv = centro_part(np.abs(f.x) @ np.abs(xinv))
     for i, d in enumerate(cands):
         diag, delta = d.diagonal(), d.delta
@@ -573,16 +582,16 @@ def test_context_norms_equal_direct_evaluation():
             ),
         }
         for name, (operand, scaled) in cases.items():
-            got = getattr(norms, name)(i)
+            got = getattr(norms, name)[i]
             want = np.linalg.norm(operand, 2)
             assert got == _halves_norm(scaled), name
             assert abs(got - want) <= 1e-13 * want, name
             assert abs(got - fold_norm(operand)) <= 1e-14 * got, name
         want = np.linalg.norm(f.q / diag[None, :], 2)
-        assert want <= norms.q_dinv(i) <= want * (1.0 + 1e-13)
-    assert norms.x_norm == norms.dinv_x(0) == _halves_norm((f.rf, f.rg))
+        assert want <= norms.q_dinv[i] <= want * (1.0 + 1e-13)
+    assert norms.x_norm == norms.dinv_x[0] == _halves_norm((f.rf, f.rg))
     assert norms.xinv_norm == _halves_norm(f.xinv_halves)
-    assert norms.q_norm == norms.q_dinv(0)
+    assert norms.q_norm == norms.q_dinv[0]
     assert norms.cond_x == _halves_norm(fold(abs_x_abs_xinv))
 
 
@@ -611,7 +620,9 @@ def test_report_matches_the_direct_formulas():
         bounds_mod.REFINED_Q_CONSTANT_A * mq * q_norm * delta
         + bounds_mod.REFINED_Q_CONSTANT_B * projected
     )
-    assert rep.gate("normwise-smallness") == gate_normwise(f, da)
+    assert rep.gate("normwise-smallness") == make_gate(
+        "normwise-smallness", projected, SMALLNESS_THRESHOLD, "<="
+    )
     assert rep.gate("normwise-smallness").value == projected
     assert rep.gate("comp-smallness").value == qtkq * cond_x * eps
     assert rep.q_comp == bounds_mod.COMP_Q_CONSTANT * qtkq * cond_x * eps
@@ -814,6 +825,35 @@ def test_x_inverse_is_read_from_the_factors():
                 if getattr(func, "id", getattr(func, "attr", None)) == "x_inverse":
                     offenders.append(f"{path.name}:{node.lineno} calls x_inverse")
     assert offenders == []
+
+
+def test_factor_norms_are_set_once_as_candidate_pairs():
+    """Every norm a report reads is set in ``FactorNorms.__init__``: the
+    scaled norms are (identity, row-norms) pairs of floats and the unscaled
+    ones their ``[0]`` entries. There is no lazy cache, no separate normwise
+    gate and no identity test on a scaling, and K is an argument of
+    ``bound_report`` only (every other consumer takes K|Q|)."""
+    _, f = _factored(8, 4, seed=996)
+    norms = vars(FactorNorms(f))
+    for name in ("dinv_x", "xinv_d", "cond_d", "q_dinv"):
+        pair = norms[name]
+        assert type(pair) is tuple and len(pair) == 2, name
+        assert all(isinstance(v, float) for v in pair), name
+    for name, pair in (("x_norm", "dinv_x"), ("xinv_norm", "xinv_d"),
+                       ("cond_x", "cond_d"), ("q_norm", "q_dinv")):
+        assert norms[name] == norms[pair][0], name
+    assert not hasattr(FactorNorms, "_norm") and "_norms" not in norms
+    assert not hasattr(bounds_mod, "gate_normwise")
+    assert not hasattr(ScalingD, "is_identity")
+    source = Path(bounds_mod.__file__).read_text(encoding="utf-8")
+    assert "cached_property" not in source
+    takes_k = [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef)
+        and "k" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    ]
+    assert takes_k == ["bound_report"]
 
 
 # ------------------------------------------------------------ fault hook

@@ -164,6 +164,17 @@ def test_fold_rejects_non_centro():
         fold(a)
 
 
+def test_builders_reject_invalid_arguments():
+    with pytest.raises(ValueError, match="non-negative"):
+        exchange_matrix(-1)
+    with pytest.raises(ValueError, match="positive"):
+        fold_basis(0)
+    with pytest.raises(ValueError, match="non-empty"):
+        toeplitz_centro([])
+    with pytest.raises(ValueError, match="unknown k_mode"):
+        random_centro_perturbation(random_centro(4, 2, seed=1), 1e-8, seed=2, k_mode="diag")
+
+
 # Not centrosymmetric at all (defect 1.8x its largest entry), but every entry
 # is below the tolerance: an absolute test would fold it.
 SMALL_NON_CENTRO = 1e-13 * uniform_open(3, 8).reshape(4, 2)

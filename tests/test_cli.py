@@ -207,6 +207,13 @@ def test_fd_check_rejects_bad_eps_list(capsys):
     assert "bad eps list" in capsys.readouterr().err
 
 
+def test_fd_check_rejects_empty_eps_list(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fd-check", "--m", "8", "--n", "4", "--eps", ","])
+    assert exc.value.code == 2
+    assert "eps list is empty" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- verify
 
 

@@ -23,6 +23,7 @@ from centroqx.linalg import (
     _gram_norm,
     _lanczos_top,
     _start_vector,
+    as_matrix,
     entrywise_div,
     frobenius_norm,
     householder_qr,
@@ -243,6 +244,21 @@ def test_spectral_norm_rejects_non_finite_entries(value, side):
             spectral_norm(a.T)
     assert spectral_norm(np.zeros((3, 2))) == 0.0
     assert spectral_norm(np.zeros((0, 3))) == 0.0
+
+
+def test_kernels_reject_malformed_operands():
+    with pytest.raises(ValueError, match="2-dimensional"):
+        as_matrix(np.ones(3))
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="at least as many rows"):
+        householder_qr(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        triangular_solve(np.ones((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="row count"):
+        triangular_solve(np.eye(3), np.ones(2))
+    with pytest.raises(ValueError, match="2-dimensional"):
+        spectral_norm(np.ones(3))
 
 
 NORM_RTOL = 1e-13  # both kernels against numpy's SVD

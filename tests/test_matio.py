@@ -61,6 +61,14 @@ def test_read_matrix_rejects_malformed(tmp_path, text):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("text", ["2 x\n1 2\n3 4\n", "1 2\n1 inf\n", "1 2\nnan 1\n"])
+def test_read_matrix_rejects_bad_dimensions_and_non_finite_entries(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(MatrixFormatError, match="non-integer|non-finite"):
+        read_matrix(path)
+
+
 def test_write_to_handle():
     buf = io.StringIO()
     write_matrix(buf, np.array([[1.5]]))

@@ -78,7 +78,6 @@ def test_projection_identities_exact(n):
     c = uniform_open(50 + n, n * n).reshape(n, n)
     assert np.array_equal(upx(c) + lowx(c), c)
     assert np.array_equal(lowx(c), upx(c.T).T)
-    mask = support_mask(4 if n == 4 else n)
     assert np.array_equal(utx(c), c * support_mask(n).inside)
 
 
@@ -257,3 +256,8 @@ def test_lemma_slack_property(seed):
     delta = np.exp(2.0 * uniform_open(seed + 1, n // 2))
     chk = lemma1_check(c, make_scaling(delta))
     assert chk.min_slack >= -1e-13
+
+
+def test_lemma_rejects_a_scaling_of_another_dimension():
+    with pytest.raises(ValueError, match="scaling dimension"):
+        lemma1_check(np.eye(4), make_scaling(np.ones(1)))

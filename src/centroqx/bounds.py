@@ -123,6 +123,19 @@ def make_gate(name: str, value: float, threshold: float, relation: str) -> GateS
     return GateStatus(name, float(value), float(threshold), relation, bool(ok))
 
 
+def x_side_halves(factors, abs_x: np.ndarray) -> tuple:
+    """The fold halves that |X|_2, |X^{-1}|_2 and ||X||X^{-1}||_2 are normed
+    from: (R_f, R_g), their inverses, and the fold of the centrosymmetric
+    part of |X||X^{-1}| (``abs_x`` is |X|)."""
+    cond = fold(centro_part(abs_x @ np.abs(factors.xinv)))
+    return (factors.rf, factors.rg), factors.xinv_halves, cond
+
+
+def halves_norm(halves) -> float:
+    """|M|_2 of the matrix whose fold halves are ``halves``: the larger half norm."""
+    return max(spectral_norm(h) for h in halves)
+
+
 class FactorNorms:
     """Every norm a bound report reads, each computed once, on construction.
 
@@ -146,12 +159,12 @@ class FactorNorms:
 
         def pair(halves, side: str) -> tuple[float, float]:
             scaled = [h / delta[:, None] if side == "rows" else h * delta[None, :] for h in halves]
-            return tuple(max(spectral_norm(h) for h in hs) for hs in (halves, scaled))
+            return halves_norm(halves), halves_norm(scaled)
 
-        self.dinv_x = pair((factors.rf, factors.rg), "rows")  # |D^{-1} X|_2
-        self.xinv_d = pair(factors.xinv_halves, "cols")  # |X^{-1} D|_2
-        # ||X||X^{-1}|D|_2
-        self.cond_d = pair(fold(centro_part(self.abs_x @ np.abs(factors.xinv))), "cols")
+        x_halves, xinv_halves, cond_halves = x_side_halves(factors, self.abs_x)
+        self.dinv_x = pair(x_halves, "rows")  # |D^{-1} X|_2
+        self.xinv_d = pair(xinv_halves, "cols")  # |X^{-1} D|_2
+        self.cond_d = pair(cond_halves, "cols")  # ||X||X^{-1}|D|_2
         q = factors.q
         enclosure = math.sqrt(1.0 + frobenius_norm(q.T @ q - np.eye(q.shape[1])))
         self.q_dinv = (enclosure, (1.0 / float(np.min(delta))) * enclosure)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotCentrosymmetric, OddColumnDimension
-from .linalg import as_matrix, max_abs, spectral_norm
+from .linalg import as_matrix, checked_matrix, spectral_norm
 from .rng import derive_seed, sign_stream, uniform_open
 
 CENTRO_TOL = 1e-12
@@ -28,16 +28,27 @@ def exchange_matrix(k: int) -> np.ndarray:
     return np.eye(k)[::-1].copy()
 
 
+def _defect(arr: np.ndarray) -> float:
+    """``max|R A R - A|`` from half of A: the top rows against the flipped
+    bottom rows, and for odd m the middle row against its reverse. D = RAR - A
+    satisfies RDR = -D, so the other half repeats these magnitudes."""
+    m = arr.shape[0]
+    p = m // 2
+    parts = [arr[:p] - arr[m - p:][::-1, ::-1]]
+    if m % 2:
+        parts.append(arr[p] - arr[p, ::-1])
+    return max(float(np.maximum.reduce(np.abs(d, out=d), axis=None, initial=0.0)) for d in parts)
+
+
 def centro_defect(a) -> float:
     """Max-norm distance from double-flip symmetry (exact arithmetic: flips only)."""
-    arr = as_matrix(a, "centrosymmetry check")
-    return max_abs(arr[::-1, ::-1] - arr)
+    return _defect(as_matrix(a, "centrosymmetry check"))
 
 
 def is_centrosymmetric(a) -> bool:
     """Defect at most ``CENTRO_TOL * max|A|``: relative, so scaling A does not change it."""
-    arr = as_matrix(a, "centrosymmetry check")
-    return centro_defect(arr) <= CENTRO_TOL * max_abs(arr)
+    arr, top = checked_matrix(a, "centrosymmetry check")
+    return _defect(arr) <= CENTRO_TOL * top
 
 
 def fold_basis(k: int) -> np.ndarray:
@@ -84,25 +95,26 @@ def fold(a) -> FoldedPair:
     """Fold a centrosymmetric matrix with an even column count.
 
     Computed directly from the blocks of A (adds/flips only), which keeps the
-    fold exact in floating point.
+    fold exact in floating point. The checks take one pass over A and one
+    over half of it: a max/min scan gives max|A| and rejects non-finite
+    entries anywhere, and the centrosymmetry defect is read from the top half
+    against the flipped bottom half (``_defect``).
     """
-    arr = as_matrix(a, "fold input")
+    arr, top = checked_matrix(a, "fold input")
     m, n = arr.shape
     if n % 2 != 0:
         raise OddColumnDimension(f"column count must be even, got {n}")
-    if not is_centrosymmetric(arr):
-        raise NotCentrosymmetric(
-            f"defect {centro_defect(arr):.3e} exceeds tol*max|A| = {CENTRO_TOL * max_abs(arr):.3e}"
-        )
+    defect = _defect(arr)
+    if defect > CENTRO_TOL * top:
+        raise NotCentrosymmetric(f"defect {defect:.3e} exceeds tol*max|A| = {CENTRO_TOL * top:.3e}")
     p, l = m // 2, n // 2
     a11 = arr[:p, :l]
     a12r = arr[:p, l:][:, ::-1]  # A12 @ R_l
-    f = a11 + a12r
-    g = a11 - a12r
+    f = np.empty((m - p, l))
+    np.add(a11, a12r, out=f[:p])
     if m % 2 == 1:
-        mid = np.sqrt(2.0) * arr[p, :l]
-        f = np.vstack([f, mid])
-    return FoldedPair(f=f, g=g)
+        np.multiply(np.sqrt(2.0), arr[p, :l], out=f[p])
+    return FoldedPair(f=f, g=a11 - a12r)
 
 
 def unfold(f, g) -> np.ndarray:
@@ -231,9 +243,8 @@ def random_centro_perturbation(
     elif k_mode == "ones":
         k = np.ones((m, m))
         denom = k @ np.abs(arr)
+        # dA is zero wherever A is, so a zero column sum of |A| meets a zero of dA
         ratio = np.where(denom > 0.0, np.abs(da) / np.where(denom > 0.0, denom, 1.0), 0.0)
-        if np.any((denom == 0.0) & (np.abs(da) > 0.0)):
-            raise ValueError("perturbation falls outside the all-ones entrywise model")
         eps_eff = float(np.max(ratio)) if ratio.size else 0.0
     else:
         raise ValueError(f"unknown k_mode {k_mode!r}")

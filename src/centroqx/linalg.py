@@ -10,7 +10,17 @@ build.
 (SIAM J. Sci. Stat. Comput. 10, 1989): a panel of ``QR_BLOCK`` reflectors
 H_1 ... H_b is held as I - V T V^T with V the unit reflector vectors and T
 b x b upper triangular, so the trailing columns and Q are updated by matrix
-products (BLAS-3) rather than by one rank-one update per reflector.
+products (BLAS-3) rather than by one rank-one update per reflector. Its
+per-column steps are written for few numpy calls (squared norms summed
+pairwise by ``np.add.reduce`` into one reused buffer, scalar square roots
+by ``math.sqrt``, transposes bound once per panel) without changing any
+floating-point operation or its order.
+
+``triangular_solve`` is blocked back-substitution: the diagonal blocks of
+width ``TRI_BLOCK`` are inverted together by doubling on their stack,
+then the block rows are solved upward by matrix products, with no
+per-row Python loop. ``checked_matrix`` gives max|A| and rejects non-finite
+entries in one max/min scan, for the kernels that need both.
 
 ``spectral_norm`` (of an array) and ``operator_norm`` (of a map given by its
 action and adjoint) work on the smaller Gram side k, at unit scale (exact
@@ -43,13 +53,32 @@ QR_BLOCK = 16  # reflectors per compact-WY panel of householder_qr
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-d float array, rejecting non-finite entries."""
+    """Coerce to a 2-d float array, rejecting non-finite entries (an
+    ``isfinite`` scan, cheaper than ``checked_matrix`` where max|A| is not
+    needed)."""
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def checked_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
+    """Coerce to a 2-d float array and return it with ``max|A|``.
+
+    One ``max``/``min`` scan gives max|A| and rejects non-finite entries
+    (``ValueError``): a NaN or an infinity reaches the max or the min.
+    """
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
+    if not arr.size:
+        return arr, 0.0
+    top = max(float(np.maximum.reduce(arr, axis=None)), -float(np.minimum.reduce(arr, axis=None)))
+    if not math.isfinite(top):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr, top
 
 
 def max_abs(a) -> float:
@@ -125,80 +154,148 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     first index j0 on: the columns left of j0 are still unit vectors that
     vanish on those rows, so they need no work (the order of LAPACK's dorgqr).
     """
-    a = as_matrix(mat, "qr input")
+    a, top = checked_matrix(mat, "qr input")
     p, l = a.shape
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
-    e = binary_exponent(a)
+    e = math.frexp(top)[1]
     r = np.asfortranarray(np.ldexp(a, -e))  # column-major: panel columns are contiguous
     scale = frobenius_norm(r)
+    squares = np.empty(p)  # v * v, summed pairwise by np.add.reduce
     panels: list[tuple[int, np.ndarray, np.ndarray]] = []
     for j0 in range(0, l, QR_BLOCK):
         j1 = min(j0 + QR_BLOCK, l)
         v_panel = np.zeros((p - j0, j1 - j0), order="F")
         t = np.zeros((j1 - j0, j1 - j0))
+        v_rows, t_t = v_panel.T, t.T
         for j in range(j0, j1):
             k = j - j0
             column = r[j0:, j]
             if k:
-                earlier = v_panel[:, :k]
-                column -= earlier @ (t[:k, :k].T @ (earlier.T @ column))
+                column -= v_panel[:, :k] @ (t_t[:k, :k] @ (v_rows[:k] @ column))
             v = v_panel[k:, k]
             v[:] = column[k:]
-            alpha = float(np.sqrt(np.sum(v * v)))
+            sq = squares[: p - j]
+            alpha = math.sqrt(np.add.reduce(np.multiply(v, v, out=sq)))
             if alpha <= RANK_TOL * scale:
                 raise RankDeficient(
                     f"pivot column {j}: norm {alpha:.3e} <= {RANK_TOL:.1e} * {scale:.3e}"
                 )
-            if v[0] >= 0.0:  # push away from the cancelling sign
-                v[0] += alpha
+            v0 = v[0]
+            if v0 >= 0.0:  # push away from the cancelling sign
+                v[0] = v0 + alpha
                 column[k] = -alpha
             else:
-                v[0] -= alpha
+                v[0] = v0 - alpha
                 column[k] = alpha
-            v /= np.sqrt(np.sum(v * v))
-            t[:k, k] = -2.0 * (t[:k, :k] @ (v_panel[k:, :k].T @ v))
+            v /= math.sqrt(np.add.reduce(np.multiply(v, v, out=sq)))
+            t[:k, k] = -2.0 * (t[:k, :k] @ (v_rows[:k, k:] @ v))
             t[k, k] = 2.0
         if j1 < l:
             trailing = r[j0:, j1:]
-            trailing -= v_panel @ (t.T @ (v_panel.T @ trailing))
+            trailing -= v_panel @ (t_t @ (v_rows @ trailing))
         panels.append((j0, v_panel, t))
-    q = np.zeros((p, l))
-    q[:l, :l] = np.eye(l)
+    q = np.eye(p, l)
     for j0, v_panel, t in reversed(panels):
         block = q[j0:, j0:]
         block -= v_panel @ (t @ (v_panel.T @ block))
-    r = np.ascontiguousarray(r[:l, :])
-    flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    r = r * flip[:, None]
-    q = q * flip[None, :]
-    r[np.tril_indices(l, -1)] = 0.0
-    return q, np.ldexp(r, e)
+    flip = np.where(r.diagonal() < 0.0, -1.0, 1.0)
+    r = r[:l]
+    r *= flip[:, None]
+    q *= flip
+    r = np.triu(r)
+    return q, np.ldexp(r, e, out=r)
+
+
+TRI_BLOCK = 16  # diagonal block width of triangular_solve
+
+
+@lru_cache(maxsize=8)
+def _upper(w: int) -> np.ndarray:
+    mask = np.triu(np.ones((w, w), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
+def _diagonal_block_inverses(ra: np.ndarray, w: int) -> np.ndarray:
+    """Inverses of the w x w diagonal blocks of the upper-triangular ``ra``,
+    stacked; the last block is padded with the identity.
+
+    Doubling on the whole stack at once. The stack starts as the reciprocal
+    diagonal plus the negated strict upper triangle -U (the copy negates the
+    diagonal too, and -1/(-d) is 1/d exactly); each level joins
+    neighbouring inverted s x s blocks into one of size 2s through
+    [[A, U], [0, C]]^{-1} = [[A^{-1}, A^{-1} (-U) C^{-1}], [0, C^{-1}]], so
+    ``log2 w`` levels invert them all: the first, on 1 x 1 blocks, by two
+    elementwise products in the same order as the matrix products of the
+    rest. The levels write only above the diagonal, so the strict lower
+    triangles stay exact zeros.
+    """
+    l = ra.shape[0]
+    nb, full = -(-l // w), l // w
+    stack = np.zeros((nb, w, w))
+    b0, b1, b2 = stack.strides
+    diagonals = np.ndarray((nb, w), buffer=stack, strides=(b0, b1 + b2))
+    diagonals.fill(-1.0)  # the padding's, negated like the copied ones
+    mask = _upper(w)
+    if full:
+        ra = np.ascontiguousarray(ra)
+        row, item = ra.strides
+        blocks = np.ndarray((full, w, w), buffer=ra, strides=(w * (row + item), row, item))
+        np.negative(blocks, out=stack[:full], where=mask)
+    if full < nb:
+        h = l - full * w
+        np.negative(ra[full * w:, full * w:], out=stack[full, :h, :h], where=mask[:h, :h])
+    np.divide(-1.0, diagonals, out=diagonals)
+    if w > 1:  # a (-u c) on the superdiagonal of each 2 x 2 block
+        upper = np.ndarray((nb, w // 2), buffer=stack, offset=b2, strides=(b0, 2 * (b1 + b2)))
+        upper *= diagonals[:, 1::2]
+        upper *= diagonals[:, 0::2]
+    s = 2
+    while s < w:
+        k = w // (2 * s)
+        blocks = np.ndarray((nb, k, 2 * s, 2 * s), buffer=stack, strides=(b0, (b1 + b2) * 2 * s, b1, b2))
+        upper = blocks[:, :, :s, s:]
+        np.matmul(blocks[:, :, :s, :s], upper @ blocks[:, :, s:, s:], out=upper)
+        s *= 2
+    return stack
 
 
 def triangular_solve(r, b) -> np.ndarray:
-    """Solve ``R y = B`` for upper-triangular R by back-substitution.
+    """Solve ``R y = B`` for upper-triangular R by blocked back-substitution.
+
+    The diagonal blocks of width ``TRI_BLOCK`` (or the next power of two at
+    or above the order, if smaller) are inverted together by doubling
+    (``_diagonal_block_inverses``); then the block rows are solved upward,
+    ``Y_I = D_I^{-1} (B_I - R_{I,J>I} Y_{J>I})``, by matrix products (the
+    blocked form of back-substitution, Du Croz & Higham, IMA J. Numer. Anal.
+    12, 1992). Only the upper triangle of R is read. For an upper-triangular
+    B the strict lower triangle of Y is exact zeros.
 
     Raises ``SingularTriangular`` when a diagonal pivot is below ``PIVOT_TOL``
     times the largest entry of R in magnitude.
     """
-    ra = as_matrix(r, "triangular matrix")
+    ra, top = checked_matrix(r, "triangular matrix")
     l = ra.shape[0]
     if ra.shape[1] != l:
         raise ValueError(f"triangular matrix must be square, got {ra.shape}")
     b_arr = np.asarray(b, dtype=float)
     if b_arr.shape[0] != l:
         raise ValueError("right-hand side row count does not match")
-    pivot_floor = PIVOT_TOL * max_abs(ra)
-    diag = np.diag(ra)
-    if np.any(np.abs(diag) <= pivot_floor):
-        worst = int(np.argmin(np.abs(diag)))
+    pivot_floor = PIVOT_TOL * top
+    magnitudes = np.abs(ra.diagonal())
+    if l and np.minimum.reduce(magnitudes) <= pivot_floor:
+        worst = int(np.argmin(magnitudes))
         raise SingularTriangular(
-            f"diagonal entry {worst} has magnitude {abs(diag[worst]):.3e} <= {pivot_floor:.3e}"
+            f"diagonal entry {worst} has magnitude {magnitudes[worst]:.3e} <= {pivot_floor:.3e}"
         )
-    y = np.zeros_like(b_arr)
-    for i in range(l - 1, -1, -1):
-        y[i] = (b_arr[i] - ra[i, i + 1:] @ y[i + 1:]) / diag[i]
+    w = min(TRI_BLOCK, 1 << (l - 1).bit_length())
+    inverses = _diagonal_block_inverses(ra, w)
+    y = np.empty(b_arr.shape)
+    for i0 in range((l - 1) // w * w, -1, -w):
+        i1 = min(i0 + w, l)
+        rhs = b_arr[i0:i1] if i1 == l else b_arr[i0:i1] - ra[i0:i1, i1:] @ y[i1:]
+        np.matmul(inverses[i0 // w, : i1 - i0, : i1 - i0], rhs, out=y[i0:i1])
     return y
 
 
@@ -337,17 +434,10 @@ def spectral_norm(mat) -> float:
     explicit Gram matrix (``_gram_norm``); larger k: ``operator_norm`` of the
     operand's products, which raises ``NoConvergence`` (with its last
     estimate at M's scale) if it reaches ``KRYLOV_STEPS`` steps short of k.
-    One ``max``/``min`` scan gives both max|M| and the rejection of
+    One ``max``/``min`` scan (``checked_matrix``) gives max|M| and the rejection of
     non-finite entries (``ValueError``) before the scaled copy is made.
     """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2:
-        raise ValueError(f"spectral_norm input must be 2-dimensional, got ndim={a.ndim}")
-    if a.size == 0:
-        return 0.0
-    top = max(float(np.max(a)), -float(np.min(a)))
-    if not math.isfinite(top):
-        raise ValueError("spectral_norm input contains non-finite entries")
+    a, top = checked_matrix(mat, "spectral_norm input")
     if top == 0.0:
         return 0.0
     if a.shape[0] < a.shape[1]:

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import FactorNorms
+from .bounds import halves_norm, x_side_halves
 from .centro import fold, unfold
 from .errors import SingularTriangular
 from .linalg import (
@@ -128,9 +128,10 @@ def conditioning(factors: QxFactors) -> dict[str, float]:
     """Spectral condition number of X and its entrywise-absolute variant.
 
     Returns ``kappa2 = |X|_2 |X^{-1}|_2`` and ``cond_x = | |X| |X^{-1}| |_2``
-    (the latter drives the entrywise perturbation gates), read from the same
-    ``FactorNorms`` context a bound report uses, so they are the report's
-    ``kappa2`` and ``cond_x`` bit for bit.
+    (the latter drives the entrywise perturbation gates), normed from the
+    same fold halves as ``FactorNorms`` (``x_side_halves``), so they are a
+    bound report's ``kappa2`` and ``cond_x`` bit for bit; none of the
+    report's scaled norms is computed.
     """
-    norms = FactorNorms(factors)
-    return {"kappa2": norms.x_norm * norms.xinv_norm, "cond_x": norms.cond_x}
+    x_norm, xinv_norm, cond_x = map(halves_norm, x_side_halves(factors, np.abs(factors.x)))
+    return {"kappa2": x_norm * xinv_norm, "cond_x": cond_x}

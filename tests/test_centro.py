@@ -164,6 +164,40 @@ def test_fold_rejects_non_centro():
         fold(a)
 
 
+@pytest.mark.parametrize("m", [3, 5, 9])
+def test_fold_rejects_a_defect_only_in_the_middle_row(m):
+    """The half-scan reads the middle row of an odd m against its reverse."""
+    a = random_centro(m, 6, seed=m)
+    a[m // 2, 1] += 1e-6
+    assert centro_defect(a) == pytest.approx(1e-6, rel=1e-9)
+    assert not is_centrosymmetric(a)
+    with pytest.raises(NotCentrosymmetric):
+        fold(a)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("pos", [(0, 0), (3, 2), (4, 5), (8, 1), (8, 5)])
+def test_fold_rejects_non_finite_entries_anywhere(value, pos):
+    """The one max/min scan covers all of A, bottom half and middle row
+    included, before the defect is read from the top half."""
+    a = random_centro(9, 6, seed=4)
+    a[pos] = value
+    for check in (fold, is_centrosymmetric, centro_defect):
+        with pytest.raises(ValueError, match="non-finite"):
+            check(a)
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3, 4), (6, 4), (7, 6), (10, 3), (11, 8)])
+def test_half_scan_defect_equals_the_full_scan(shape):
+    for seed in range(4):
+        a = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+        if seed % 2:
+            a = 0.5 * (a + a[::-1, ::-1])
+            a[seed % shape[0], (3 * seed) % shape[1]] += 1e-9
+        full = float(np.max(np.abs(a[::-1, ::-1] - a)))
+        assert centro_defect(a) == full
+
+
 def test_builders_reject_invalid_arguments():
     with pytest.raises(ValueError, match="non-negative"):
         exchange_matrix(-1)
@@ -302,6 +336,17 @@ def test_random_centro_perturbation_contract(k_mode):
     # determinism
     da2, _, _ = random_centro_perturbation(a, eps, seed=7, k_mode=k_mode)
     assert np.array_equal(da, da2)
+
+
+def test_ones_model_holds_where_a_column_of_a_is_zero():
+    """dA is zero wherever A is, so a zero column sum of |A| carries no
+    perturbation and the all-ones model still holds."""
+    a = random_centro(8, 6, seed=5)
+    a[:, 0] = a[:, -1] = 0.0
+    da, k, eps_eff = random_centro_perturbation(a, 1e-8, seed=6, k_mode="ones")
+    assert not np.any(da[:, [0, -1]])
+    assert np.all(np.abs(da) <= eps_eff * (k @ np.abs(a)))
+    assert 0.0 < eps_eff <= 1e-8
 
 
 def test_perturbation_nonzero_and_scaled():

@@ -177,6 +177,96 @@ def test_rank_deficiency_found_in_a_later_panel(dependent):
         householder_qr(a)
 
 
+def _householder_qr_plain(mat):
+    """Oracle: the blocked kernel in its plain form, one numpy expression per
+    step (``np.sum(v * v)``, ``np.sqrt``, a fresh transpose per product, the
+    sign flips and the zero lower triangle on copies). ``householder_qr``
+    performs the same floating-point operations in the same order, so it
+    must agree bit for bit."""
+    a = as_matrix(mat, "qr input")
+    p, l = a.shape
+    e = linalg_mod.binary_exponent(a)
+    r = np.asfortranarray(np.ldexp(a, -e))
+    scale = frobenius_norm(r)
+    panels = []
+    for j0 in range(0, l, linalg_mod.QR_BLOCK):
+        j1 = min(j0 + linalg_mod.QR_BLOCK, l)
+        v_panel = np.zeros((p - j0, j1 - j0), order="F")
+        t = np.zeros((j1 - j0, j1 - j0))
+        for j in range(j0, j1):
+            k = j - j0
+            column = r[j0:, j]
+            if k:
+                earlier = v_panel[:, :k]
+                column -= earlier @ (t[:k, :k].T @ (earlier.T @ column))
+            v = v_panel[k:, k]
+            v[:] = column[k:]
+            alpha = float(np.sqrt(np.sum(v * v)))
+            if alpha <= linalg_mod.RANK_TOL * scale:
+                raise RankDeficient(
+                    f"pivot column {j}: norm {alpha:.3e} <= {linalg_mod.RANK_TOL:.1e} * {scale:.3e}"
+                )
+            if v[0] >= 0.0:
+                v[0] += alpha
+                column[k] = -alpha
+            else:
+                v[0] -= alpha
+                column[k] = alpha
+            v /= np.sqrt(np.sum(v * v))
+            t[:k, k] = -2.0 * (t[:k, :k] @ (v_panel[k:, :k].T @ v))
+            t[k, k] = 2.0
+        if j1 < l:
+            trailing = r[j0:, j1:]
+            trailing -= v_panel @ (t.T @ (v_panel.T @ trailing))
+        panels.append((j0, v_panel, t))
+    q = np.zeros((p, l))
+    q[:l, :l] = np.eye(l)
+    for j0, v_panel, t in reversed(panels):
+        block = q[j0:, j0:]
+        block -= v_panel @ (t @ (v_panel.T @ block))
+    r = np.ascontiguousarray(r[:l, :])
+    flip = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    r = r * flip[:, None]
+    q = q * flip[None, :]
+    r[np.tril_indices(l, -1)] = 0.0
+    return q, np.ldexp(r, e)
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (3, 1), (15, 15), (45, 15), (16, 16), (48, 16), (17, 17), (51, 17),
+     (33, 33), (99, 33), (500, 50), (251, 100), (158, 158)],
+)
+def test_qr_is_bit_identical_to_its_plain_form(shape):
+    """Q and R equal the plain form's bit for bit (signed zeros included), and
+    R is C-contiguous as before, so every product downstream rounds the same.
+    Shapes straddle the panel edges (QR_BLOCK = 16)."""
+    a = np.random.default_rng(sum(shape)).uniform(-1.0, 1.0, shape)
+    q, r = householder_qr(a)
+    q_ref, r_ref = _householder_qr_plain(a)
+    assert _bits(q) == _bits(q_ref) and _bits(r) == _bits(r_ref)
+    assert r.flags.c_contiguous and q.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dependent", [0, 5, 20, 35])
+def test_qr_rank_deficiency_message_matches_its_plain_form(dependent):
+    a = _rand(60, 40, 23)
+    if dependent:
+        a[:, dependent] = a[:, 3] - 2.0 * a[:, dependent - 1]
+    else:
+        a[:, 0] = 0.0
+    for mat in (a, np.zeros((5, 3))):
+        with pytest.raises(RankDeficient) as got:
+            householder_qr(mat)
+        with pytest.raises(RankDeficient) as want:
+            _householder_qr_plain(mat)
+        assert str(got.value) == str(want.value)
+
+
 # ------------------------------------------------------------ triangular
 
 
@@ -199,6 +289,57 @@ def test_triangular_solve_singular():
     r = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(SingularTriangular):
         triangular_solve(r, np.eye(2))
+
+
+SOLVE_ORDERS = [1, 2, 15, 16, 17, 31, 33, 100, 158, 160]
+
+
+def _triangular(l: int, seed: int) -> np.ndarray:
+    """R of a random (2l, l) matrix, with its columns graded over two decades."""
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (2 * l, l))
+    return householder_qr(a * np.logspace(0.0, -2.0, l))[1]
+
+
+@pytest.mark.parametrize("l", SOLVE_ORDERS)
+def test_blocked_solve_residual_zeros_and_scaling(l):
+    """Across the block edges (TRI_BLOCK = 16): |R Y - I|_F <= 10 u
+    kappa_F(R); the strict lower triangle of Y is exact (positive) zeros;
+    and scaling R by 2**k scales Y by 2**-k bit for bit."""
+    r = _triangular(l, seed=l)
+    y = triangular_solve(r, np.eye(l))
+    kappa_f = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
+    assert np.linalg.norm(r @ y - np.eye(l)) <= 10.0 * 2.0**-53 * kappa_f
+    lower = np.tril(y, -1)
+    assert np.all(lower == 0.0) and not np.any(np.signbit(lower))
+    for k in (-60, -1, 3, 70):
+        assert _bits(triangular_solve(2.0**k * r, np.eye(l))) == _bits(2.0**-k * y)
+
+
+def test_blocked_solve_matches_numpy_on_a_general_right_hand_side():
+    r = _triangular(40, seed=4)
+    b = _rand(40, 7, 8)
+    got = triangular_solve(r, b)
+    want = np.linalg.solve(r, b)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the diagonal blocks are read the same from any memory layout
+    strided = np.zeros((50, 45))
+    strided[:40, :40] = r
+    for layout in (np.asfortranarray(r), strided[:40, :40]):
+        assert _bits(triangular_solve(layout, b)) == _bits(got)
+
+
+def test_blocked_solve_reads_only_the_upper_triangle():
+    r = _triangular(37, seed=37)
+    noisy = r + np.tril(_rand(37, 37, 9), -1)
+    assert _bits(triangular_solve(noisy, np.eye(37))) == _bits(triangular_solve(r, np.eye(37)))
+
+
+@pytest.mark.parametrize("pivot", [17, 40, 49])
+def test_blocked_solve_rejects_a_zero_pivot_in_a_later_block(pivot):
+    r = _triangular(50, seed=50)
+    r[pivot, pivot] = 0.0
+    with pytest.raises(SingularTriangular, match=rf"^diagonal entry {pivot} "):
+        triangular_solve(r, np.eye(50))
 
 
 # ---------------------------------------------------------- spectral norm

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import centroqx.bounds as bounds_mod
 from centroqx.bounds import FactorNorms, bound_report
 from centroqx.centro import (
     exchange_matrix,
@@ -227,6 +228,17 @@ def test_conditioning_is_the_report_path(shape):
     da, _, _ = random_centro_perturbation(a, 1e-8, seed=1)
     rep = bound_report(a, f, da)
     assert (cond["kappa2"], cond["cond_x"]) == (rep.kappa2, rep.cond_x)
+
+
+def test_conditioning_norms_only_the_unscaled_halves(monkeypatch):
+    """conditioning takes |X|_2, |X^{-1}|_2 and ||X||X^{-1}||_2 from two fold
+    halves each (6 spectral norms) and none of a report's scaled norms."""
+    f = qx_decompose(random_centro(30, 12, seed=30))
+    calls = []
+    real = bounds_mod.spectral_norm
+    monkeypatch.setattr(bounds_mod, "spectral_norm", lambda h: calls.append(h.shape) or real(h))
+    conditioning(f)
+    assert calls == [(6, 6)] * 6
 
 
 # ---------------------------------------------------------------- errors

@@ -19,30 +19,33 @@ each bound with the measured quantity it must dominate and its gates;
 ``bound_report`` withholds every bound whose gates do not all hold.
 
 All minimizations record which scaling candidate won. Within one report
-every norm is computed once, when ``FactorNorms`` is built. Every n x n
-operand the closed forms norm (D^{-1}X, X^{-1}D, |X||X^{-1}|D) and dA are
-centrosymmetric, because D is palindromic, so each norm is the
-larger of its two fold halves' norms; ``QxFactors`` keeps the halves of X
-and X^{-1}. The Q-side norm |Q D^{-1}|_2 is the enclosure
+every norm, and each candidate's sqrt(1 + varsigma^2), is computed once,
+when ``FactorNorms`` is built. Every n x n operand the closed forms norm
+(D^{-1}X, X^{-1}D, |X||X^{-1}|D) and dA are centrosymmetric, because D is
+palindromic, so each norm is the larger of its two fold halves' norms
+(``centro.halves_norm``); ``qx.x_side_halves`` hands out the halves of X,
+X^{-1} and |X||X^{-1}|. The Q-side norm |Q D^{-1}|_2 is the enclosure
 max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
-route norms its maps through their actions (``operator_norm``), at
-O(mn^2 + n^3) flops per product; only |gx| is formed, without Kronecker
-products, for the entrywise consumers (``abs_responses``). Both operator
-routes solve the same majorant equation (``majorant``).
+route norms its maps through their actions (``linalg.operator_norm`` of a
+``LinearMap``), at O(mn^2 + n^3) flops per product; only |gx| is formed,
+without Kronecker products, for the entrywise consumers
+(``abs_responses``). Both operator routes solve the same majorant equation
+(``majorant``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .centro import centro_part, fold, fold_norm
+from .centro import fold_norm, halves_norm
 from .errors import SizeCapExceeded
-from .linalg import as_matrix, binary_exponent, frobenius_norm, operator_norm, spectral_norm
-from .xops import ScalingD, scaling_candidates, support_mask, varsigma
+from .linalg import LinearMap, as_matrix, binary_exponent, frobenius_norm, operator_norm
+from .qx import x_side_halves
+from .xops import scaling_candidates, support_mask, varsigma
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -123,19 +126,6 @@ def make_gate(name: str, value: float, threshold: float, relation: str) -> GateS
     return GateStatus(name, float(value), float(threshold), relation, bool(ok))
 
 
-def x_side_halves(factors, abs_x: np.ndarray) -> tuple:
-    """The fold halves that |X|_2, |X^{-1}|_2 and ||X||X^{-1}||_2 are normed
-    from: (R_f, R_g), their inverses, and the fold of the centrosymmetric
-    part of |X||X^{-1}| (``abs_x`` is |X|)."""
-    cond = fold(centro_part(abs_x @ np.abs(factors.xinv)))
-    return (factors.rf, factors.rg), factors.xinv_halves, cond
-
-
-def halves_norm(halves) -> float:
-    """|M|_2 of the matrix whose fold halves are ``halves``: the larger half norm."""
-    return max(spectral_norm(h) for h in halves)
-
-
 class FactorNorms:
     """Every norm a bound report reads, each computed once, on construction.
 
@@ -148,6 +138,7 @@ class FactorNorms:
     M) = delta^{-1} (F, G) and fold(M D) = (F, G) delta. The Q-side norm
     ``q_dinv`` is the enclosure ``max(1/d_i) sqrt(1 + |Q^T Q - I|_F)`` of
     ``|Q D^{-1}|_2``. The unscaled norms are the pairs' ``[0]`` entries.
+    ``spread`` holds each candidate's ``sqrt(1 + varsigma_D^2)``.
     """
 
     def __init__(self, factors) -> None:
@@ -156,15 +147,13 @@ class FactorNorms:
         self.abs_q = np.abs(factors.q)
         self.abs_x = np.abs(factors.x)
         delta = self.cands[1].delta
-
-        def pair(halves, side: str) -> tuple[float, float]:
-            scaled = [h / delta[:, None] if side == "rows" else h * delta[None, :] for h in halves]
-            return halves_norm(halves), halves_norm(scaled)
-
+        rows, cols = delta[:, None], delta[None, :]
         x_halves, xinv_halves, cond_halves = x_side_halves(factors, self.abs_x)
-        self.dinv_x = pair(x_halves, "rows")  # |D^{-1} X|_2
-        self.xinv_d = pair(xinv_halves, "cols")  # |X^{-1} D|_2
-        self.cond_d = pair(cond_halves, "cols")  # ||X||X^{-1}|D|_2
+        # |D^{-1} X|_2, |X^{-1} D|_2 and ||X||X^{-1}|D|_2
+        self.dinv_x = halves_norm(x_halves), halves_norm([h / rows for h in x_halves])
+        self.xinv_d = halves_norm(xinv_halves), halves_norm([h * cols for h in xinv_halves])
+        self.cond_d = halves_norm(cond_halves), halves_norm([h * cols for h in cond_halves])
+        self.spread = tuple(math.sqrt(1.0 + varsigma(d) ** 2) for d in self.cands)
         q = factors.q
         enclosure = math.sqrt(1.0 + frobenius_norm(q.T @ q - np.eye(q.shape[1])))
         self.q_dinv = (enclosure, (1.0 / float(np.min(delta))) * enclosure)
@@ -172,38 +161,26 @@ class FactorNorms:
         self.cond_x, self.q_norm = self.cond_d[0], self.q_dinv[0]
 
 
-def _minimize(
-    norms: FactorNorms, value_fn: Callable[[int, ScalingD], float]
-) -> tuple[float, str]:
-    best = math.inf
-    label = "identity"
-    for i, d in enumerate(norms.cands):
-        v = float(value_fn(i, d))
-        if v < best:
-            best = v
-            label = ("identity", "row-norms")[i]
-    return best, label
+def _least(products) -> tuple[float, str]:
+    """The smaller of the (identity, row-norms) candidates' products, with
+    the winner's label; the identity on a tie."""
+    i = int(products[1] < products[0])
+    return products[i], ("identity", "row-norms")[i]
 
 
 def min_sym_kappa(norms: FactorNorms) -> tuple[float, str]:
     """Minimized ``sqrt(1 + varsigma_D^2) * kappa2(D^{-1} X)`` over ``norms.cands``."""
-    return _minimize(
-        norms,
-        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * norms.dinv_x[i] * norms.xinv_d[i],
-    )
+    return _least([s * dx * xd for s, dx, xd in zip(norms.spread, norms.dinv_x, norms.xinv_d)])
 
 
 def min_q_product(norms: FactorNorms) -> tuple[float, str]:
     """Minimized ``|Q D^{-1}|_2 * |X^{-1} D|_2``."""
-    return _minimize(norms, lambda i, d: norms.q_dinv[i] * norms.xinv_d[i])
+    return _least([qd * xd for qd, xd in zip(norms.q_dinv, norms.xinv_d)])
 
 
 def min_comp_product(norms: FactorNorms) -> tuple[float, str]:
     """Minimized ``sqrt(1 + varsigma_D^2) * ||X||X^{-1}|D|_2 * |D^{-1} X|_2``."""
-    return _minimize(
-        norms,
-        lambda i, d: math.sqrt(1.0 + varsigma(d) ** 2) * norms.cond_d[i] * norms.dinv_x[i],
-    )
+    return _least([s * cd * dx for s, cd, dx in zip(norms.spread, norms.cond_d, norms.dinv_x)])
 
 
 def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray) -> None:
@@ -224,10 +201,10 @@ def _normwise_route(report: BoundReport, norms: FactorNorms, a, daa: np.ndarray)
     report.q_norm, report.x_norm, report.xinv_norm = q_norm, x_norm, xinv_norm
     report.kappa2, report.sym_kappa = kappa2, msym
 
-    report.x_refined = REFINED_X_CONSTANT * msym * q_norm * delta
+    report.coef_x4 = REFINED_X_CONSTANT * msym * q_norm
+    report.x_refined = report.coef_x4 * delta
     report.x_first_order = msym * q_norm * delta
     report.q_refined = REFINED_Q_CONSTANT_A * mq * q_norm * delta + REFINED_Q_CONSTANT_B * projected
-    report.coef_x4 = REFINED_X_CONSTANT * msym * q_norm
     if delta > 0.0:
         report.coef_q3 = report.q_refined / delta
 
@@ -256,27 +233,14 @@ def _entrywise_route(
     )
 
     mcomp, report.winners["comp_product"] = min_comp_product(norms)
-    report.x_comp_refined = COMP_X_CONSTANT * mcomp * qtkq * eps
-    report.q_comp = COMP_Q_CONSTANT * qtkq * cond_x * eps
     report.coef_x2 = COMP_X_CONSTANT * mcomp * qtkq
     report.coef_q1 = COMP_Q_CONSTANT * qtkq * cond_x
+    report.x_comp_refined = report.coef_x2 * eps
+    report.q_comp = report.coef_q1 * eps
     report.gates.append(
         make_gate("comp-combined-smallness", cond_x * kq_fro * eps, SMALLNESS_THRESHOLD, "<=")
     )
     report.x_comp_combined = COMP_COMBINED_CONSTANT * mcomp * kq_fro * eps
-
-
-class LinearMap(NamedTuple):
-    """``operator_norm``'s arguments for 2**e A: forward(V) = V A^T, adjoint(Y) = Y A."""
-
-    forward: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
-    rows: int
-    cols: int
-    e: int = 0
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.ldexp(self.forward(v[None]), self.e)[0]
 
 
 def _rank_one_rows(a: np.ndarray, u: np.ndarray, e: int) -> LinearMap:
@@ -397,7 +361,7 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:
     """Spectral norms of the three first-order maps, through their actions."""
-    return {name: operator_norm(*op) for name, op in ops.maps.items()}
+    return {name: operator_norm(op) for name, op in ops.maps.items()}
 
 
 def majorant(
@@ -438,13 +402,13 @@ def comp_matvec_bounds(
     absxs, abs_gx = np.abs(ops.xs), ops.gx
     a, u = (np.abs(f) for f in ops.hx_rows)
 
-    gxa_norm = operator_norm(
+    gxa_norm = operator_norm(LinearMap(
         lambda v: (absxs.T @ v.reshape(-1, n, m)).reshape(len(v), -1) @ abs_gx.T,
         lambda y: (absxs @ (y @ abs_gx).reshape(-1, n, m)).reshape(len(y), -1),
         len(abs_gx), m * n, -ops.e,
-    )
-    hxb_norm = operator_norm(*_rank_one_rows(a @ absxs.T, u @ absxs.T, -ops.e))
-    c_hat = operator_norm(*_rank_one_rows(a, u, ops.e))
+    ))
+    hxb_norm = operator_norm(_rank_one_rows(a @ absxs.T, u @ absxs.T, -ops.e))
+    c_hat = operator_norm(_rank_one_rows(a, u, ops.e))
     qtktkq_fro = frobenius_norm(kq.T @ kq)
     a_hat = gxa_norm * kq_fro
     b_hat = hxb_norm * qtktkq_fro

@@ -4,8 +4,8 @@ A real m x n matrix A is centrosymmetric when flipping it upside down and
 left-right returns it: ``R_m A R_n = A`` with R_k the exchange matrix. The
 fold transform block-diagonalizes any such matrix into two dense blocks of
 half size, which is what the factorization module builds on. The fold is
-orthogonal, so the singular values of A are those of its two halves together
-and ``fold_norm`` takes ``|A|_2`` from the halves.
+orthogonal, so the singular values of A are those of its two halves together:
+``halves_norm`` takes ``|A|_2`` from the halves, and ``fold_norm`` from A.
 """
 
 from __future__ import annotations
@@ -142,13 +142,17 @@ def unfold(f, g) -> np.ndarray:
     return out
 
 
-def fold_norm(a) -> float:
-    """``|A|_2`` of a centrosymmetric A with an even column count.
+def halves_norm(halves) -> float:
+    """``|A|_2`` of the matrix A whose fold halves are ``halves``: the larger
+    of their spectral norms."""
+    return max(spectral_norm(h) for h in halves)
 
-    The larger of the spectral norms of the two fold halves; raises the
-    fold's ``NotCentrosymmetric``/``OddColumnDimension``.
+
+def fold_norm(a) -> float:
+    """``|A|_2`` of a centrosymmetric A with an even column count, from its
+    fold halves; raises the fold's ``NotCentrosymmetric``/``OddColumnDimension``.
     """
-    return max(spectral_norm(h) for h in fold(a))
+    return halves_norm(fold(a))
 
 
 def centro_part(a) -> np.ndarray:

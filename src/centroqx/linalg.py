@@ -22,9 +22,10 @@ then the block rows are solved upward by matrix products, with no
 per-row Python loop. ``checked_matrix`` gives max|A| and rejects non-finite
 entries in one max/min scan, for the kernels that need both.
 
-``spectral_norm`` (of an array) and ``operator_norm`` (of a map given by its
-action and adjoint) work on the smaller Gram side k, at unit scale (exact
-powers of two, so results scale bit for bit).
+``spectral_norm`` (of an array) and ``operator_norm`` (of a ``LinearMap``,
+a map given by its action and adjoint on stacks of vectors) work on the
+smaller Gram side k, at unit scale (exact powers of two, so results scale
+bit for bit).
 One kernel, Lanczos with full reorthogonalization (Golub & Van Loan, Matrix
 Computations, 10.1-10.3) that takes the top eigenvalue of its tridiagonal
 by Sturm-count bisection, serves every k through a matvec. Up to
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -445,19 +447,33 @@ def spectral_norm(mat) -> float:
     e = math.frexp(top)[1]
     s = np.ldexp(a, -e)
     if s.shape[1] > GRAM_CROSSOVER:
-        return operator_norm(lambda v: v @ s.T, lambda y: y @ s, *s.shape, e)
+        return operator_norm(LinearMap(lambda v: v @ s.T, lambda y: y @ s, *s.shape, e))
     return float(np.ldexp(_gram_norm(s.T @ s), e))
 
 
-def operator_norm(forward, adjoint, rows: int, cols: int, e: int = 0) -> float:
-    """``2**e |A|_2`` for the rows x cols map A given at unit scale by
-    ``forward(V) = V A^T`` and ``adjoint(Y) = Y A`` on stacks of vectors;
-    ``NoConvergence`` carries its estimate at the scale 2**e. Up to
-    ``GRAM_CROSSOVER`` the Gram matrix comes from one stacked application to
-    the identity. Lanczos starts from ``_start_vector(k)``, not all-ones:
-    that lies in an invariant subspace of the structured first-order maps,
-    which misses their top singular direction.
+class LinearMap(NamedTuple):
+    """The rows x cols map 2**e A, given at unit scale by ``forward(V) = V
+    A^T`` and ``adjoint(Y) = Y A`` on stacks of vectors (one per row)."""
+
+    forward: Callable[[np.ndarray], np.ndarray]
+    adjoint: Callable[[np.ndarray], np.ndarray]
+    rows: int
+    cols: int
+    e: int = 0
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return np.ldexp(self.forward(v[None]), self.e)[0]
+
+
+def operator_norm(op: LinearMap) -> float:
+    """``|op|_2 = 2**e |A|_2``; ``NoConvergence`` carries its estimate at the
+    scale 2**e. Up to ``GRAM_CROSSOVER`` the Gram matrix comes from one
+    stacked application to the identity. Lanczos starts from
+    ``_start_vector(k)``, not all-ones: that lies in an invariant subspace
+    of the structured first-order maps, which misses their top singular
+    direction.
     """
+    forward, adjoint, rows, cols, e = op
     k = min(rows, cols)
     inner, outer = (forward, adjoint) if cols <= rows else (adjoint, forward)
     try:

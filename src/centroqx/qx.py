@@ -8,6 +8,8 @@ into two half-size blocks, takes their positive-diagonal thin QR
 factorizations, and unfolds the two Q halves into Q and the two triangular
 halves into X, by adds and flips, so X's off-support entries are exactly
 zero. ``QxFactors`` keeps the triangular halves; X^{-1} is built from them.
+``x_side_halves`` gives the fold halves that every X-side norm is taken
+from, by ``conditioning`` here and by a bound report.
 """
 
 from __future__ import annotations
@@ -17,16 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import halves_norm, x_side_halves
-from .centro import fold, unfold
+from .centro import centro_defect, centro_part, fold, halves_norm, unfold
 from .errors import SingularTriangular
-from .linalg import (
-    as_matrix,
-    frobenius_norm,
-    householder_qr,
-    max_abs,
-    triangular_solve,
-)
+from .linalg import as_matrix, frobenius_norm, householder_qr, triangular_solve
 from .xops import support_mask
 
 
@@ -54,13 +49,15 @@ def qx_decompose(a) -> QxFactors:
 
     Raises ``NotCentrosymmetric``, ``OddColumnDimension``, or
     ``RankDeficient`` (propagated from the half QR factorizations) when the
-    preconditions fail.
+    preconditions fail, and ``ValueError`` for an input that is not 2-d,
+    has a non-finite entry (both found by the fold's one scan of A) or has
+    fewer rows than columns.
     """
-    arr = as_matrix(a, "factorization input")
+    arr = np.asarray(a, dtype=float)
+    folded = fold(arr)
     m, n = arr.shape
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m}x{n}")
-    folded = fold(arr)
     qf, rf = householder_qr(folded.f)
     qg, rg = householder_qr(folded.g)
     return QxFactors(q=unfold(qf, qg), x=unfold(rf, rg), rf=rf, rg=rg)
@@ -113,15 +110,22 @@ def verify_qx(a, factors: QxFactors) -> VerificationReport:
     recon = frobenius_norm(arr - q @ x) / (1.0 + frobenius_norm(arr))
     orth = frobenius_norm(q.T @ q - np.eye(n))
     perp = frobenius_norm(q.T @ q[::-1] - np.eye(n)[::-1])
-    centro_defect = max_abs(q[::-1, ::-1] - q)
     off = frobenius_norm(x * (~support_mask(n).inside))
     return VerificationReport(
         reconstruction=recon,
         orthogonality=orth,
         perplecticity=perp,
-        q_centro_defect=centro_defect,
+        q_centro_defect=centro_defect(q),
         off_support=off,
     )
+
+
+def x_side_halves(factors: QxFactors, abs_x: np.ndarray) -> tuple:
+    """The fold halves that |X|_2, |X^{-1}|_2 and ||X||X^{-1}||_2 are normed
+    from: (R_f, R_g), their inverses, and the fold of the centrosymmetric
+    part of |X||X^{-1}| (``abs_x`` is |X|)."""
+    cond = fold(centro_part(abs_x @ np.abs(factors.xinv)))
+    return (factors.rf, factors.rg), factors.xinv_halves, cond
 
 
 def conditioning(factors: QxFactors) -> dict[str, float]:
@@ -129,8 +133,8 @@ def conditioning(factors: QxFactors) -> dict[str, float]:
 
     Returns ``kappa2 = |X|_2 |X^{-1}|_2`` and ``cond_x = | |X| |X^{-1}| |_2``
     (the latter drives the entrywise perturbation gates), normed from the
-    same fold halves as ``FactorNorms`` (``x_side_halves``), so they are a
-    bound report's ``kappa2`` and ``cond_x`` bit for bit; none of the
+    same fold halves as ``bounds.FactorNorms`` (``x_side_halves``), so they
+    are a bound report's ``kappa2`` and ``cond_x`` bit for bit; none of the
     report's scaled norms is computed.
     """
     x_norm, xinv_norm, cond_x = map(halves_norm, x_side_halves(factors, np.abs(factors.x)))

@@ -24,11 +24,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .centro import CENTRO_TOL, is_centrosymmetric
 from .errors import OddDimension, ZeroRow
 from .linalg import as_matrix, binary_exponent, frobenius_norm, max_abs, vec
 
 SCALE_FLOOR = 1e-300
-IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -109,17 +109,14 @@ def _require_square(arr: np.ndarray) -> None:
 
 
 def is_x_type(c) -> bool:
-    """Centrosymmetric and supported on S, both up to ``IDENTITY_TOL*max|C|`` (relative)."""
+    """Centrosymmetric (``is_centrosymmetric``) and supported on S, both up
+    to ``CENTRO_TOL*max|C|`` (relative)."""
     arr = as_matrix(c, "x-type check")
     _require_square(arr)
     n = arr.shape[0]
-    if n % 2 != 0:
+    if n % 2 != 0 or not is_centrosymmetric(arr):
         return False
-    scale = IDENTITY_TOL * max_abs(arr)
-    if max_abs(arr[::-1, ::-1] - arr) > scale:
-        return False
-    off = arr * (~support_mask(n).inside)
-    return max_abs(off) <= scale
+    return max_abs(arr * (~support_mask(n).inside)) <= CENTRO_TOL * max_abs(arr)
 
 
 def xvec(c) -> np.ndarray:

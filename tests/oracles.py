@@ -49,5 +49,5 @@ def kron_operators(f):
 
 
 def materialize(op) -> np.ndarray:
-    """The dense matrix of a ``bounds.LinearMap``, one column per unit vector."""
+    """The dense matrix of a ``linalg.LinearMap``, one column per unit vector."""
     return np.ldexp(op.forward(np.eye(op.cols)), op.e).T

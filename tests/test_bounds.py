@@ -358,7 +358,7 @@ def test_tightness_inequality(shape=None):
         ops = _ops(f)
         da, _, _ = random_centro_perturbation(a, 1e-8, seed=801 + m)
         out = tightness_check(_report(a, f, da, ops=ops))
-        assert out["g"] == operator_norm(*ops.maps["g"])
+        assert out["g"] == operator_norm(ops.maps["g"])
         assert out["g"] <= out["envelope"] + 1e-10
         assert out["slack"] >= -1e-10
 
@@ -463,9 +463,9 @@ def test_min_sym_kappa_identity():
 
 
 def _record_norm_operands(monkeypatch) -> tuple[list, list]:
-    """Shapes of the operands of every ``spectral_norm`` call, made through
-    ``fold_norm`` or directly from ``bounds``, and (rows, cols) of every
-    ``operator_norm`` call."""
+    """Shapes of the operands of every ``spectral_norm`` call, all made
+    through ``centro`` (``halves_norm`` and ``fold_norm``), and (rows, cols)
+    of every ``operator_norm`` call."""
     shapes: list[tuple[int, ...]] = []
     maps: list[tuple[int, int]] = []
     original, original_op = linalg_mod.spectral_norm, linalg_mod.operator_norm
@@ -474,12 +474,11 @@ def _record_norm_operands(monkeypatch) -> tuple[list, list]:
         shapes.append(np.shape(mat))
         return original(mat)
 
-    def recording_op(forward, adjoint, rows, cols, e=0):
-        maps.append((rows, cols))
-        return original_op(forward, adjoint, rows, cols, e)
+    def recording_op(op):
+        maps.append((op.rows, op.cols))
+        return original_op(op)
 
-    for module in (centro_mod, bounds_mod):
-        monkeypatch.setattr(module, "spectral_norm", recording)
+    monkeypatch.setattr(centro_mod, "spectral_norm", recording)
     monkeypatch.setattr(bounds_mod, "operator_norm", recording_op)
     return shapes, maps
 
@@ -519,7 +518,7 @@ def test_each_distinct_norm_computed_once(monkeypatch):
 
     monkeypatch.undo()
     envelope, winner = min_sym_kappa(FactorNorms(f))
-    g = operator_norm(*ops.maps["g"])
+    g = operator_norm(ops.maps["g"])
     assert shared == {"g": g, "envelope": envelope, "winner": winner, "slack": envelope - g}
     assert closed.sym_kappa == full.sym_kappa == shared["envelope"]
 

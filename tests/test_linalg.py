@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centroqx
-import centroqx.bounds as bounds_mod
 import centroqx.centro as centro_mod
 import centroqx.linalg as linalg_mod
 from centroqx.bounds import build_first_order_operators
@@ -20,6 +19,7 @@ from centroqx.centro import fold_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.harness import TrialConfig, run_trial
 from centroqx.linalg import (
+    LinearMap,
     _gram_norm,
     _lanczos_top,
     _start_vector,
@@ -501,7 +501,7 @@ def test_lanczos_basis_grows_with_its_steps():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        operator_norm(*op)
+        operator_norm(op)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -660,7 +660,7 @@ def test_first_order_map_norms_match_svd(shape):
     f = qx_decompose(random_centro(*shape, seed=sum(shape)))
     maps = build_first_order_operators(f).maps
     for (label, op), dense in zip(maps.items(), kron_operators(f)):
-        _assert_matches_svd(operator_norm(*op), dense, label)
+        _assert_matches_svd(operator_norm(op), dense, label)
 
 
 @pytest.mark.parametrize("k", [1, 7, 60, 128, 129, 200])
@@ -671,16 +671,16 @@ def test_operator_norm_of_an_array_matches_svd(k):
     ``NoConvergence`` carries its estimate at the scale 2**e."""
     a = np.random.default_rng(k).standard_normal((k + 5, k))
     for s in (a, a.T):
-        pair = (lambda v, s=s: v @ s.T, lambda y, s=s: y @ s, *s.shape)
-        norm = operator_norm(*pair)
+        op = LinearMap(lambda v, s=s: v @ s.T, lambda y, s=s: y @ s, *s.shape)
+        norm = operator_norm(op)
         _assert_matches_svd(norm, s, str(s.shape))
-        assert operator_norm(*pair, e=-40) == math.ldexp(norm, -40)
-        assert operator_norm(lambda v: 0 * v @ s.T, lambda y: 0 * y @ s, *s.shape) == 0.0
+        assert operator_norm(op._replace(e=-40)) == math.ldexp(norm, -40)
+        assert operator_norm(LinearMap(lambda v: 0 * v @ s.T, lambda y: 0 * y @ s, *s.shape)) == 0.0
     if k > 128:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(linalg_mod, "KRYLOV_STEPS", 3)
             with pytest.raises(NoConvergence) as info:
-                operator_norm(lambda v: v @ a.T, lambda y: y @ a, *a.shape, e=7)
+                operator_norm(LinearMap(lambda v: v @ a.T, lambda y: y @ a, *a.shape, e=7))
         assert 0.0 < info.value.estimate <= math.ldexp(np.linalg.norm(a, 2), 7)
         assert info.value.steps == 3
 
@@ -719,8 +719,7 @@ def test_one_step_lanczos_shortcut_is_bit_identical(monkeypatch):
     ]
     operands = []
     original = linalg_mod.spectral_norm
-    for module in (bounds_mod, centro_mod):
-        monkeypatch.setattr(module, "spectral_norm", lambda mat: operands.append(mat) or original(mat))
+    monkeypatch.setattr(centro_mod, "spectral_norm", lambda mat: operands.append(mat) or original(mat))
     steps = []
     top = linalg_mod._top_tridiagonal_eigenvalue
     monkeypatch.setattr(

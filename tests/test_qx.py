@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import centroqx.bounds as bounds_mod
+import centroqx.centro as centro_mod
 from centroqx.bounds import FactorNorms, bound_report
 from centroqx.centro import (
     exchange_matrix,
@@ -235,8 +235,8 @@ def test_conditioning_norms_only_the_unscaled_halves(monkeypatch):
     halves each (6 spectral norms) and none of a report's scaled norms."""
     f = qx_decompose(random_centro(30, 12, seed=30))
     calls = []
-    real = bounds_mod.spectral_norm
-    monkeypatch.setattr(bounds_mod, "spectral_norm", lambda h: calls.append(h.shape) or real(h))
+    real = centro_mod.spectral_norm
+    monkeypatch.setattr(centro_mod, "spectral_norm", lambda h: calls.append(h.shape) or real(h))
     conditioning(f)
     assert calls == [(6, 6)] * 6
 
@@ -269,3 +269,18 @@ def test_rejects_small_non_centro():
 def test_rejects_wide():
     with pytest.raises(ValueError):
         qx_decompose(random_centro(2, 4, seed=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_entries(value):
+    """The fold's one max/min scan of A finds a non-finite entry, also where
+    A stays centrosymmetric."""
+    a = random_centro(8, 4, seed=2)
+    a[1, 2] = a[-2, -3] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        qx_decompose(a)
+
+
+def test_rejects_one_dimensional_input():
+    with pytest.raises(ValueError, match="2-dimensional"):
+        qx_decompose(np.ones(4))

@@ -1,4 +1,5 @@
-"""Static checks on the package source: every imported name is used."""
+"""Static checks on the package source: every imported name is used, and
+each module imports only modules below it in the layer order."""
 
 from __future__ import annotations
 
@@ -10,6 +11,14 @@ import pytest
 import centroqx
 
 MODULES = sorted(Path(centroqx.__file__).parent.glob("*.py"))
+
+# Each module may import only modules before it here. The package's
+# ``__init__`` and ``__main__`` sit above every layer.
+LAYERS = (
+    "errors", "rng", "linalg", "centro", "xops", "matio", "qx", "bounds", "condnum", "harness",
+    "cli",
+)
+LAYERED = [p for p in MODULES if p.stem not in ("__init__", "__main__")]
 
 
 def _annotations(tree: ast.AST):
@@ -60,3 +69,37 @@ def test_unused_import_check_flags_a_dead_import():
         'def f(x: "Optional[int]"):\n    """Returns a FoldedPair."""\n    return fold(math.pi)\n'
     )
     assert unused_imports(source) == ["FoldedPair (line 2)"]
+
+
+def layer_violations(source: str, module: str) -> list[str]:
+    """Package modules that ``module`` imports (relatively) from its own
+    position in ``LAYERS`` or later. ``from . import name`` counts ``name``
+    when it is a module; otherwise it reads the package ``__init__``."""
+    own = LAYERS.index(module)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [
+                f"{t} (line {node.lineno})" for t in targets
+                if t in LAYERS and LAYERS.index(t) >= own
+            ]
+    return found
+
+
+def test_layer_order_lists_every_module():
+    assert sorted(p.stem for p in LAYERED) == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("path", LAYERED, ids=[p.name for p in LAYERED])
+def test_imports_follow_the_layer_order(path):
+    assert layer_violations(path.read_text(encoding="utf-8"), path.stem) == []
+
+
+def test_layer_check_flags_a_back_edge():
+    source = (
+        "from . import __version__\nfrom .centro import fold\n\n"
+        "def f():\n    from .bounds import BOUNDS\n    return BOUNDS\n"
+    )
+    assert layer_violations(source, "qx") == ["bounds (line 5)"]
+    assert layer_violations(source, "condnum") == []

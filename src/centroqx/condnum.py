@@ -104,10 +104,12 @@ def empirical_cond_probe(a, base, eps: float, seed: int, trials: int = 8) -> Pro
     """Measure condition ratios by refactorizing under ``dA = eps * S * A``.
 
     ``base`` is the ``QxFactors`` of ``a``. The sign patterns S are
-    centrosymmetric, so each perturbed matrix stays factorizable; the
-    measured ratios are first-order lower evidence for the formula values
-    (they may never exceed them beyond O(eps) curvature). ``eps`` is capped
-    at ``PROBE_EPS_CAP`` to stay in the linear regime.
+    centrosymmetric, so each perturbed matrix stays factorizable; all of
+    them are factored in one stacked ``qx_decompose`` call. The measured
+    ratios are first-order lower evidence for the formula values (they may
+    never exceed them beyond O(eps) curvature). ``eps`` must lie in
+    (0, ``PROBE_EPS_CAP``], to stay in the linear regime (``ValueError``
+    otherwise); the caller caps it.
     """
     if not (0.0 < eps <= PROBE_EPS_CAP):
         raise ValueError(f"probe eps must lie in (0, {PROBE_EPS_CAP}], got {eps}")
@@ -116,9 +118,8 @@ def empirical_cond_probe(a, base, eps: float, seed: int, trials: int = 8) -> Pro
     xv = xvec(base.x)
     qv = vec(base.q)
     best = [0.0] * len(COND_NUMBERS)
-    for t in range(trials):
-        s = random_sign_centro(m, n, derive_seed(seed, t))
-        perturbed = qx_decompose(aa + eps * (s * aa))
+    signs = np.array([random_sign_centro(m, n, derive_seed(seed, t)) for t in range(trials)])
+    for perturbed in qx_decompose(aa + eps * (signs.reshape(-1, m, n) * aa)):
         # X is exactly zero off its support, so its ratios run over xvec.
         ratios = (
             *_mixed_comp(xvec(perturbed.x - base.x), xv),

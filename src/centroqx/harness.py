@@ -121,11 +121,11 @@ class TrialRecord:
     tightness_slack: Optional[float] = None
     operators_skipped: bool = False
     error: Optional[str] = None
-    # Wall seconds per stage that ran: generate (A and dA), factor (Q, X and
-    # X's halves; X^{-1} is built by the first stage that reads it, operators
-    # or else bounds), refactor (A + dA and the measured deltas), operators,
-    # bounds (report and domination), cond_upper, cond (exact condition
-    # numbers and tightness), probe.
+    # Wall seconds per stage that ran: generate (A and dA), factor (A and
+    # A + dA in one stacked call, Q, X and X's halves of each, and the
+    # measured deltas; X^{-1} is built by the first stage that reads it,
+    # operators or else bounds), operators, bounds (report and domination),
+    # cond_upper, cond (exact condition numbers and tightness), probe.
     stage_times: dict[str, float] = field(default_factory=dict)
     wall_time: float = 0.0
 
@@ -169,20 +169,18 @@ def run_trial(cfg: TrialConfig) -> TrialRecord:
     try:
         a = cfg.materialize()
         record.m, record.n = a.shape
-        lap("generate")
-        factors = qx_decompose(a)
-        lap("factor")
+        # dA depends on A alone, so A and A + dA are factored in one call.
         da, k, eps_eff = random_centro_perturbation(
             a, cfg.scale, derive_seed(cfg.seed, 0xB), cfg.k_mode
         )
+        lap("generate")
+        factors, perturbed = qx_decompose(np.stack([a, a + da]))
         record.eps_eff = eps_eff
         record.delta_a = frobenius_norm(da)
-        lap("generate")
-        perturbed = qx_decompose(a + da)
         record.delta_x = frobenius_norm(perturbed.x - factors.x)
         record.delta_q = frobenius_norm(perturbed.q - factors.q)
         record.qt_delta_q = frobenius_norm(factors.q.T @ (perturbed.q - factors.q))
-        lap("refactor")
+        lap("factor")
 
         ops: Optional[FirstOrderOperators] = None
         if cfg.with_operators:
@@ -454,13 +452,12 @@ def fd_check(m: int, n: int, seed: int, eps_values: list[float]) -> FdReport:
     shrink linearly in eps, so consecutive-decade ratios land near 10.
     """
     a = random_centro(m, n, derive_seed(seed, 0xA))
-    factors = qx_decompose(a)
-    ops = build_first_order_operators(factors)
     mask = random_centro(m, n, derive_seed(seed, 0xB))
+    steps = [eps * (mask * a) for eps in eps_values]
+    factors, *ladder = qx_decompose(np.stack([a, *(a + da for da in steps)]))
+    ops = build_first_order_operators(factors)
     rx, rq = [], []
-    for eps in eps_values:
-        da = eps * (mask * a)
-        perturbed = qx_decompose(a + da)
+    for da, perturbed in zip(steps, ladder):
         scale = frobenius_norm(da)
         rx.append(
             frobenius_norm(xvec(perturbed.x - factors.x) - ops.maps["g"].matvec(vec(da))) / scale

@@ -14,13 +14,18 @@ products (BLAS-3) rather than by one rank-one update per reflector. Its
 per-column steps are written for few numpy calls (squared norms summed
 pairwise by ``np.add.reduce`` into one reused buffer, scalar square roots
 by ``math.sqrt``, transposes bound once per panel) without changing any
-floating-point operation or its order.
+floating-point operation or its order. A (B, p, l) stack of same-shape
+matrices is factored in lockstep: one pass of the column loop drives all B
+through batched products, so its Python cost per column is paid once, and
+slice i is bit for bit the factorization of slice i alone. A stack of one
+takes the 2-d loop, which is faster for a single matrix.
 
 ``triangular_solve`` is blocked back-substitution: the diagonal blocks of
 width ``TRI_BLOCK`` are inverted together by doubling on their stack,
 then the block rows are solved upward by matrix products, with no
-per-row Python loop. ``checked_matrix`` gives max|A| and rejects non-finite
-entries in one max/min scan, for the kernels that need both.
+per-row Python loop; a stack of triangular matrices is solved in the same
+pass. ``checked_matrix`` gives max|A| and rejects non-finite entries in one
+max/min scan, for the kernels that need both.
 
 ``spectral_norm`` (of an array) and ``operator_norm`` (of a ``LinearMap``,
 a map given by its action and adjoint on stacks of vectors) work on the
@@ -31,7 +36,9 @@ Computations, 10.1-10.3) that takes the top eigenvalue of its tridiagonal
 by Sturm-count bisection, serves every k through a matvec. Up to
 ``GRAM_CROSSOVER`` the matvec is the k x k Gram matrix, formed once, and
 Lanczos starts from the dominant column of a high power of it, reached by
-normalised squaring, and runs until its basis spans an invariant subspace
+normalised squaring (one ``einsum`` per squaring gives the column norms
+that pick that column, its squared norm and the scale), and runs until its
+basis spans an invariant subspace
 or all k dimensions, which resolves clusters of top singular values. Above
 it the matvec is the map and its adjoint (two products for an array),
 Lanczos starts from a fixed pseudo-random vector and also stops once its
@@ -83,6 +90,18 @@ def checked_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
     return arr, top
 
 
+def _slice_maxima(stack: np.ndarray, name: str) -> list[float]:
+    """``max|S_i|`` of each matrix of a 3-d stack, by one max/min scan that
+    also rejects non-finite entries (``ValueError``)."""
+    tops = np.maximum(
+        np.maximum.reduce(stack, axis=(1, 2), initial=0.0),
+        -np.minimum.reduce(stack, axis=(1, 2), initial=0.0),
+    ).tolist()
+    if not all(map(math.isfinite, tops)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return tops
+
+
 def max_abs(a) -> float:
     arr = np.asarray(a, dtype=float)
     return float(np.max(np.abs(arr))) if arr.size else 0.0
@@ -118,18 +137,19 @@ def entrywise_div(x, y) -> np.ndarray:
 
 
 def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR with R forced to a positive diagonal.
+    """Thin QR with R forced to a positive diagonal, of one matrix or of a
+    stack of same-shape matrices.
 
     Parameters
     ----------
-    mat : array_like, shape (p, l), p >= l
-        Matrix with full column rank.
+    mat : array_like, shape (p, l) or (B, p, l), p >= l
+        Matrix (or matrices) with full column rank.
 
     Returns
     -------
-    q : ndarray, shape (p, l)
+    q : ndarray, shape (p, l) or (B, p, l)
         Orthonormal columns.
-    r : ndarray, shape (l, l)
+    r : ndarray, shape (l, l) or (B, l, l)
         Upper triangular with strictly positive diagonal; the strict lower
         triangle is exactly zero.
 
@@ -137,12 +157,12 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     ------
     RankDeficient
         If a pivot column norm falls below ``RANK_TOL`` times the Frobenius
-        norm of the input.
+        norm of the input (of its slice, which the message names).
 
-    The input is divided by a power of two ``2**e >= max|A|`` (exact) and R
-    multiplied back at the end, so no column norm overflows or underflows:
-    ``householder_qr(2**k A)`` is ``(Q, 2**k R)`` bit for bit while the entries
-    stay in the normal range.
+    Each matrix is divided by its own power of two ``2**e >= max|A|``
+    (exact) and its R multiplied back at the end, so no column norm
+    overflows or underflows: ``householder_qr(2**k A)`` is ``(Q, 2**k R)``
+    bit for bit while the entries stay in the normal range.
 
     Blocked compact WY (Schreiber & Van Loan 1989). Panels of ``QR_BLOCK``
     columns are factored one column at a time: column j first receives the
@@ -155,11 +175,44 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     in reverse, each as ``Q - V T V^T Q`` on rows and columns from the panel's
     first index j0 on: the columns left of j0 are still unit vectors that
     vanish on those rows, so they need no work (the order of LAPACK's dorgqr).
+
+    A stack of B > 1 matrices is factored in lockstep (``_qr_lockstep``), one
+    pass of the column loop for all of them; slice i of the result is bit
+    for bit the factorization of slice i alone. A stack of one takes the
+    single-matrix loop, which is faster there.
     """
-    a, top = checked_matrix(mat, "qr input")
-    p, l = a.shape
+    arr = np.asarray(mat, dtype=float)
+    if arr.ndim != 3:
+        a, top = checked_matrix(arr, "qr input")
+        _check_tall(a.shape)
+        return _qr_one(a, top)
+    _check_tall(arr.shape[1:])
+    tops = _slice_maxima(arr, "qr input")
+    if len(tops) != 1:
+        return _qr_lockstep(arr, tops)
+    try:
+        q, r = _qr_one(arr[0], tops[0])
+    except RankDeficient as exc:
+        raise RankDeficient(f"slice 0: {exc}") from None
+    return q[None], r[None]
+
+
+def _check_tall(shape) -> None:
+    p, l = shape
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
+
+
+def _rank_deficient(j: int, alpha: float, scale: float) -> RankDeficient:
+    return RankDeficient(f"pivot column {j}: norm {alpha:.3e} <= {RANK_TOL:.1e} * {scale:.3e}")
+
+
+def _qr_one(a: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """``householder_qr`` of one p x l matrix with ``max|a| == top``. Its
+    per-column steps make few numpy calls: squared norms summed pairwise by
+    ``np.add.reduce`` into one reused buffer, scalar square roots by
+    ``math.sqrt``, transposes bound once per panel."""
+    p, l = a.shape
     e = math.frexp(top)[1]
     r = np.asfortranarray(np.ldexp(a, -e))  # column-major: panel columns are contiguous
     scale = frobenius_norm(r)
@@ -180,9 +233,7 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
             sq = squares[: p - j]
             alpha = math.sqrt(np.add.reduce(np.multiply(v, v, out=sq)))
             if alpha <= RANK_TOL * scale:
-                raise RankDeficient(
-                    f"pivot column {j}: norm {alpha:.3e} <= {RANK_TOL:.1e} * {scale:.3e}"
-                )
+                raise _rank_deficient(j, alpha, scale)
             v0 = v[0]
             if v0 >= 0.0:  # push away from the cancelling sign
                 v[0] = v0 + alpha
@@ -209,6 +260,71 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     return q, np.ldexp(r, e, out=r)
 
 
+def _qr_lockstep(a: np.ndarray, tops: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``_qr_one`` on every slice of the (B, p, l) stack ``a`` at once.
+
+    Each array keeps, slice by slice, the memory layout that ``_qr_one``
+    gives it (R and the reflector panels column-major, T and Q row-major),
+    so every stacked ``np.matmul`` runs the same BLAS call (gemm, or gemv on
+    a column) per slice, and ``np.add.reduce`` along contiguous rows sums
+    each slice pairwise as the 1-d reduction does: every slice is bit for
+    bit its own ``_qr_one``. Vectors are (B, n) rows, lifted to (B, n, 1)
+    columns for products. The sign choice and the rank test run per slice
+    on Python floats.
+    """
+    nb, p, l = a.shape
+    e = [math.frexp(top)[1] for top in tops]
+    r = np.empty((nb, l, p)).transpose(0, 2, 1)  # each slice column-major
+    np.ldexp(a, -np.array(e)[:, None, None], out=r)
+    scale = [frobenius_norm(s) for s in r]
+    squares = np.empty((nb, p))
+    panels: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for j0 in range(0, l, QR_BLOCK):
+        j1 = min(j0 + QR_BLOCK, l)
+        v_rows = np.zeros((nb, j1 - j0, p - j0))
+        v_panel = v_rows.transpose(0, 2, 1)
+        t = np.zeros((nb, j1 - j0, j1 - j0))
+        t_t = t.transpose(0, 2, 1)
+        for j in range(j0, j1):
+            k = j - j0
+            column = r[:, j0:, j]
+            if k:
+                coeffs = t_t[:, :k, :k] @ (v_rows[:, :k] @ column[..., None])
+                column -= (v_panel[:, :, :k] @ coeffs)[..., 0]
+            v = v_rows[:, k, k:]
+            v[:] = column[:, k:]
+            sq = squares[:, : p - j]
+            alpha = np.sqrt(np.add.reduce(np.multiply(v, v, out=sq), axis=1)).tolist()
+            for i, (ai, si) in enumerate(zip(alpha, scale)):
+                if ai <= RANK_TOL * si:
+                    raise RankDeficient(f"slice {i}: {_rank_deficient(j, ai, si)}")
+            for i, (ai, v0) in enumerate(zip(alpha, v[:, 0].tolist())):
+                if v0 >= 0.0:  # push away from the cancelling sign
+                    v[i, 0] = v0 + ai
+                    column[i, k] = -ai
+                else:
+                    v[i, 0] = v0 - ai
+                    column[i, k] = ai
+            v /= np.sqrt(np.add.reduce(np.multiply(v, v, out=sq), axis=1))[:, None]
+            t[:, :k, k] = -2.0 * (t[:, :k, :k] @ (v_rows[:, :k, k:] @ v[..., None]))[..., 0]
+            t[:, k, k] = 2.0
+        if j1 < l:
+            trailing = r[:, j0:, j1:]
+            trailing -= v_panel @ (t_t @ (v_rows @ trailing))
+        panels.append((j0, v_panel, t))
+    q = np.zeros((nb, p, l))
+    q[:, range(l), range(l)] = 1.0
+    for j0, v_panel, t in reversed(panels):
+        block = q[:, j0:, j0:]
+        block -= v_panel @ (t @ (v_panel.transpose(0, 2, 1) @ block))
+    flip = np.where(r.diagonal(axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    r = r[:, :l]
+    r *= flip[:, :, None]
+    q *= flip[:, None, :]
+    r = np.triu(r)
+    return q, np.ldexp(r, np.array(e)[:, None, None], out=r)
+
+
 TRI_BLOCK = 16  # diagonal block width of triangular_solve
 
 
@@ -220,10 +336,11 @@ def _upper(w: int) -> np.ndarray:
 
 
 def _diagonal_block_inverses(ra: np.ndarray, w: int) -> np.ndarray:
-    """Inverses of the w x w diagonal blocks of the upper-triangular ``ra``,
-    stacked; the last block is padded with the identity.
+    """Inverses of the w x w diagonal blocks of each upper-triangular matrix
+    of the (S, l, l) stack ``ra``, shape (S, blocks, w, w); the last block
+    of each is padded with the identity.
 
-    Doubling on the whole stack at once. The stack starts as the reciprocal
+    Doubling on all the blocks at once. The stack starts as the reciprocal
     diagonal plus the negated strict upper triangle -U (the copy negates the
     diagonal too, and -1/(-d) is 1/d exactly); each level joins
     neighbouring inverted s x s blocks into one of size 2s through
@@ -233,38 +350,46 @@ def _diagonal_block_inverses(ra: np.ndarray, w: int) -> np.ndarray:
     rest. The levels write only above the diagonal, so the strict lower
     triangles stay exact zeros.
     """
-    l = ra.shape[0]
+    ns, l = ra.shape[:2]
     nb, full = -(-l // w), l // w
-    stack = np.zeros((nb, w, w))
+    per_matrix = np.zeros((ns, nb, w, w))
+    stack = per_matrix.reshape(ns * nb, w, w)
     b0, b1, b2 = stack.strides
-    diagonals = np.ndarray((nb, w), buffer=stack, strides=(b0, b1 + b2))
+    diagonals = np.ndarray((ns * nb, w), buffer=stack, strides=(b0, b1 + b2))
     diagonals.fill(-1.0)  # the padding's, negated like the copied ones
     mask = _upper(w)
     if full:
         ra = np.ascontiguousarray(ra)
-        row, item = ra.strides
-        blocks = np.ndarray((full, w, w), buffer=ra, strides=(w * (row + item), row, item))
-        np.negative(blocks, out=stack[:full], where=mask)
+        mat, row, item = ra.strides
+        blocks = np.ndarray((ns, full, w, w), buffer=ra, strides=(mat, w * (row + item), row, item))
+        np.negative(blocks, out=per_matrix[:, :full], where=mask)
     if full < nb:
         h = l - full * w
-        np.negative(ra[full * w:, full * w:], out=stack[full, :h, :h], where=mask[:h, :h])
+        corner = ra[:, full * w:, full * w:]
+        np.negative(corner, out=per_matrix[:, full, :h, :h], where=mask[:h, :h])
     np.divide(-1.0, diagonals, out=diagonals)
     if w > 1:  # a (-u c) on the superdiagonal of each 2 x 2 block
-        upper = np.ndarray((nb, w // 2), buffer=stack, offset=b2, strides=(b0, 2 * (b1 + b2)))
+        upper = np.ndarray((ns * nb, w // 2), buffer=stack, offset=b2, strides=(b0, 2 * (b1 + b2)))
         upper *= diagonals[:, 1::2]
         upper *= diagonals[:, 0::2]
     s = 2
     while s < w:
         k = w // (2 * s)
-        blocks = np.ndarray((nb, k, 2 * s, 2 * s), buffer=stack, strides=(b0, (b1 + b2) * 2 * s, b1, b2))
+        blocks = np.ndarray(
+            (ns * nb, k, 2 * s, 2 * s), buffer=stack, strides=(b0, (b1 + b2) * 2 * s, b1, b2)
+        )
         upper = blocks[:, :, :s, s:]
         np.matmul(blocks[:, :, :s, :s], upper @ blocks[:, :, s:, s:], out=upper)
         s *= 2
-    return stack
+    return per_matrix
 
 
 def triangular_solve(r, b) -> np.ndarray:
-    """Solve ``R y = B`` for upper-triangular R by blocked back-substitution.
+    """Solve ``R Y = B`` for upper-triangular R by blocked back-substitution.
+
+    R may be one l x l matrix or an (S, l, l) stack, solved in one pass
+    with B shared (l rows) or stacked (S, l, k); slice i of Y is bit for bit
+    the solve of slice i alone.
 
     The diagonal blocks of width ``TRI_BLOCK`` (or the next power of two at
     or above the order, if smaller) are inverted together by doubling
@@ -275,30 +400,45 @@ def triangular_solve(r, b) -> np.ndarray:
     B the strict lower triangle of Y is exact zeros.
 
     Raises ``SingularTriangular`` when a diagonal pivot is below ``PIVOT_TOL``
-    times the largest entry of R in magnitude.
+    times the largest entry of its R in magnitude (naming the slice of a
+    stack).
     """
-    ra, top = checked_matrix(r, "triangular matrix")
-    l = ra.shape[0]
-    if ra.shape[1] != l:
-        raise ValueError(f"triangular matrix must be square, got {ra.shape}")
+    arr = np.asarray(r, dtype=float)
+    stacked = arr.ndim == 3
+    if stacked:
+        ra, tops = arr, _slice_maxima(arr, "triangular matrix")
+    else:
+        ra, top = checked_matrix(arr, "triangular matrix")
+        ra, tops = ra[None], [top]
+    l = ra.shape[1]
+    if ra.shape[2] != l:
+        raise ValueError(f"triangular matrix must be square, got {arr.shape}")
     b_arr = np.asarray(b, dtype=float)
-    if b_arr.shape[0] != l:
+    if (b_arr.shape[1] if b_arr.ndim == 3 else b_arr.shape[0]) != l:
         raise ValueError("right-hand side row count does not match")
-    pivot_floor = PIVOT_TOL * top
-    magnitudes = np.abs(ra.diagonal())
-    if l and np.minimum.reduce(magnitudes) <= pivot_floor:
-        worst = int(np.argmin(magnitudes))
-        raise SingularTriangular(
-            f"diagonal entry {worst} has magnitude {magnitudes[worst]:.3e} <= {pivot_floor:.3e}"
-        )
+    columns = b_arr[:, None] if b_arr.ndim == 1 else b_arr
+    magnitudes = np.abs(ra.diagonal(axis1=1, axis2=2))
+    for i, top in enumerate(tops):
+        pivot_floor = PIVOT_TOL * top
+        if l and np.minimum.reduce(magnitudes[i]) <= pivot_floor:
+            worst = int(np.argmin(magnitudes[i]))
+            msg = (
+                f"diagonal entry {worst} has magnitude {magnitudes[i, worst]:.3e}"
+                f" <= {pivot_floor:.3e}"
+            )
+            raise SingularTriangular(f"slice {i}: {msg}" if stacked else msg)
     w = min(TRI_BLOCK, 1 << (l - 1).bit_length())
     inverses = _diagonal_block_inverses(ra, w)
-    y = np.empty(b_arr.shape)
+    y = np.empty((len(ra), *columns.shape[-2:]))
     for i0 in range((l - 1) // w * w, -1, -w):
         i1 = min(i0 + w, l)
-        rhs = b_arr[i0:i1] if i1 == l else b_arr[i0:i1] - ra[i0:i1, i1:] @ y[i1:]
-        np.matmul(inverses[i0 // w, : i1 - i0, : i1 - i0], rhs, out=y[i0:i1])
-    return y
+        rhs = columns[..., i0:i1, :]
+        if i1 < l:
+            rhs = rhs - ra[:, i0:i1, i1:] @ y[:, i1:]
+        np.matmul(inverses[:, i0 // w, : i1 - i0, : i1 - i0], rhs, out=y[:, i0:i1])
+    if not stacked:
+        y = y[0]
+    return y[..., 0] if b_arr.ndim == 1 else y
 
 
 @lru_cache(maxsize=32)
@@ -413,16 +553,24 @@ def _gram_norm(g: np.ndarray) -> float:
     always in the range of G, so Lanczos from c mostly meets an invariant
     subspace after one product with G (from ``_start_vector`` it runs all k
     steps: 1.5 to 3 times the time on the benchmark pools' operands).
+
+    One ``einsum`` per squaring gives the squared column norms of P^2: their
+    sum is |P^2|_F^2, their argmax picks c and the entry there is c^T c.
+    P^2 is scaled only after c and its Rayleigh quotient are taken; it stays
+    in range unscaled, since |P|_F = 1 and P is symmetric positive
+    semidefinite, so 1/k <= |P^2|_F <= 1.
     """
     p = g / math.sqrt(float(np.sum(g * g)))
     rayleigh = 0.0
     for _ in range(_SQUARINGS):
         p = p @ p
-        p /= math.sqrt(float(np.sum(p * p)))
-        c = p[:, int(np.argmax(np.sum(p * p, axis=0)))]
-        updated = float(c @ (g @ c)) / float(c @ c)
+        squares = np.einsum("ij,ij->j", p, p)
+        j = int(squares.argmax())
+        c = p[:, j]
+        updated = float(c @ (g @ c)) / float(squares[j])
         if abs(updated - rayleigh) <= _SQUARING_TOL * updated:
             break
+        p /= math.sqrt(float(squares.sum()))
         rayleigh = updated
     return _lanczos_top(lambda v: g @ v, c, g.shape[0])
 

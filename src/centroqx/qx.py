@@ -44,31 +44,56 @@ class QxFactors:
         return unfold(*self.xinv_halves)
 
 
-def qx_decompose(a) -> QxFactors:
-    """Thin QX factorization of a full-column-rank centrosymmetric matrix.
+def qx_decompose(a) -> QxFactors | list[QxFactors]:
+    """Thin QX factorization of a full-column-rank centrosymmetric matrix,
+    or of each matrix of a (B, m, n) stack.
+
+    Returns one ``QxFactors`` for an m x n matrix and a list of B of them
+    for a stack. Each matrix is folded, and each group of same-shape fold
+    halves is factored by one lockstep ``householder_qr`` call: the f
+    halves of all B matrices together and the g halves together, or all 2B
+    halves in one call where m is even and f and g share a shape. Every
+    factor is bit for bit what the matrix gives on its own.
 
     Raises ``NotCentrosymmetric``, ``OddColumnDimension``, or
-    ``RankDeficient`` (propagated from the half QR factorizations) when the
-    preconditions fail, and ``ValueError`` for an input that is not 2-d,
-    has a non-finite entry (both found by the fold's one scan of A) or has
-    fewer rows than columns.
+    ``RankDeficient`` (propagated from the half QR factorizations; its
+    ``slice i`` counts the halves of the call, the f halves of matrices
+    0..B-1 and then, for even m, their g halves) when the preconditions
+    fail, and ``ValueError`` for an input that is not 2-d or 3-d, has a
+    non-finite entry (both found by the fold's one scan of each matrix) or
+    has fewer rows than columns.
     """
     arr = np.asarray(a, dtype=float)
-    folded = fold(arr)
-    m, n = arr.shape
+    if arr.ndim != 3:
+        return _decompose_stack(arr[None])[0]
+    return _decompose_stack(arr)
+
+
+def _decompose_stack(stack: np.ndarray) -> list[QxFactors]:
+    halves = [fold(a) for a in stack]
+    if not halves:
+        return []
+    m, n = stack.shape[1:]
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m}x{n}")
-    qf, rf = householder_qr(folded.f)
-    qg, rg = householder_qr(folded.g)
-    return QxFactors(q=unfold(qf, qg), x=unfold(rf, rg), rf=rf, rg=rg)
+    fs, gs = zip(*halves)
+    if m % 2:  # f has one row more than g
+        (qf, rf), (qg, rg) = householder_qr(np.stack(fs)), householder_qr(np.stack(gs))
+    else:
+        q, r = householder_qr(np.stack(fs + gs))
+        (qf, qg), (rf, rg) = np.split(q, 2), np.split(r, 2)
+    return [
+        QxFactors(q=unfold(q_f, q_g), x=unfold(r_f, r_g), rf=r_f, rg=r_g)
+        for q_f, q_g, r_f, r_g in zip(qf, qg, rf, rg)
+    ]
 
 
 def _invert_halves(rf: np.ndarray, rg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    eye = np.eye(rf.shape[1])
     try:
-        return triangular_solve(rf, eye), triangular_solve(rg, eye)
+        yf, yg = triangular_solve(np.stack([rf, rg]), np.eye(rf.shape[1]))
     except SingularTriangular as exc:
         raise SingularTriangular(f"X factor is numerically singular: {exc}") from exc
+    return yf, yg
 
 
 def x_inverse(x) -> np.ndarray:

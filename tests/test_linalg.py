@@ -236,11 +236,13 @@ def _bits(x: np.ndarray) -> bytes:
     return np.ascontiguousarray(x).tobytes()
 
 
-@pytest.mark.parametrize(
-    "shape",
-    [(1, 1), (3, 1), (15, 15), (45, 15), (16, 16), (48, 16), (17, 17), (51, 17),
-     (33, 33), (99, 33), (500, 50), (251, 100), (158, 158)],
-)
+QR_SHAPES = [
+    (1, 1), (3, 1), (15, 15), (45, 15), (16, 16), (48, 16), (17, 17), (51, 17),
+    (33, 33), (99, 33), (500, 50), (251, 100), (158, 158),
+]
+
+
+@pytest.mark.parametrize("shape", QR_SHAPES)
 def test_qr_is_bit_identical_to_its_plain_form(shape):
     """Q and R equal the plain form's bit for bit (signed zeros included), and
     R is C-contiguous as before, so every product downstream rounds the same.
@@ -265,6 +267,52 @@ def test_qr_rank_deficiency_message_matches_its_plain_form(dependent):
         with pytest.raises(RankDeficient) as want:
             _householder_qr_plain(mat)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 4])
+@pytest.mark.parametrize("shape", QR_SHAPES)
+def test_stacked_qr_is_bit_identical_per_slice(shape, depth):
+    """Slice i of a stacked call is the plain form of slice i alone, bit for
+    bit and C-contiguous, with each slice at its own 2**k scale (2**-40 to
+    2**50), so each keeps its own exact scaling and rank floor."""
+    rng = np.random.default_rng(sum(shape) + depth)
+    stack = np.stack([2.0 ** (30 * i - 40) * rng.uniform(-1.0, 1.0, shape) for i in range(depth)])
+    q, r = householder_qr(stack)
+    assert q.shape == (depth, *shape) and r.shape == (depth, shape[1], shape[1])
+    for i in range(depth):
+        q_ref, r_ref = _householder_qr_plain(stack[i])
+        assert _bits(q[i]) == _bits(q_ref) and _bits(r[i]) == _bits(r_ref)
+        assert q[i].flags.c_contiguous and r[i].flags.c_contiguous
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("dependent", [0, 5, 20, 35])
+def test_stacked_qr_rank_deficiency_names_its_slice(dependent, depth):
+    """A rank-deficient slice i raises the plain form's message for that
+    slice, prefixed ``slice i: ``; the healthy slices, scaled by 2**-60,
+    stay above their own rank floors."""
+    bad = _rand(60, 40, 23)
+    if dependent:
+        bad[:, dependent] = bad[:, 3] - 2.0 * bad[:, dependent - 1]
+    else:
+        bad[:, 0] = 0.0
+    with pytest.raises(RankDeficient) as want:
+        _householder_qr_plain(bad)
+    for i in range(depth):
+        stack = np.stack([2.0**-60 * _rand(60, 40, 24 + j) for j in range(depth)])
+        stack[i] = bad
+        with pytest.raises(RankDeficient) as got:
+            householder_qr(stack)
+        assert str(got.value) == f"slice {i}: {want.value}"
+
+
+def test_stacked_qr_rejects_malformed_stacks():
+    with pytest.raises(ValueError, match="at least as many rows"):
+        householder_qr(np.ones((2, 2, 3)))
+    stack = np.ones((3, 4, 2))
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        householder_qr(stack)
 
 
 # ------------------------------------------------------------ triangular
@@ -340,6 +388,27 @@ def test_blocked_solve_rejects_a_zero_pivot_in_a_later_block(pivot):
     r[pivot, pivot] = 0.0
     with pytest.raises(SingularTriangular, match=rf"^diagonal entry {pivot} "):
         triangular_solve(r, np.eye(50))
+
+
+@pytest.mark.parametrize("l", SOLVE_ORDERS)
+def test_stacked_solve_is_bit_identical_per_slice(l):
+    """A stack of two R (at scales 1 and 2**-30) against a shared identity
+    and against stacked right-hand sides: slice i is the solve of slice i
+    alone, bit for bit."""
+    rs = np.stack([_triangular(l, seed=l), 2.0**-30 * _triangular(l, seed=l + 1)])
+    rhs = np.stack([_rand(l, 3, 40 + l), _rand(l, 3, 41 + l)])
+    shared = triangular_solve(rs, np.eye(l))
+    own = triangular_solve(rs, rhs)
+    for i in range(2):
+        assert _bits(shared[i]) == _bits(triangular_solve(rs[i], np.eye(l)))
+        assert _bits(own[i]) == _bits(triangular_solve(rs[i], rhs[i]))
+
+
+def test_stacked_solve_names_its_singular_slice():
+    rs = np.stack([_triangular(50, seed=50), _triangular(50, seed=51)])
+    rs[1, 17, 17] = 0.0
+    with pytest.raises(SingularTriangular, match=r"^slice 1: diagonal entry 17 "):
+        triangular_solve(rs, np.eye(50))
 
 
 # ---------------------------------------------------------- spectral norm
@@ -515,6 +584,19 @@ def test_direct_norm_resolves_near_clusters(size, gap):
     sv = np.concatenate([1.0 - gap * np.arange(size), np.linspace(0.9, 0.1, 40 - size)])
     a = _with_singular_values(sv, 60, size)
     _assert_matches_svd(spectral_norm(a), a)
+
+
+@pytest.mark.parametrize("side", [5, 8, 13, 22, 30, 50, 60, 100])
+def test_gram_norm_matches_svd_across_gram_sides(side):
+    """The squaring loop that picks Lanczos' start, at the Gram sides of the
+    closed-form operands, on random, graded and clustered spectra."""
+    rng = np.random.default_rng(side)
+    graded = _with_singular_values(np.logspace(0.0, -8.0, side), side + 7, side)
+    clustered = _with_singular_values(
+        np.concatenate([1.0 - 1e-8 * np.arange(3), np.linspace(0.9, 0.1, side - 3)]), side + 3, side
+    )
+    for a in (rng.standard_normal((side + 11, side)), graded, clustered):
+        _assert_matches_svd(_gram_norm(a.T @ a), a)
 
 
 @pytest.mark.parametrize("seed", [1082476658, 2877062824])

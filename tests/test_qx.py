@@ -25,6 +25,7 @@ from centroqx.errors import (
     RankDeficient,
     SingularTriangular,
 )
+from centroqx.linalg import householder_qr, triangular_solve
 from centroqx.qx import conditioning, qx_decompose, verify_qx, x_inverse
 from centroqx.rng import uniform_open
 from centroqx.xops import is_x_type, support_mask
@@ -136,6 +137,44 @@ def test_decomposition_deterministic(shape):
     f1, f2 = qx_decompose(a), qx_decompose(a)
     assert np.array_equal(f1.q, f2.q)
     assert np.array_equal(f1.x, f2.x)
+
+
+def _bits(x: np.ndarray) -> bytes:
+    return np.ascontiguousarray(x).tobytes()
+
+
+def _factored_alone(a):
+    """Q, X, R_f, R_g and X^{-1} from one 2-d kernel call per half."""
+    f, g = fold(a)
+    (qf, rf), (qg, rg) = householder_qr(f), householder_qr(g)
+    eye = np.eye(rf.shape[1])
+    xinv = unfold(triangular_solve(rf, eye), triangular_solve(rg, eye))
+    return unfold(qf, qg), unfold(rf, rg), rf, rg, xinv
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (8, 4), (9, 4), (31, 12), (40, 40), (41, 10)])
+def test_stacked_decompose_is_bit_identical_per_matrix(shape):
+    """Each matrix of a stack (at scales 2**-30, 2**-10, 2**10) factors bit
+    for bit as its halves do one by one; odd m puts f and g in separate
+    calls, even m in one."""
+    m, n = shape
+    stack = np.stack([2.0 ** (20 * i - 30) * random_centro(m, n, seed=i) for i in range(3)])
+    got = qx_decompose(stack)
+    assert isinstance(got, list) and len(got) == 3
+    for a, f in zip(stack, got):
+        want = _factored_alone(a)
+        assert [_bits(v) for v in (f.q, f.x, f.rf, f.rg, f.xinv)] == [_bits(v) for v in want]
+    single = qx_decompose(stack[1])
+    assert [_bits(v) for v in (single.q, single.x, single.xinv)] == [
+        _bits(v) for v in (got[1].q, got[1].x, got[1].xinv)
+    ]
+    assert qx_decompose(np.empty((0, m, n))) == []
+
+
+def test_stacked_decompose_rejects_a_rank_deficient_member():
+    stack = np.stack([random_centro(8, 4, seed=1), np.ones((8, 4))])
+    with pytest.raises(RankDeficient, match=r"^slice \d: pivot column "):
+        qx_decompose(stack)
 
 
 # --------------------------------------------------------------- inverse

@@ -1,5 +1,6 @@
-"""Static checks on the package source: every imported name is used, and
-each module imports only modules below it in the layer order."""
+"""Static checks on the package source: every imported name is used, each
+module imports only modules below it in the layer order, and no module
+reaches for ``numpy.linalg`` or scipy."""
 
 from __future__ import annotations
 
@@ -103,3 +104,57 @@ def test_layer_check_flags_a_back_edge():
     )
     assert layer_violations(source, "qx") == ["bounds (line 5)"]
     assert layer_violations(source, "condnum") == []
+
+
+def foreign_kernels(source: str) -> list[str]:
+    """Uses of ``numpy.linalg`` or ``scipy``: imports of either, and reads
+    of ``.linalg`` on a name numpy is bound to."""
+    tree = ast.parse(source)
+    numpy_names = {"np", "numpy"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    numpy_names.add(alias.asname or "numpy")
+                elif alias.name.split(".")[0] == "scipy" or alias.name.startswith("numpy.linalg"):
+                    found.append(f"import {alias.name} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            names = [alias.name for alias in node.names]
+            if node.module.split(".")[0] == "scipy" or node.module.startswith("numpy.linalg") or (
+                node.module == "numpy" and "linalg" in names
+            ):
+                found.append(f"from {node.module} import {', '.join(names)} (line {node.lineno})")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "linalg"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in numpy_names
+        ):
+            found.append(f"{node.value.id}.linalg (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_numpy_linalg_or_scipy(path):
+    """The kernels are the package's own, with tolerances and failure modes
+    pinned here rather than by a LAPACK build."""
+    assert foreign_kernels(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_kernel_check_flags_planted_uses():
+    source = (
+        "import numpy as xp\nimport scipy.linalg\nfrom numpy import linalg, ndarray\n"
+        "from scipy import sparse\nimport numpy.linalg as la\n\n"
+        "def f(a):\n    \"\"\"Not numpy.linalg.\"\"\"\n"
+        "    return xp.linalg.norm(a) + np.linalg.det(a) + a.linalg\n"
+    )
+    assert foreign_kernels(source) == [
+        "import scipy.linalg (line 2)",
+        "from numpy import linalg, ndarray (line 3)",
+        "from scipy import sparse (line 4)",
+        "import numpy.linalg (line 5)",
+        "xp.linalg (line 9)",
+        "np.linalg (line 9)",
+    ]

@@ -23,14 +23,17 @@ every norm, and each candidate's sqrt(1 + varsigma^2), is computed once,
 when ``FactorNorms`` is built. Every n x n operand the closed forms norm
 (D^{-1}X, X^{-1}D, |X||X^{-1}|D) and dA are centrosymmetric, because D is
 palindromic, so each norm is the larger of its two fold halves' norms
-(``centro.halves_norm``); ``qx.x_side_halves`` hands out the halves of X,
-X^{-1} and |X||X^{-1}|. The Q-side norm |Q D^{-1}|_2 is the enclosure
-max(1/d_i) sqrt(1 + |Q^T Q - I|_F) and needs no iteration. The operator
-route norms its maps through their actions (``linalg.operator_norm`` of a
-``LinearMap``), at O(mn^2 + n^3) flops per product; only |gx| is formed,
-without Kronecker products, for the entrywise consumers
-(``abs_responses``). Both operator routes solve the same majorant equation
-(``majorant``).
+(``centro.halves_norm``), or for the nonnegative |X||X^{-1}|D the norm of
+its first half alone (``centro.nonnegative_norm``); ``qx.x_side_halves``
+hands out the halves of X and X^{-1} and the first half of |X||X^{-1}|.
+The Q-side norm |Q D^{-1}|_2 is the enclosure max(1/d_i) sqrt(1 + |Q^T Q
+- I|_F) and needs no iteration. The operator route norms its maps through
+their actions (``linalg.operator_norm`` of a ``LinearMap``), at O(mn^2 +
+n^3) flops per product. The entrywise consumers (``comp_matvec_bounds``
+and ``abs_responses``) read nonnegative centrosymmetric maps, which their
+fold halves carry: only the fold half of |gx| is formed, a quarter of
+|gx|, without Kronecker products. Both operator routes solve the same
+majorant equation (``majorant``).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from typing import Optional
 
 import numpy as np
 
-from .centro import fold_norm, halves_norm
+from .centro import fold, fold_norm, halves_norm, nonnegative_norm
 from .errors import SizeCapExceeded
 from .linalg import LinearMap, as_matrix, binary_exponent, frobenius_norm, operator_norm
 from .qx import x_side_halves
@@ -133,7 +136,8 @@ class FactorNorms:
     on return. Each scaled norm is a pair indexed by the scaling candidate
     in ``cands``: 0 is the identity, 1 the row norms of X. Every X-side
     operand is normed from its fold halves: X as (R_f, R_g), X^{-1} as their
-    inverses, and ``|X||X^{-1}|`` as the fold of its centrosymmetric part.
+    inverses, and ``|X||X^{-1}|``, which is nonnegative, from the first half
+    f of the fold of its centrosymmetric part alone (``nonnegative_norm``).
     D = diag(delta, reversed delta) scales the halves by delta: fold(D^{-1}
     M) = delta^{-1} (F, G) and fold(M D) = (F, G) delta. The Q-side norm
     ``q_dinv`` is the enclosure ``max(1/d_i) sqrt(1 + |Q^T Q - I|_F)`` of
@@ -148,11 +152,11 @@ class FactorNorms:
         self.abs_x = np.abs(factors.x)
         delta = self.cands[1].delta
         rows, cols = delta[:, None], delta[None, :]
-        x_halves, xinv_halves, cond_halves = x_side_halves(factors, self.abs_x)
+        x_halves, xinv_halves, cond_f = x_side_halves(factors, self.abs_x)
         # |D^{-1} X|_2, |X^{-1} D|_2 and ||X||X^{-1}|D|_2
         self.dinv_x = halves_norm(x_halves), halves_norm([h / rows for h in x_halves])
         self.xinv_d = halves_norm(xinv_halves), halves_norm([h * cols for h in xinv_halves])
-        self.cond_d = halves_norm(cond_halves), halves_norm([h * cols for h in cond_halves])
+        self.cond_d = nonnegative_norm(cond_f), nonnegative_norm(cond_f * cols)
         self.spread = tuple(math.sqrt(1.0 + varsigma(d) ** 2) for d in self.cands)
         q = factors.q
         enclosure = math.sqrt(1.0 + frobenius_norm(q.T @ q - np.eye(q.shape[1])))
@@ -243,12 +247,32 @@ def _entrywise_route(
     report.x_comp_combined = COMP_COMBINED_CONSTANT * mcomp * kq_fro * eps
 
 
-def _rank_one_rows(a: np.ndarray, u: np.ndarray, e: int) -> LinearMap:
-    """The map whose row c, in the C-order n x n view, is ``2**e a_c u_c^T``."""
+def _mirror(v: np.ndarray) -> np.ndarray:
+    """A vector (or each row of a stack) followed by its reversal: a
+    mirror-symmetric vector from its first half (reversing a vec is the
+    double flip of any C-order matrix view of it)."""
+    return np.concatenate((v, v[..., ::-1]), axis=-1)
+
+
+def _fold_add(z: np.ndarray) -> np.ndarray:
+    """The first half of each row plus its reversed second half: the adjoint
+    of ``_mirror``."""
+    half = z.shape[-1] // 2
+    return z[..., :half] + z[..., half:][..., ::-1]
+
+
+def _folded_rank_one_rows(a: np.ndarray, u: np.ndarray, e: int) -> LinearMap:
+    """The fold half F = M11 + M12 J of the nonnegative centrosymmetric map M
+    whose row c, in the C-order n x n view, is ``2**e a_c u_c^T``: F is M's
+    top half of rows (``a`` and ``u`` hold them) applied to mirror-symmetric
+    vectors, n^2/2 columns. With A, U the rows of ``a``, ``u``, F F^T = (A
+    A^T) o (U U^T) + (A J A^T) o (U J U^T), formed directly for small sides."""
     n = a.shape[1]
     return LinearMap(
-        lambda v: np.sum((a @ v.reshape(-1, n, n)) * u, axis=2),
-        lambda y: (a.T @ (y[:, :, None] * u)).reshape(len(y), -1), len(a), n * n, e,
+        lambda v: np.sum((a @ _mirror(v).reshape(-1, n, n)) * u, axis=2),
+        lambda y: _fold_add((a.T @ (y[:, :, None] * u)).reshape(len(y), -1)),
+        len(a), n * n // 2, e,
+        lambda: (a @ a.T) * (u @ u.T) + (a @ a[:, ::-1].T) * (u @ u[:, ::-1].T),
     )
 
 
@@ -265,10 +289,18 @@ class FirstOrderOperators:
     = vec(X^{-1} Z X^{-T}) for Z = H o (Y X^T), Y the support matrix of y
     (H, the upx weights, and the support come from ``support_mask(n)``),
     and gq^T vec(F) = vec((F - Q (Z + Z^T)) X^{-T}) for Z = H o (Q^T F), on
-    stacks of transposed matrices (the C-order views of the vecs). Only |gx|
-    is kept dense, in ``gx``, for the entrywise consumers (the signed map is
-    ``maps["g"]``); row c of hx is the rank-one 2**e a_c u_c^T (``hx_rows``),
-    and ``abs_responses`` forms |gq| vec|A| in blocks.
+    stacks of transposed matrices (the C-order views of the vecs).
+
+    The three maps are centrosymmetric: reversing a vec of A, of Q or the
+    xvec of X is the double flip, since the support positions are ascending
+    and closed under the mirror. So are their absolute values, which the
+    entrywise consumers read, and for a nonnegative centrosymmetric M with
+    fold halves F = M11 + M12 J and G = M11 - M12 J, |G| <= F entrywise, so
+    |M|_2 = |F|_2 and M w = [F w1; reversed F w1] for a mirror-symmetric w =
+    [w1; reversed w1]. Only the fold half F of |gx| is kept dense, in ``gx``
+    (tau1/2 x mn/2, a quarter of |gx|; the signed map is ``maps["g"]``);
+    row c of hx is the rank-one 2**e a_c u_c^T (``hx_rows``), and
+    ``abs_responses`` forms the first half of |gq| vec|A| in blocks.
     """
 
     q: np.ndarray
@@ -276,7 +308,7 @@ class FirstOrderOperators:
     xs: np.ndarray  # X * 2**e
     e: int
     hx_rows: tuple[np.ndarray, np.ndarray]  # (a, u), each tau1 x n
-    gx: np.ndarray  # |gx|, tau1 x mn: the absolute value, not the signed map
+    gx: np.ndarray  # F = |gx|11 + |gx|12 J, tau1/2 x mn/2: the fold half of |gx|
 
     @property
     def maps(self) -> dict[str, LinearMap]:
@@ -312,27 +344,39 @@ class FirstOrderOperators:
             "gq": LinearMap(gq, gq_t, m * n, m * n, self.e),
         }
 
-    def abs_responses(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(|gx| w, |gq| w)`` at the scale of A. |gq| w sums blocks of gq^T,
-        one per row p of X^{-1}: row (p, r) holds at (s, i) u_s (delta_ri - (H^T
-        diag(v) Q^T)[s, i]) - v_s (H^T diag(u) Q^T)[s, i], u = X^{-1}[p] / 2**e, v = Q[r]."""
+    def abs_responses(self, w1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(|gx| w, |gq| w)`` at the scale of A, for the mirror-symmetric w
+        = [w1; reversed w1] (w1 holds mn/2 entries). Both maps are nonnegative
+        and centrosymmetric, so each response is its first half followed by
+        that half reversed; |gx| w starts with F w1. The first half of |gq| w
+        sums blocks of gq^T, one per row p of X^{-1}: row (p, r) holds at (s,
+        i), s < n/2, u_s (delta_ri - (H^T diag(v) Q^T)[s, i]) - v_s (H^T
+        diag(u) Q^T)[s, i], u = X^{-1}[p] / 2**e, v = Q[r]."""
         q, xu = self.q, self.xu
         m, n = q.shape
-        ht = support_mask(n).weights.T
+        l = n // 2
+        ht = support_mask(n).weights.T[:l]  # rows s < n/2 of H^T
         eye_minus_c = np.eye(m)[:, None, :] - (ht * q[:, None, :]) @ q.T
         d = (ht * xu[:, None, :]) @ q.T
-        block, tmp, response_q = np.empty((m, n, m)), np.empty((m, n, m)), np.zeros(n * m)
-        for p, wp in enumerate(w.reshape(n, m)):
-            np.multiply(eye_minus_c, xu[p][:, None], out=block)
-            block -= np.multiply(q[:, :, None], d[p], out=tmp)
-            response_q += wp @ np.abs(block, out=block).reshape(m, n * m)
-        return self.gx @ w, np.ldexp(response_q, self.e)
+        block, tmp = np.empty(eye_minus_c.shape), np.empty(eye_minus_c.shape)
+        response_q = np.zeros(len(w1))
+        for p, wp in enumerate(_mirror(w1).reshape(n, m)):
+            np.multiply(eye_minus_c, xu[p, :l, None], out=block)
+            block -= np.multiply(q[:, :l, None], d[p], out=tmp)
+            response_q += wp @ np.abs(block, out=block).reshape(m, -1)
+        return _mirror(self.gx @ w1), _mirror(np.ldexp(response_q, self.e))
+
+
+# Rows of |gx| folded per step of the build: the blocks stay in cache (at
+# (44, 44) the fold took 0.7 ms in blocks of 64 rows and 3.1 ms in one step)
+# and the transient stays a fraction of the fold half.
+_FOLD_ROWS = 64
 
 
 def build_first_order_operators(factors) -> FirstOrderOperators:
     """The first-order operators of one ``QxFactors``. Raises
     ``SizeCapExceeded`` when ``m*n`` exceeds ``OPERATOR_SIZE_CAP`` (the dense
-    |gx| costs O(mn^3) memory)."""
+    fold half of |gx| costs O(mn^3) memory)."""
     qa, xa = factors.q, factors.x
     m, n = qa.shape
     if m * n > OPERATOR_SIZE_CAP:
@@ -340,6 +384,7 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     support = support_mask(n)
     xinv = factors.xinv
     wt, idx = support.weights.T, support.indices  # H^T, H the upx weights
+    h, l = support.tau1 // 2, n // 2
     cols = idx % n  # the column t of each support entry (k, t) of X^T S
 
     # Column (p, r) of gx answers dA = e_r e_p^T, for which Q^T dA X^{-1} =
@@ -351,12 +396,23 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
     xu = np.ldexp(xinv, -e)
     xs = np.ldexp(xa, e)
     ax = ((xs.T * xu[:, None, :]) @ wt).reshape(n, n * n)[:, idx].T
-    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, idx].T
-    xu_s, q_s = xu[:, cols].T, qa[:, cols].T
-    # Row c of gx, as an n x m matrix, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T (rank 2).
-    gx = np.stack((ax, xu_s), axis=2) @ np.stack((q_s, aq), axis=1)
-    np.abs(gx, out=gx)
-    return FirstOrderOperators(qa, xu, xs, e, (ax, xu_s), gx.reshape(-1, m * n))
+    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, idx[:h]].T
+    xu_s, q_s = xu[:, cols].T, qa[:, cols[:h]].T
+    # Row c of gx, as an n x m matrix G_c, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T
+    # (rank 2). Row c < tau1/2 of the fold half F of |gx| is |G_c| on its
+    # top n/2 rows plus the double flip of |G_c| on its bottom n/2 rows.
+    left = np.stack((ax[:h], xu_s[:h]), axis=2)  # h x n x 2
+    right = np.stack((q_s, aq), axis=1)  # h x 2 x m
+    top, bottom = left[:, :l], left[:, l:][:, ::-1]
+    flipped = right[:, :, ::-1]
+    gx = np.empty((h, l, m))
+    tmp = np.empty((min(h, _FOLD_ROWS), l, m))
+    for c0 in range(0, h, _FOLD_ROWS):
+        c1 = min(c0 + _FOLD_ROWS, h)
+        out, t = gx[c0:c1], tmp[: c1 - c0]
+        np.abs(np.matmul(top[c0:c1], right[c0:c1], out=out), out=out)
+        out += np.abs(np.matmul(bottom[c0:c1], flipped[c0:c1], out=t), out=t)
+    return FirstOrderOperators(qa, xu, xs, e, (ax, xu_s), gx.reshape(h, -1))
 
 
 def operator_norms(ops: FirstOrderOperators) -> dict[str, float]:
@@ -397,22 +453,35 @@ def comp_matvec_bounds(
     is normed through its action, with |X| = 2**-e |xs|: a row vec(R) of |gx|
     times ``|X^T| kron I_m`` is vec(|X| R), and row c of |hx| (|X^T| kron
     |X^T|) is 2**e (|X| |a_c|)(|X| |u_c|)^T. The values are not withheld here.
+
+    All four operands are nonnegative and centrosymmetric, so each is normed
+    from its fold half alone (``FirstOrderOperators``): F of |gx| times the
+    f block of |X^T| kron I_m, the top tau1/2 rank-one rows of |hx| and of
+    its product on mirror-symmetric vectors, and the f half of |X|. The f
+    block of |X^T| kron I_m mirror-expands a vector, multiplies it by |X^T|
+    (in the C-order n x m view) and keeps the first half; its transpose
+    multiplies by |X| instead.
     """
     m, n = ops.q.shape
-    absxs, abs_gx = np.abs(ops.xs), ops.gx
-    a, u = (np.abs(f) for f in ops.hx_rows)
+    l = n // 2
+    absxs, f_gx = np.abs(ops.xs), ops.gx
+    a, u = (np.abs(f[: len(f_gx)]) for f in ops.hx_rows)  # the top tau1/2 rows
 
+    def kron_f(v, x_rows):  # x_rows: the top n/2 rows of |X^T| (or of |X| for the transpose)
+        return (x_rows @ _mirror(v).reshape(-1, n, m)).reshape(len(v), -1)
+
+    xt_rows, x_rows = absxs[:, :l].T, absxs[:l]
     gxa_norm = operator_norm(LinearMap(
-        lambda v: (absxs.T @ v.reshape(-1, n, m)).reshape(len(v), -1) @ abs_gx.T,
-        lambda y: (absxs @ (y @ abs_gx).reshape(-1, n, m)).reshape(len(y), -1),
-        len(abs_gx), m * n, -ops.e,
+        lambda v: kron_f(v, xt_rows) @ f_gx.T,
+        lambda y: kron_f(y @ f_gx, x_rows),
+        len(f_gx), m * n // 2, -ops.e,
     ))
-    hxb_norm = operator_norm(_rank_one_rows(a @ absxs.T, u @ absxs.T, -ops.e))
-    c_hat = operator_norm(_rank_one_rows(a, u, ops.e))
+    hxb_norm = operator_norm(_folded_rank_one_rows(a @ absxs.T, u @ absxs.T, -ops.e))
+    c_hat = operator_norm(_folded_rank_one_rows(a, u, ops.e))
     qtktkq_fro = frobenius_norm(kq.T @ kq)
     a_hat = gxa_norm * kq_fro
     b_hat = hxb_norm * qtktkq_fro
-    coef_x1 = (fold_norm(norms.abs_x) + 2.0 * gxa_norm) * kq_fro
+    coef_x1 = (nonnegative_norm(fold(norms.abs_x).f) + 2.0 * gxa_norm) * kq_fro
 
     eps = report.eps
     quad, linear, *majorants = majorant(eps, a_hat, b_hat, c_hat, coef_x1)

@@ -6,6 +6,8 @@ fold transform block-diagonalizes any such matrix into two dense blocks of
 half size, which is what the factorization module builds on. The fold is
 orthogonal, so the singular values of A are those of its two halves together:
 ``halves_norm`` takes ``|A|_2`` from the halves, and ``fold_norm`` from A.
+An entrywise nonnegative A needs its first half f alone
+(``nonnegative_norm``).
 """
 
 from __future__ import annotations
@@ -146,6 +148,16 @@ def halves_norm(halves) -> float:
     """``|A|_2`` of the matrix A whose fold halves are ``halves``: the larger
     of their spectral norms."""
     return max(spectral_norm(h) for h in halves)
+
+
+def nonnegative_norm(f) -> float:
+    """``|M|_2`` of an entrywise nonnegative centrosymmetric M from its fold
+    half ``f = M11 + M12 J`` alone. The other half ``G = M11 - M12 J``
+    satisfies |G| <= F entrywise (on the rows they share: for odd m, f has
+    one row more), and the spectral norm is monotone on nonnegative
+    matrices (Horn & Johnson, Matrix Analysis, 8.1), so |G|_2 <= ||G||_2 <=
+    |F|_2 and |M|_2 = max(|F|_2, |G|_2) = |F|_2."""
+    return spectral_norm(f)
 
 
 def fold_norm(a) -> float:

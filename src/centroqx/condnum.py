@@ -51,16 +51,28 @@ class CondReport:
 
 
 def _mirror_argmax(response: np.ndarray) -> int:
-    """Argmax, as the lower index of its pair under reversal (the centro mirror)."""
-    return int(np.argmax(np.maximum(response, response[::-1])))
+    """Argmax of a response that is exactly its own reversal (the centro
+    mirror), as the lower index of its pair: the argmax of its first half."""
+    return int(np.argmax(response[: len(response) // 2]))
 
 
 def mixed_comp_cond(a, ops: FirstOrderOperators, factors) -> CondReport:
     """Exact mixed/component-wise condition numbers from the absolute
-    responses |gx| vec|A| and |gq| vec|A| (``ops.abs_responses``)."""
+    responses |gx| vec|A| and |gq| vec|A| (``ops.abs_responses``).
+
+    |A| is read only through the half that ``fold`` factors: the top
+    floor(m/2) rows and, for odd m, the first half of the middle row. Q and
+    X are the factors of the mirror completion of that half, so for an A
+    that is centrosymmetric only to ``CENTRO_TOL`` the condition numbers
+    are the completion's, and A's other entries are not read. The left
+    column half of the completion is the first half of the mirror-symmetric
+    vec|A| that ``abs_responses`` takes.
+    """
     aa = as_matrix(a, "matrix")
     m, n = aa.shape
-    response_x, response_q = ops.abs_responses(np.abs(vec(aa)))
+    p, l = m // 2, n // 2
+    left = np.concatenate((aa[: m - p, :l], aa[:p, l:][::-1, ::-1]))
+    response_x, response_q = ops.abs_responses(np.abs(vec(left)))
     mx, cx = _mixed_comp(response_x, xvec(factors.x))
     mq, cq = _mixed_comp(response_q, vec(factors.q))
     jx = int(support_mask(n).indices[_mirror_argmax(response_x)])  # in vec(X)

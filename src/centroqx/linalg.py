@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -601,13 +601,17 @@ def spectral_norm(mat) -> float:
 
 class LinearMap(NamedTuple):
     """The rows x cols map 2**e A, given at unit scale by ``forward(V) = V
-    A^T`` and ``adjoint(Y) = Y A`` on stacks of vectors (one per row)."""
+    A^T`` and ``adjoint(Y) = Y A`` on stacks of vectors (one per row).
+    ``gram``, if given, returns A A^T at unit scale directly, for a map
+    with rows <= cols whose Gram matrix is cheaper to form than by applying
+    the adjoint to the identity."""
 
     forward: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     rows: int
     cols: int
     e: int = 0
+    gram: Optional[Callable[[], np.ndarray]] = None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return np.ldexp(self.forward(v[None]), self.e)[0]
@@ -615,21 +619,25 @@ class LinearMap(NamedTuple):
 
 def operator_norm(op: LinearMap) -> float:
     """``|op|_2 = 2**e |A|_2``; ``NoConvergence`` carries its estimate at the
-    scale 2**e. Up to ``GRAM_CROSSOVER`` the Gram matrix comes from one
+    scale 2**e. Up to ``GRAM_CROSSOVER`` the Gram matrix is ``op.gram()``
+    where the map gives one for its row side, and otherwise comes from one
     stacked application to the identity. Lanczos starts from
     ``_start_vector(k)``, not all-ones: that lies in an invariant subspace
     of the structured first-order maps, which misses their top singular
     direction.
     """
-    forward, adjoint, rows, cols, e = op
+    forward, adjoint, rows, cols, e, gram = op
     k = min(rows, cols)
     inner, outer = (forward, adjoint) if cols <= rows else (adjoint, forward)
     try:
         if k > GRAM_CROSSOVER:
             norm = _lanczos_top(lambda v: outer(inner(v[None]))[0], _start_vector(k), k)
         else:
-            f = inner(np.eye(k))
-            g = f @ f.T
+            if gram is not None and rows <= cols:
+                g = gram()
+            else:
+                f = inner(np.eye(k))
+                g = f @ f.T
             norm = _gram_norm(g) if g.any() else 0.0
     except NoConvergence as exc:
         raise NoConvergence(float(np.ldexp(exc.estimate, e)), exc.steps) from None

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .centro import centro_defect, centro_part, fold, halves_norm, unfold
+from .centro import centro_defect, centro_part, fold, halves_norm, nonnegative_norm, unfold
 from .errors import SingularTriangular
 from .linalg import as_matrix, frobenius_norm, householder_qr, triangular_solve
 from .xops import support_mask
@@ -147,10 +147,11 @@ def verify_qx(a, factors: QxFactors) -> VerificationReport:
 
 def x_side_halves(factors: QxFactors, abs_x: np.ndarray) -> tuple:
     """The fold halves that |X|_2, |X^{-1}|_2 and ||X||X^{-1}||_2 are normed
-    from: (R_f, R_g), their inverses, and the fold of the centrosymmetric
-    part of |X||X^{-1}| (``abs_x`` is |X|)."""
-    cond = fold(centro_part(abs_x @ np.abs(factors.xinv)))
-    return (factors.rf, factors.rg), factors.xinv_halves, cond
+    from: (R_f, R_g), their inverses, and the first fold half f of the
+    centrosymmetric part of |X||X^{-1}| (``abs_x`` is |X|), which is
+    nonnegative, so f alone carries its norm (``nonnegative_norm``)."""
+    cond_f = fold(centro_part(abs_x @ np.abs(factors.xinv))).f
+    return (factors.rf, factors.rg), factors.xinv_halves, cond_f
 
 
 def conditioning(factors: QxFactors) -> dict[str, float]:
@@ -162,5 +163,8 @@ def conditioning(factors: QxFactors) -> dict[str, float]:
     are a bound report's ``kappa2`` and ``cond_x`` bit for bit; none of the
     report's scaled norms is computed.
     """
-    x_norm, xinv_norm, cond_x = map(halves_norm, x_side_halves(factors, np.abs(factors.x)))
-    return {"kappa2": x_norm * xinv_norm, "cond_x": cond_x}
+    x_halves, xinv_halves, cond_f = x_side_halves(factors, np.abs(factors.x))
+    return {
+        "kappa2": halves_norm(x_halves) * halves_norm(xinv_halves),
+        "cond_x": nonnegative_norm(cond_f),
+    }

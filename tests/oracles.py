@@ -51,3 +51,11 @@ def kron_operators(f):
 def materialize(op) -> np.ndarray:
     """The dense matrix of a ``linalg.LinearMap``, one column per unit vector."""
     return np.ldexp(op.forward(np.eye(op.cols)), op.e).T
+
+
+def fold_half(mat: np.ndarray) -> np.ndarray:
+    """The fold half ``M11 + M12 J`` of a centrosymmetric matrix with an even
+    number of rows and of columns: its top half of rows, each plus its own
+    second half reversed."""
+    h, w = mat.shape[0] // 2, mat.shape[1] // 2
+    return mat[:h, :w] + mat[:h, w:][:, ::-1]

@@ -50,7 +50,7 @@ from centroqx.linalg import frobenius_norm, operator_norm, spectral_norm, vec
 from centroqx.qx import qx_decompose
 from centroqx.rng import uniform_open
 from centroqx.xops import ScalingD, scaling_candidates, upx, xvec
-from oracles import kron_operators, materialize
+from oracles import fold_half, kron_operators, materialize
 
 SQRT2, SQRT3, SQRT6 = math.sqrt(2.0), math.sqrt(3.0), math.sqrt(6.0)
 
@@ -87,7 +87,7 @@ def test_identity_operator_matrices():
         ]
     )
     perm = np.eye(4)[[0, 2, 1, 3]]  # vec(E) -> vec(E^T) for 2 x 2 E
-    assert np.max(np.abs(ops.gx - gx_want)) <= 1e-15
+    assert np.max(np.abs(ops.gx - fold_half(gx_want))) <= 1e-15
     assert np.max(np.abs(materialize(ops.maps["g"]) - gx_want)) <= 1e-15
     assert np.max(np.abs(materialize(ops.maps["h"]) - 0.5 * np.eye(4))) <= 1e-15
     assert np.max(np.abs(materialize(ops.maps["gq"]) - 0.5 * (np.eye(4) - perm))) <= 1e-15
@@ -175,18 +175,19 @@ def test_adjoint_identities(shape):
 
 @pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (31, 20), (44, 44)])
 def test_first_order_maps_match_kronecker_oracle(shape):
-    """The dense |gx|, the three maps applied to the identity and the
-    rank-one rows of hx equal the Kronecker construction to rounding
-    (relative in the Frobenius norm); the dense |gx| has the oracle's shape
-    and memory order."""
+    """The dense fold half of |gx|, the three maps applied to the identity
+    and the rank-one rows of hx equal the Kronecker construction to rounding
+    (relative in the Frobenius norm); the fold half has the memory order of
+    the oracle's |gx| folded."""
     _, f = _factored(*shape, seed=330 + sum(shape))
     ops = _ops(f)
     gx, hx, gq = kron_operators(f)
-    assert ops.gx.shape == gx.shape and ops.gx.strides == gx.strides
+    abs_gx = fold_half(np.abs(gx))
+    assert ops.gx.shape == abs_gx.shape and ops.gx.strides == abs_gx.strides
     a, u = ops.hx_rows
     rows = np.ldexp(a, ops.e)[:, :, None] * u[:, None, :]
     for label, got, want in (
-        ("|gx|", ops.gx, np.abs(gx)),
+        ("|gx|", ops.gx, abs_gx),
         ("gx map", materialize(ops.maps["g"]), gx),
         ("hx map", materialize(ops.maps["h"]), hx),
         ("hx rows", rows.reshape(hx.shape), hx),
@@ -194,6 +195,56 @@ def test_first_order_maps_match_kronecker_oracle(shape):
     ):
         assert got.shape == want.shape, label
         assert frobenius_norm(got - want) <= 1e-14 * frobenius_norm(want), label
+
+
+@pytest.mark.parametrize("shape", ACTION_SHAPES)
+def test_absolute_maps_are_reversal_invariant(shape):
+    """The oracle's |gx|, |hx| and |X^T| kron I_m are centrosymmetric:
+    reversing their rows and their columns returns them to 1e-15 of their
+    largest entry, so their fold halves carry their norms and products."""
+    m, n = shape
+    _, f = _factored(m, n, seed=360 + m)
+    gx, hx, _ = kron_operators(f)
+    for label, mat in (
+        ("|gx|", np.abs(gx)),
+        ("|hx|", np.abs(hx)),
+        ("|X^T| kron I_m", np.kron(np.abs(f.x).T, np.eye(m))),
+    ):
+        assert np.max(np.abs(mat[::-1, ::-1] - mat)) <= 1e-15 * np.max(mat), label
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (30, 20)])
+def test_folded_rank_one_rows_and_their_gram(shape):
+    """The folded rank-one-row map of |hx| is the fold half of the oracle's
+    |hx|, and its explicit Gram matrix is F F^T of the map applied to the
+    identity."""
+    _, f = _factored(*shape, seed=370 + sum(shape))
+    ops = _ops(f)
+    _, hx, _ = kron_operators(f)
+    a, u = (np.abs(r[: len(ops.gx)]) for r in ops.hx_rows)
+    op = bounds_mod._folded_rank_one_rows(a, u, ops.e)
+    dense = materialize(op)
+    want = fold_half(np.abs(hx))
+    assert frobenius_norm(dense - want) <= 1e-14 * frobenius_norm(want)
+    gram = np.ldexp(op.gram(), 2 * op.e)
+    assert frobenius_norm(gram - dense @ dense.T) <= 1e-14 * frobenius_norm(gram)
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (20, 10)])
+def test_condition_numbers_read_the_half_that_fold_factors(shape):
+    """A centrosymmetric only to CENTRO_TOL (its bottom rows, and for odd m
+    the second half of its middle row, moved by 1e-13 max|A|) has the
+    factors of its exact mirror completion, and the same condition numbers
+    bit for bit: neither reads the moved entries."""
+    m, n = shape
+    p, l = m // 2, n // 2
+    a, f = _factored(m, n, seed=380 + m)
+    moved = a.copy()
+    moved[m - p:] += 1e-13 * np.max(np.abs(a))
+    moved[p, l:] += 1e-13 * np.max(np.abs(a)) * (m % 2)
+    g = qx_decompose(moved)
+    assert np.array_equal(g.q, f.q) and np.array_equal(g.x, f.x)
+    assert mixed_comp_cond(moved, _ops(g), g) == mixed_comp_cond(a, _ops(f), f)
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (44, 44)])
@@ -388,19 +439,21 @@ def test_comp_gate_violation_withholds_bounds():
 
 
 def test_comp_matvec_dense_cross_check():
-    """The norms taken through the maps' actions equal dense Kronecker
-    evaluations of |gx|(|X^T| kron I_m), |hx|(|X^T| kron |X^T|) and |hx|."""
+    """The norms taken through the maps' fold halves equal dense Kronecker
+    evaluations of |gx|(|X^T| kron I_m), from the fold halves of the
+    oracle's |gx| and of |X^T| kron I_m, of |hx|(|X^T| kron |X^T|) and of
+    |hx|."""
     m, n = 8, 4
     a, f = _factored(m, n, seed=903)
     ops = _ops(f)
-    _, hx, _ = kron_operators(f)
+    gx, hx, _ = kron_operators(f)
     k = np.eye(m)
     kq = k @ np.abs(f.q)
     kq_fro = frobenius_norm(kq)
     out = BoundReport(delta=0.0, eps=1e-8)
     comp_matvec_bounds(out, ops, FactorNorms(f), kq, kq_fro)
     absx = np.abs(f.x)
-    dense_a = ops.gx @ np.kron(absx.T, np.eye(m))
+    dense_a = fold_half(np.abs(gx)) @ fold_half(np.kron(absx.T, np.eye(m)))
     dense_b = np.abs(hx) @ np.kron(absx.T, absx.T)
     assert out.a_hat / kq_fro == pytest.approx(np.linalg.norm(dense_a, 2), rel=1e-9)
     want_b_norm = np.linalg.norm(dense_b, 2)
@@ -464,8 +517,8 @@ def test_min_sym_kappa_identity():
 
 def _record_norm_operands(monkeypatch) -> tuple[list, list]:
     """Shapes of the operands of every ``spectral_norm`` call, all made
-    through ``centro`` (``halves_norm`` and ``fold_norm``), and (rows, cols)
-    of every ``operator_norm`` call."""
+    through ``centro`` (``halves_norm``, ``nonnegative_norm`` and
+    ``fold_norm``), and (rows, cols) of every ``operator_norm`` call."""
     shapes: list[tuple[int, ...]] = []
     maps: list[tuple[int, int]] = []
     original, original_op = linalg_mod.spectral_norm, linalg_mod.operator_norm
@@ -484,16 +537,19 @@ def _record_norm_operands(monkeypatch) -> tuple[list, list]:
 
 
 def test_each_distinct_norm_computed_once(monkeypatch):
-    """A closed-form report norms fold halves only: the 6 n x n X-side
-    operands (D^{-1}X, X^{-1}D, |X||X^{-1}|D under both scalings) two halves
-    each, and dA's two halves; |Q D^{-1}|_2 is a closed-form enclosure. That
-    is 14 cheap ``spectral_norm`` calls, none on Q or an m x n operand, and
-    no ``operator_norm`` call. The operator route adds the two halves of |X|
-    to ``spectral_norm`` (16 calls) and norms six maps through their
-    actions with ``operator_norm``: gx, hx and gq, |hx| and the two
-    structured products |gx|(|X^T| kron I_m) and |hx|(|X^T| kron |X^T|).
-    No array of the size of a map reaches ``spectral_norm``. The tightness
-    check reuses the report's envelope and |gx|_2."""
+    """A closed-form report norms fold halves only: the 4 n x n signed
+    X-side operands (D^{-1}X and X^{-1}D under both scalings) two halves
+    each, the nonnegative |X||X^{-1}|D under both scalings from its first
+    half alone, and dA's two halves; |Q D^{-1}|_2 is a closed-form
+    enclosure. That is 12 cheap ``spectral_norm`` calls, none on Q or an m x
+    n operand, and no ``operator_norm`` call. The operator route adds the
+    first half of the nonnegative |X| to ``spectral_norm`` (13 calls) and
+    norms six maps through their actions with ``operator_norm``: gx, hx and
+    gq, and the fold halves (tau1/2 rows, half the columns) of the
+    nonnegative |hx| and of the two structured products |gx|(|X^T| kron
+    I_m) and |hx|(|X^T| kron |X^T|). No array of the size of a map reaches
+    ``spectral_norm``. The tightness check reuses the report's envelope and
+    |gx|_2."""
     m, n = 20, 10
     a, f = _factored(m, n, seed=990)
     da, k, eps = random_centro_perturbation(a, 1e-8, seed=991)
@@ -501,15 +557,16 @@ def test_each_distinct_norm_computed_once(monkeypatch):
     shapes, maps = _record_norm_operands(monkeypatch)
 
     closed = bound_report(a, f, da, k=k, eps=eps)
-    assert len(shapes) == 6 * 2 + 2 == 14 and maps == []
-    assert sorted(shapes) == [(n // 2, n // 2)] * 12 + [(m // 2, n // 2)] * 2
+    assert len(shapes) == 4 * 2 + 2 + 2 == 12 and maps == []
+    assert sorted(shapes) == [(n // 2, n // 2)] * 10 + [(m // 2, n // 2)] * 2
     shapes.clear()
     full = bound_report(a, f, da, k=k, eps=eps, ops=ops)
-    assert len(shapes) == 14 + 2 == 16
-    assert sorted(shapes[14:]) == [(n // 2, n // 2)] * 2
-    tau1 = n * (n + 2) // 2
+    assert len(shapes) == 12 + 1 == 13
+    assert shapes[12:] == [(n // 2, n // 2)]
+    tau1, h = n * (n + 2) // 2, n * (n + 2) // 4
     assert sorted(maps) == sorted(
-        [(tau1, m * n), (tau1, n * n), (m * n, m * n)] + [(tau1, n * n), (tau1, m * n), (tau1, n * n)]
+        [(tau1, m * n), (tau1, n * n), (m * n, m * n)]
+        + [(h, n * n // 2), (h, m * n // 2), (h, n * n // 2)]
     )
     shapes.clear()
     maps.clear()

@@ -259,6 +259,22 @@ def test_operator_trial_stores_no_map_of_size_mn_squared():
     assert peak < 30 * 2**20, peak / 2**20
 
 
+def test_operator_trial_keeps_a_quarter_of_the_absolute_map():
+    """The same (44, 44) operator trial peaks below 12 MB of traced
+    allocations: it keeps only the fold half of |gx| (tau1/2 x mn/2, 3.9 MB,
+    a quarter of the 15.7 MB |gx|), folds it in row blocks and forms only
+    the first half of |gq| vec|A|. With the whole |gx| it peaked at 18.6 MB."""
+    cfg = TrialConfig(m=44, n=44, seed=5, scale=1e-8, k_mode="ones", probe_trials=4)
+    tracemalloc.start()
+    try:
+        rec = run_trial(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.error is None and rec.cond is not None
+    assert peak < 12 * 2**20, peak / 2**20
+
+
 def test_run_trial_with_operators_disabled():
     rec = run_trial(TrialConfig(m=4, n=2, scale=1e-8, seed=2, with_operators=False))
     assert rec.operators_skipped and rec.error is None

@@ -15,7 +15,7 @@ import centroqx
 import centroqx.centro as centro_mod
 import centroqx.linalg as linalg_mod
 from centroqx.bounds import build_first_order_operators
-from centroqx.centro import fold_norm, random_centro
+from centroqx.centro import fold, fold_norm, nonnegative_norm, random_centro
 from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.harness import TrialConfig, run_trial
 from centroqx.linalg import (
@@ -616,6 +616,18 @@ def test_fold_norm_matches_svd(shape):
     _assert_matches_svd(fold_norm(a), a)
 
 
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (7, 4), (8, 4), (21, 10), (40, 40), (151, 50)])
+@pytest.mark.parametrize("power", [1, 3])
+def test_nonnegative_norm_from_the_first_fold_half(shape, power):
+    """For an entrywise nonnegative centrosymmetric M (odd and even m), |G| <=
+    F entrywise on the rows the fold halves share, and the norm of F alone
+    is |M|_2."""
+    m = np.abs(random_centro(*shape, seed=7 * shape[0] + shape[1])) ** power
+    f, g = fold(m)
+    assert np.all(np.abs(g) <= f[: len(g)])
+    _assert_matches_svd(nonnegative_norm(f), m)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=-1000, max_value=1000))
 def test_direct_norm_scales_by_powers_of_two_exactly(k):
@@ -791,13 +803,15 @@ def test_one_step_lanczos_shortcut_is_bit_identical(monkeypatch):
     """A 1 x 1 tridiagonal returns its entry at once; bisection returned it
     too, after about 53 halvings. Every ``spectral_norm`` operand of a
     sample of the seed-3 closed-form benchmark pool (a tall input with its
-    fixed harness seed, and the first random and Toeplitz 100 x 100 inputs)
-    norms to the same float both ways."""
-    seeds = np.random.SeedSequence([3, 1]).generate_state(2)
+    fixed harness seed, the first random and Toeplitz 100 x 100 inputs and
+    the first random 110 x 110 input, at least 40 operands) norms to the
+    same float both ways."""
+    seeds = np.random.SeedSequence([3, 1]).generate_state(3)
     configs = [
         TrialConfig(m=150, n=50, seed=0, scale=1e-8),
         TrialConfig(m=100, n=100, seed=int(seeds[0]), scale=1e-8, k_mode="ones"),
         TrialConfig(m=100, n=100, generator="toeplitz", seed=int(seeds[1]), scale=1e-8),
+        TrialConfig(m=110, n=110, seed=int(seeds[2]), scale=1e-8, k_mode="ones"),
     ]
     operands = []
     original = linalg_mod.spectral_norm

@@ -270,14 +270,15 @@ def test_conditioning_is_the_report_path(shape):
 
 
 def test_conditioning_norms_only_the_unscaled_halves(monkeypatch):
-    """conditioning takes |X|_2, |X^{-1}|_2 and ||X||X^{-1}||_2 from two fold
-    halves each (6 spectral norms) and none of a report's scaled norms."""
+    """conditioning takes |X|_2 and |X^{-1}|_2 from two fold halves each and
+    the nonnegative ||X||X^{-1}||_2 from its first half alone (5 spectral
+    norms), and none of a report's scaled norms."""
     f = qx_decompose(random_centro(30, 12, seed=30))
     calls = []
     real = centro_mod.spectral_norm
     monkeypatch.setattr(centro_mod, "spectral_norm", lambda h: calls.append(h.shape) or real(h))
     conditioning(f)
-    assert calls == [(6, 6)] * 6
+    assert calls == [(6, 6)] * 5
 
 
 # ---------------------------------------------------------------- errors

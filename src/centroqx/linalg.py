@@ -12,13 +12,12 @@ H_1 ... H_b is held as I - V T V^T with V the unit reflector vectors and T
 b x b upper triangular, so the trailing columns and Q are updated by matrix
 products (BLAS-3) rather than by one rank-one update per reflector. Its
 per-column steps are written for few numpy calls (squared norms summed
-pairwise by ``np.add.reduce`` into one reused buffer, scalar square roots
-by ``math.sqrt``, transposes bound once per panel) without changing any
-floating-point operation or its order. A (B, p, l) stack of same-shape
-matrices is factored in lockstep: one pass of the column loop drives all B
-through batched products, so its Python cost per column is paid once, and
-slice i is bit for bit the factorization of slice i alone. A stack of one
-takes the 2-d loop, which is faster for a single matrix.
+pairwise by ``np.add.reduce`` into one reused buffer, transposes bound once
+per panel) without changing any floating-point operation or its order. A
+(B, p, l) stack of same-shape matrices is factored in lockstep: one pass of
+the column loop drives all B through batched products, so its Python cost
+per column is paid once, and slice i is bit for bit the factorization of
+slice i alone. A 2-d matrix is factored as a stack of one.
 
 ``triangular_solve`` is blocked back-substitution: the diagonal blocks of
 width ``TRI_BLOCK`` are inverted together by doubling on their stack,
@@ -176,101 +175,35 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     first index j0 on: the columns left of j0 are still unit vectors that
     vanish on those rows, so they need no work (the order of LAPACK's dorgqr).
 
-    A stack of B > 1 matrices is factored in lockstep (``_qr_lockstep``), one
-    pass of the column loop for all of them; slice i of the result is bit
-    for bit the factorization of slice i alone. A stack of one takes the
-    single-matrix loop, which is faster there.
+    Every input runs ``_qr_lockstep``, a 2-d matrix as a stack of one; slice
+    i of a stack is bit for bit the factorization of slice i alone.
     """
     arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 3:
+    stacked = arr.ndim == 3
+    if stacked:
+        stack, tops = arr, _slice_maxima(arr, "qr input")
+    else:
         a, top = checked_matrix(arr, "qr input")
-        _check_tall(a.shape)
-        return _qr_one(a, top)
-    _check_tall(arr.shape[1:])
-    tops = _slice_maxima(arr, "qr input")
-    if len(tops) != 1:
-        return _qr_lockstep(arr, tops)
-    try:
-        q, r = _qr_one(arr[0], tops[0])
-    except RankDeficient as exc:
-        raise RankDeficient(f"slice 0: {exc}") from None
-    return q[None], r[None]
-
-
-def _check_tall(shape) -> None:
-    p, l = shape
+        stack, tops = a[None], [top]
+    p, l = stack.shape[1:]
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
+    q, r = _qr_lockstep(stack, tops, stacked)
+    return (q, r) if stacked else (q[0], r[0])
 
 
-def _rank_deficient(j: int, alpha: float, scale: float) -> RankDeficient:
-    return RankDeficient(f"pivot column {j}: norm {alpha:.3e} <= {RANK_TOL:.1e} * {scale:.3e}")
+def _qr_lockstep(a: np.ndarray, tops: list[float], stacked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``householder_qr`` of every slice of the (B, p, l) stack ``a``, with
+    ``max|a_i| == tops[i]``, in one pass of the column loop.
 
-
-def _qr_one(a: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
-    """``householder_qr`` of one p x l matrix with ``max|a| == top``. Its
-    per-column steps make few numpy calls: squared norms summed pairwise by
-    ``np.add.reduce`` into one reused buffer, scalar square roots by
-    ``math.sqrt``, transposes bound once per panel."""
-    p, l = a.shape
-    e = math.frexp(top)[1]
-    r = np.asfortranarray(np.ldexp(a, -e))  # column-major: panel columns are contiguous
-    scale = frobenius_norm(r)
-    squares = np.empty(p)  # v * v, summed pairwise by np.add.reduce
-    panels: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for j0 in range(0, l, QR_BLOCK):
-        j1 = min(j0 + QR_BLOCK, l)
-        v_panel = np.zeros((p - j0, j1 - j0), order="F")
-        t = np.zeros((j1 - j0, j1 - j0))
-        v_rows, t_t = v_panel.T, t.T
-        for j in range(j0, j1):
-            k = j - j0
-            column = r[j0:, j]
-            if k:
-                column -= v_panel[:, :k] @ (t_t[:k, :k] @ (v_rows[:k] @ column))
-            v = v_panel[k:, k]
-            v[:] = column[k:]
-            sq = squares[: p - j]
-            alpha = math.sqrt(np.add.reduce(np.multiply(v, v, out=sq)))
-            if alpha <= RANK_TOL * scale:
-                raise _rank_deficient(j, alpha, scale)
-            v0 = v[0]
-            if v0 >= 0.0:  # push away from the cancelling sign
-                v[0] = v0 + alpha
-                column[k] = -alpha
-            else:
-                v[0] = v0 - alpha
-                column[k] = alpha
-            v /= math.sqrt(np.add.reduce(np.multiply(v, v, out=sq)))
-            t[:k, k] = -2.0 * (t[:k, :k] @ (v_rows[:k, k:] @ v))
-            t[k, k] = 2.0
-        if j1 < l:
-            trailing = r[j0:, j1:]
-            trailing -= v_panel @ (t_t @ (v_rows @ trailing))
-        panels.append((j0, v_panel, t))
-    q = np.eye(p, l)
-    for j0, v_panel, t in reversed(panels):
-        block = q[j0:, j0:]
-        block -= v_panel @ (t @ (v_panel.T @ block))
-    flip = np.where(r.diagonal() < 0.0, -1.0, 1.0)
-    r = r[:l]
-    r *= flip[:, None]
-    q *= flip
-    r = np.triu(r)
-    return q, np.ldexp(r, e, out=r)
-
-
-def _qr_lockstep(a: np.ndarray, tops: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``_qr_one`` on every slice of the (B, p, l) stack ``a`` at once.
-
-    Each array keeps, slice by slice, the memory layout that ``_qr_one``
-    gives it (R and the reflector panels column-major, T and Q row-major),
-    so every stacked ``np.matmul`` runs the same BLAS call (gemm, or gemv on
-    a column) per slice, and ``np.add.reduce`` along contiguous rows sums
-    each slice pairwise as the 1-d reduction does: every slice is bit for
-    bit its own ``_qr_one``. Vectors are (B, n) rows, lifted to (B, n, 1)
-    columns for products. The sign choice and the rank test run per slice
-    on Python floats.
+    R and the reflector panels are column-major slice by slice, T and Q
+    row-major, so every stacked ``np.matmul`` runs the same BLAS call
+    (gemm, or gemv on a column) per slice, and ``np.add.reduce`` along
+    contiguous rows sums each slice pairwise as the 1-d reduction does:
+    every slice is bit for bit its own factorization. Vectors are (B, n)
+    rows, lifted to (B, n, 1) columns for products. The sign choice and the
+    rank test run per slice on Python floats; a rank-deficient slice i
+    raises the 2-d message, prefixed ``slice i: `` when ``stacked``.
     """
     nb, p, l = a.shape
     e = [math.frexp(top)[1] for top in tops]
@@ -297,7 +230,8 @@ def _qr_lockstep(a: np.ndarray, tops: list[float]) -> tuple[np.ndarray, np.ndarr
             alpha = np.sqrt(np.add.reduce(np.multiply(v, v, out=sq), axis=1)).tolist()
             for i, (ai, si) in enumerate(zip(alpha, scale)):
                 if ai <= RANK_TOL * si:
-                    raise RankDeficient(f"slice {i}: {_rank_deficient(j, ai, si)}")
+                    msg = f"pivot column {j}: norm {ai:.3e} <= {RANK_TOL:.1e} * {si:.3e}"
+                    raise RankDeficient(f"slice {i}: {msg}" if stacked else msg)
             for i, (ai, v0) in enumerate(zip(alpha, v[:, 0].tolist())):
                 if v0 >= 0.0:  # push away from the cancelling sign
                     v[i, 0] = v0 + ai

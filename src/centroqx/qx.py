@@ -49,19 +49,17 @@ def qx_decompose(a) -> QxFactors | list[QxFactors]:
     or of each matrix of a (B, m, n) stack.
 
     Returns one ``QxFactors`` for an m x n matrix and a list of B of them
-    for a stack. Each matrix is folded, and each group of same-shape fold
-    halves is factored by one lockstep ``householder_qr`` call: the f
-    halves of all B matrices together and the g halves together, or all 2B
-    halves in one call where m is even and f and g share a shape. Every
-    factor is bit for bit what the matrix gives on its own.
+    for a stack. Each matrix is folded, and all 2B fold halves are factored
+    by one lockstep ``householder_qr`` call; for odd m each g half takes one
+    zero bottom row, so that it has f's shape, and Q_g drops that row
+    again. Every factor is bit for bit what the matrix gives on its own.
 
     Raises ``NotCentrosymmetric``, ``OddColumnDimension``, or
     ``RankDeficient`` (propagated from the half QR factorizations; its
-    ``slice i`` counts the halves of the call, the f halves of matrices
-    0..B-1 and then, for even m, their g halves) when the preconditions
-    fail, and ``ValueError`` for an input that is not 2-d or 3-d, has a
-    non-finite entry (both found by the fold's one scan of each matrix) or
-    has fewer rows than columns.
+    ``slice i`` counts the f halves of matrices 0..B-1 and then their g
+    halves, B..2B-1) when the preconditions fail, and ``ValueError`` for an
+    input that is not 2-d or 3-d, has a non-finite entry (both found by the
+    fold's one scan of each matrix) or has fewer rows than columns.
     """
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 3:
@@ -76,15 +74,14 @@ def _decompose_stack(stack: np.ndarray) -> list[QxFactors]:
     m, n = stack.shape[1:]
     if m < n:
         raise ValueError(f"need at least as many rows as columns, got {m}x{n}")
-    fs, gs = zip(*halves)
-    if m % 2:  # f has one row more than g
-        (qf, rf), (qg, rg) = householder_qr(np.stack(fs)), householder_qr(np.stack(gs))
-    else:
-        q, r = householder_qr(np.stack(fs + gs))
-        (qf, qg), (rf, rg) = np.split(q, 2), np.split(r, 2)
+    nb, h = len(halves), m // 2
+    fg = np.zeros((2 * nb, m - h, n // 2))  # odd m: each g's last row stays zero
+    for i, (f, g) in enumerate(halves):
+        fg[i], fg[nb + i, :h] = f, g
+    q, r = householder_qr(fg)
     return [
-        QxFactors(q=unfold(q_f, q_g), x=unfold(r_f, r_g), rf=r_f, rg=r_g)
-        for q_f, q_g, r_f, r_g in zip(qf, qg, rf, rg)
+        QxFactors(q=unfold(q_f, q_g[:h]), x=unfold(r_f, r_g), rf=r_f, rg=r_g)
+        for q_f, q_g, r_f, r_g in zip(q[:nb], q[nb:], r[:nb], r[nb:])
     ]
 
 

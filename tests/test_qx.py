@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import centroqx.centro as centro_mod
+import centroqx.qx as qx_mod
 from centroqx.bounds import FactorNorms, bound_report
 from centroqx.centro import (
     exchange_matrix,
@@ -144,19 +145,23 @@ def _bits(x: np.ndarray) -> bytes:
 
 
 def _factored_alone(a):
-    """Q, X, R_f, R_g and X^{-1} from one 2-d kernel call per half."""
+    """Q, X, R_f, R_g and X^{-1} from one 2-d kernel call per half; for odd
+    m, g is factored with one zero bottom row and Q_g drops that row."""
     f, g = fold(a)
-    (qf, rf), (qg, rg) = householder_qr(f), householder_qr(g)
+    padded = np.zeros_like(f)
+    padded[: len(g)] = g
+    (qf, rf), (qg, rg) = householder_qr(f), householder_qr(padded)
     eye = np.eye(rf.shape[1])
     xinv = unfold(triangular_solve(rf, eye), triangular_solve(rg, eye))
-    return unfold(qf, qg), unfold(rf, rg), rf, rg, xinv
+    return unfold(qf, qg[: len(g)]), unfold(rf, rg), rf, rg, xinv
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (8, 4), (9, 4), (31, 12), (40, 40), (41, 10)])
 def test_stacked_decompose_is_bit_identical_per_matrix(shape):
     """Each matrix of a stack (at scales 2**-30, 2**-10, 2**10) factors bit
-    for bit as its halves do one by one; odd m puts f and g in separate
-    calls, even m in one."""
+    for bit as its halves do one by one, f as it is and g, for odd m, with
+    the zero row that gives it f's shape; a single matrix factors as its
+    slice of the stack, and an empty stack gives no factors."""
     m, n = shape
     stack = np.stack([2.0 ** (20 * i - 30) * random_centro(m, n, seed=i) for i in range(3)])
     got = qx_decompose(stack)
@@ -172,9 +177,51 @@ def test_stacked_decompose_is_bit_identical_per_matrix(shape):
 
 
 def test_stacked_decompose_rejects_a_rank_deficient_member():
-    stack = np.stack([random_centro(8, 4, seed=1), np.ones((8, 4))])
-    with pytest.raises(RankDeficient, match=r"^slice \d: pivot column "):
-        qx_decompose(stack)
+    for shape in [(8, 4), (9, 4)]:
+        stack = np.stack([random_centro(*shape, seed=1), np.ones(shape)])
+        with pytest.raises(RankDeficient, match=r"^slice \d: pivot column "):
+            qx_decompose(stack)
+
+
+@pytest.mark.parametrize("shape", [(8, 4), (9, 4), (40, 40), (41, 10)])
+@pytest.mark.parametrize("depth", [None, 1, 3])
+def test_decompose_makes_one_qr_call(monkeypatch, shape, depth):
+    """One ``householder_qr`` call takes all 2B fold halves, f's then g's,
+    for odd and even m and for a single matrix (``depth`` None) or a stack;
+    for odd m the pad row of each g half comes out of it exactly zero."""
+    calls = []
+
+    def counted(mat):
+        calls.append((mat, householder_qr(mat)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(qx_mod, "householder_qr", counted)
+    m, n = shape
+    mats = [random_centro(m, n, seed=i) for i in range(depth or 1)]
+    qx_decompose(mats[0] if depth is None else np.stack(mats))
+    [(halves, (q, _))] = calls
+    nb = len(mats)
+    assert halves.shape == (2 * nb, m - m // 2, n // 2)
+    for i, a in enumerate(mats):
+        f, g = fold(a)
+        assert np.array_equal(halves[i], f) and np.array_equal(halves[nb + i, : m // 2], g)
+    if m % 2:
+        assert np.all(halves[nb:, -1] == 0) and np.all(q[nb:, -1] == 0)
+
+
+@pytest.mark.parametrize("shape", [(25, 10), (31, 12), (41, 10), (1001, 100)])
+def test_odd_m_factors_agree_with_the_unpadded_halves(shape):
+    """For odd m the zero row on g moves its factors at rounding level only:
+    Q, X, R_f and R_g agree with the per-half QR of the unpadded halves to
+    1e-14 kappa_2 relative."""
+    a = random_centro(*shape, seed=5)
+    got = qx_decompose(a)
+    f, g = fold(a)
+    (qf, rf), (qg, rg) = householder_qr(f), householder_qr(g)
+    tol = 1e-14 * conditioning(got)["kappa2"]
+    pairs = [(got.q, unfold(qf, qg)), (got.x, unfold(rf, rg)), (got.rf, rf), (got.rg, rg)]
+    for have, want in pairs:
+        assert np.max(np.abs(have - want)) <= tol * np.max(np.abs(want))
 
 
 # --------------------------------------------------------------- inverse

@@ -299,7 +299,7 @@ class FirstOrderOperators:
     |M|_2 = |F|_2 and M w = [F w1; reversed F w1] for a mirror-symmetric w =
     [w1; reversed w1]. Only the fold half F of |gx| is kept dense, in ``gx``
     (tau1/2 x mn/2, a quarter of |gx|; the signed map is ``maps["g"]``);
-    row c of hx is the rank-one 2**e a_c u_c^T (``hx_rows``), and
+    row c < tau1/2 of hx is the rank-one 2**e a_c u_c^T (``hx_rows``), and
     ``abs_responses`` forms the first half of |gq| vec|A| in blocks.
     """
 
@@ -307,7 +307,7 @@ class FirstOrderOperators:
     xu: np.ndarray  # X^{-1} / 2**e, at unit scale
     xs: np.ndarray  # X * 2**e
     e: int
-    hx_rows: tuple[np.ndarray, np.ndarray]  # (a, u), each tau1 x n
+    hx_rows: tuple[np.ndarray, np.ndarray]  # (a, u), each tau1/2 x n: the top rows of hx
     gx: np.ndarray  # F = |gx|11 + |gx|12 J, tau1/2 x mn/2: the fold half of |gx|
 
     @property
@@ -383,25 +383,25 @@ def build_first_order_operators(factors) -> FirstOrderOperators:
         raise SizeCapExceeded(f"m*n = {m * n} exceeds the operator cap {OPERATOR_SIZE_CAP}")
     support = support_mask(n)
     xinv = factors.xinv
-    wt, idx = support.weights.T, support.indices  # H^T, H the upx weights
     h, l = support.tau1 // 2, n // 2
-    cols = idx % n  # the column t of each support entry (k, t) of X^T S
+    wt, idx = support.weights.T, support.indices[:h]  # H^T (H the upx weights); top tau1/2 entries
+    cols = idx % n  # the column t of each top support entry (k, t) of X^T S
 
     # Column (p, r) of gx answers dA = e_r e_p^T, for which Q^T dA X^{-1} =
     # v u^T with u = X^{-1}[p] and v = Q[r]. The transposed X change is then
     # (X^T diag(u) H^T) diag(v) + (X^T diag(v) H^T) diag(u): one n x n product
     # per row of X^{-1} and of Q, gathered at the support and scaled by the
-    # other row's entries there. Row c of hx is 2**e ax[c] xu_s[c]^T.
+    # other row's entries there. Row c < tau1/2 of hx is 2**e ax[c] xu_s[c]^T.
     e = binary_exponent(xinv)
     xu = np.ldexp(xinv, -e)
     xs = np.ldexp(xa, e)
     ax = ((xs.T * xu[:, None, :]) @ wt).reshape(n, n * n)[:, idx].T
-    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, idx[:h]].T
-    xu_s, q_s = xu[:, cols].T, qa[:, cols[:h]].T
+    aq = ((xs.T * qa[:, None, :]) @ wt).reshape(m, n * n)[:, idx].T
+    xu_s, q_s = xu[:, cols].T, qa[:, cols].T
     # Row c of gx, as an n x m matrix G_c, is ax[c] q_s[c]^T + xu_s[c] aq[c]^T
     # (rank 2). Row c < tau1/2 of the fold half F of |gx| is |G_c| on its
     # top n/2 rows plus the double flip of |G_c| on its bottom n/2 rows.
-    left = np.stack((ax[:h], xu_s[:h]), axis=2)  # h x n x 2
+    left = np.stack((ax, xu_s), axis=2)  # h x n x 2
     right = np.stack((q_s, aq), axis=1)  # h x 2 x m
     top, bottom = left[:, :l], left[:, l:][:, ::-1]
     flipped = right[:, :, ::-1]
@@ -465,7 +465,7 @@ def comp_matvec_bounds(
     m, n = ops.q.shape
     l = n // 2
     absxs, f_gx = np.abs(ops.xs), ops.gx
-    a, u = (np.abs(f[: len(f_gx)]) for f in ops.hx_rows)  # the top tau1/2 rows
+    a, u = (np.abs(f) for f in ops.hx_rows)
 
     def kron_f(v, x_rows):  # x_rows: the top n/2 rows of |X^T| (or of |X| for the transpose)
         return (x_rows @ _mirror(v).reshape(-1, n, m)).reshape(len(v), -1)

@@ -19,12 +19,14 @@ the column loop drives all B through batched products, so its Python cost
 per column is paid once, and slice i is bit for bit the factorization of
 slice i alone. A 2-d matrix is factored as a stack of one.
 
-``triangular_solve`` is blocked back-substitution: the diagonal blocks of
-width ``TRI_BLOCK`` are inverted together by doubling on their stack,
-then the block rows are solved upward by matrix products, with no
-per-row Python loop; a stack of triangular matrices is solved in the same
-pass. ``checked_matrix`` gives max|A| and rejects non-finite entries in one
-max/min scan, for the kernels that need both.
+``triangular_solve`` inverts upper-triangular matrices (one, or a stack
+in one pass) by blocked back-substitution: ``_block_inverses`` inverts the
+diagonal blocks of width ``TRI_BLOCK`` together, each through its two
+halves, and the block rows are then solved upward on the upper triangle
+by matrix products, with no per-row Python loop. Both stacked kernels read
+their input through ``_read_stack``: a matrix or a stack, as a stack, with
+the largest entry of each slice from one max/min scan that also rejects
+non-finite entries. ``checked_matrix`` does the same for one matrix.
 
 ``spectral_norm`` (of an array) and ``operator_norm`` (of a ``LinearMap``,
 a map given by its action and adjoint on stacks of vectors) work on the
@@ -89,16 +91,26 @@ def checked_matrix(a, name: str = "matrix") -> tuple[np.ndarray, float]:
     return arr, top
 
 
-def _slice_maxima(stack: np.ndarray, name: str) -> list[float]:
-    """``max|S_i|`` of each matrix of a 3-d stack, by one max/min scan that
-    also rejects non-finite entries (``ValueError``)."""
+def _read_stack(a, name: str, upper: bool = False) -> tuple[np.ndarray, list[float], bool]:
+    """``a``, one matrix or a stack of matrices, as a float (S, p, l) stack
+    (a matrix is a stack of one), with ``max|S_i|`` of each slice and
+    whether ``a`` was a stack. With ``upper`` the stack is a copy of the
+    upper triangles, so nothing below the diagonal is read. One max/min scan
+    gives the maxima and rejects non-finite entries (``ValueError``)."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"{name} must be 2- or 3-dimensional, got ndim={arr.ndim}")
+    stacked = arr.ndim == 3
+    stack = arr if stacked else arr[None]
+    if upper:
+        stack = np.triu(stack)
     tops = np.maximum(
         np.maximum.reduce(stack, axis=(1, 2), initial=0.0),
         -np.minimum.reduce(stack, axis=(1, 2), initial=0.0),
     ).tolist()
     if not all(map(math.isfinite, tops)):
         raise ValueError(f"{name} contains non-finite entries")
-    return tops
+    return stack, tops, stacked
 
 
 def max_abs(a) -> float:
@@ -178,13 +190,7 @@ def householder_qr(mat) -> tuple[np.ndarray, np.ndarray]:
     Every input runs ``_qr_lockstep``, a 2-d matrix as a stack of one; slice
     i of a stack is bit for bit the factorization of slice i alone.
     """
-    arr = np.asarray(mat, dtype=float)
-    stacked = arr.ndim == 3
-    if stacked:
-        stack, tops = arr, _slice_maxima(arr, "qr input")
-    else:
-        a, top = checked_matrix(arr, "qr input")
-        stack, tops = a[None], [top]
+    stack, tops, stacked = _read_stack(mat, "qr input")
     p, l = stack.shape[1:]
     if p < l:
         raise ValueError(f"qr input must have at least as many rows as columns, got {p}x{l}")
@@ -262,96 +268,47 @@ def _qr_lockstep(a: np.ndarray, tops: list[float], stacked: bool) -> tuple[np.nd
 TRI_BLOCK = 16  # diagonal block width of triangular_solve
 
 
-@lru_cache(maxsize=8)
-def _upper(w: int) -> np.ndarray:
-    mask = np.triu(np.ones((w, w), dtype=bool))
-    mask.flags.writeable = False
-    return mask
+def _block_inverses(blocks: np.ndarray) -> np.ndarray:
+    """Inverses of the upper-triangular (N, w, w) stack ``blocks``, w a power
+    of two, through [[A, U], [0, C]]^{-1} = [[A^{-1}, A^{-1} (-U) C^{-1}],
+    [0, C^{-1}]]: the halves A and C of every block are inverted together in
+    one recursive call, down to the reciprocal diagonal. Only the upper
+    triangles are read; the strict lower triangles of the inverses are exact
+    (positive) zeros."""
+    n, w = blocks.shape[:2]
+    if w == 1:
+        return 1.0 / blocks
+    h = w // 2
+    halves = _block_inverses(np.concatenate((blocks[:, :h, :h], blocks[:, h:, h:])))
+    inv = np.zeros_like(blocks)
+    inv[:, :h, :h], inv[:, h:, h:] = halves[:n], halves[n:]
+    inv[:, :h, h:] = halves[:n] @ (-blocks[:, :h, h:] @ halves[n:])
+    return inv
 
 
-def _diagonal_block_inverses(ra: np.ndarray, w: int) -> np.ndarray:
-    """Inverses of the w x w diagonal blocks of each upper-triangular matrix
-    of the (S, l, l) stack ``ra``, shape (S, blocks, w, w); the last block
-    of each is padded with the identity.
+def triangular_solve(r) -> np.ndarray:
+    """``R^{-1}``, the Y of R Y = I, for upper-triangular R: one l x l matrix
+    or an (S, l, l) stack, inverted in one pass; slice i of Y is bit for bit
+    the inverse of slice i alone.
 
-    Doubling on all the blocks at once. The stack starts as the reciprocal
-    diagonal plus the negated strict upper triangle -U (the copy negates the
-    diagonal too, and -1/(-d) is 1/d exactly); each level joins
-    neighbouring inverted s x s blocks into one of size 2s through
-    [[A, U], [0, C]]^{-1} = [[A^{-1}, A^{-1} (-U) C^{-1}], [0, C^{-1}]], so
-    ``log2 w`` levels invert them all: the first, on 1 x 1 blocks, by two
-    elementwise products in the same order as the matrix products of the
-    rest. The levels write only above the diagonal, so the strict lower
-    triangles stay exact zeros.
+    Blocked back-substitution (Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992). The diagonal blocks R_II of width ``TRI_BLOCK`` (or the next
+    power of two at or above the order, if smaller; the last block padded
+    with the identity) are inverted together by ``_block_inverses``; then
+    the block rows are solved upward on the upper triangle, Y_II = R_II^{-1}
+    and Y_{I,J>I} = R_II^{-1} (-R_{I,J>I} Y_{J>I,J>I}), by matrix products.
+    Only the upper triangle of R is read, and the strict lower triangle of Y
+    is exact (positive) zeros.
+
+    Raises ``SingularTriangular`` when a diagonal pivot is at most
+    ``PIVOT_TOL`` times the largest upper-triangle entry of its R in
+    magnitude (naming the slice of a stack).
     """
-    ns, l = ra.shape[:2]
-    nb, full = -(-l // w), l // w
-    per_matrix = np.zeros((ns, nb, w, w))
-    stack = per_matrix.reshape(ns * nb, w, w)
-    b0, b1, b2 = stack.strides
-    diagonals = np.ndarray((ns * nb, w), buffer=stack, strides=(b0, b1 + b2))
-    diagonals.fill(-1.0)  # the padding's, negated like the copied ones
-    mask = _upper(w)
-    if full:
-        ra = np.ascontiguousarray(ra)
-        mat, row, item = ra.strides
-        blocks = np.ndarray((ns, full, w, w), buffer=ra, strides=(mat, w * (row + item), row, item))
-        np.negative(blocks, out=per_matrix[:, :full], where=mask)
-    if full < nb:
-        h = l - full * w
-        corner = ra[:, full * w:, full * w:]
-        np.negative(corner, out=per_matrix[:, full, :h, :h], where=mask[:h, :h])
-    np.divide(-1.0, diagonals, out=diagonals)
-    if w > 1:  # a (-u c) on the superdiagonal of each 2 x 2 block
-        upper = np.ndarray((ns * nb, w // 2), buffer=stack, offset=b2, strides=(b0, 2 * (b1 + b2)))
-        upper *= diagonals[:, 1::2]
-        upper *= diagonals[:, 0::2]
-    s = 2
-    while s < w:
-        k = w // (2 * s)
-        blocks = np.ndarray(
-            (ns * nb, k, 2 * s, 2 * s), buffer=stack, strides=(b0, (b1 + b2) * 2 * s, b1, b2)
-        )
-        upper = blocks[:, :, :s, s:]
-        np.matmul(blocks[:, :, :s, :s], upper @ blocks[:, :, s:, s:], out=upper)
-        s *= 2
-    return per_matrix
-
-
-def triangular_solve(r, b) -> np.ndarray:
-    """Solve ``R Y = B`` for upper-triangular R by blocked back-substitution.
-
-    R may be one l x l matrix or an (S, l, l) stack, solved in one pass
-    with B shared (l rows) or stacked (S, l, k); slice i of Y is bit for bit
-    the solve of slice i alone.
-
-    The diagonal blocks of width ``TRI_BLOCK`` (or the next power of two at
-    or above the order, if smaller) are inverted together by doubling
-    (``_diagonal_block_inverses``); then the block rows are solved upward,
-    ``Y_I = D_I^{-1} (B_I - R_{I,J>I} Y_{J>I})``, by matrix products (the
-    blocked form of back-substitution, Du Croz & Higham, IMA J. Numer. Anal.
-    12, 1992). Only the upper triangle of R is read. For an upper-triangular
-    B the strict lower triangle of Y is exact zeros.
-
-    Raises ``SingularTriangular`` when a diagonal pivot is below ``PIVOT_TOL``
-    times the largest entry of its R in magnitude (naming the slice of a
-    stack).
-    """
-    arr = np.asarray(r, dtype=float)
-    stacked = arr.ndim == 3
-    if stacked:
-        ra, tops = arr, _slice_maxima(arr, "triangular matrix")
-    else:
-        ra, top = checked_matrix(arr, "triangular matrix")
-        ra, tops = ra[None], [top]
-    l = ra.shape[1]
-    if ra.shape[2] != l:
-        raise ValueError(f"triangular matrix must be square, got {arr.shape}")
-    b_arr = np.asarray(b, dtype=float)
-    if (b_arr.shape[1] if b_arr.ndim == 3 else b_arr.shape[0]) != l:
-        raise ValueError("right-hand side row count does not match")
-    columns = b_arr[:, None] if b_arr.ndim == 1 else b_arr
-    magnitudes = np.abs(ra.diagonal(axis1=1, axis2=2))
+    y, tops, stacked = _read_stack(r, "triangular matrix", upper=True)
+    l = y.shape[1]
+    if y.shape[2] != l:
+        raise ValueError(f"triangular matrix must be square, got {y.shape[1:]}")
+    magnitudes = np.abs(y.diagonal(axis1=1, axis2=2))
     for i, top in enumerate(tops):
         pivot_floor = PIVOT_TOL * top
         if l and np.minimum.reduce(magnitudes[i]) <= pivot_floor:
@@ -362,17 +319,20 @@ def triangular_solve(r, b) -> np.ndarray:
             )
             raise SingularTriangular(f"slice {i}: {msg}" if stacked else msg)
     w = min(TRI_BLOCK, 1 << (l - 1).bit_length())
-    inverses = _diagonal_block_inverses(ra, w)
-    y = np.empty((len(ra), *columns.shape[-2:]))
-    for i0 in range((l - 1) // w * w, -1, -w):
-        i1 = min(i0 + w, l)
-        rhs = columns[..., i0:i1, :]
+    spans = [(i0, min(i0 + w, l)) for i0 in range(0, l, w)]
+    blocks = np.zeros((len(y), len(spans), w, w))
+    blocks[..., range(w), range(w)] = 1.0  # pads the last block
+    for b, (i0, i1) in enumerate(spans):
+        blocks[:, b, : i1 - i0, : i1 - i0] = y[:, i0:i1, i0:i1]
+    inverses = _block_inverses(blocks.reshape(-1, w, w)).reshape(blocks.shape)
+    # Y overwrites the copy of R block row by block row, upward: block row I
+    # of R is read before it is overwritten, and the rows below it hold Y.
+    for b, (i0, i1) in reversed(list(enumerate(spans))):
+        d = inverses[:, b, : i1 - i0, : i1 - i0]
         if i1 < l:
-            rhs = rhs - ra[:, i0:i1, i1:] @ y[:, i1:]
-        np.matmul(inverses[:, i0 // w, : i1 - i0, : i1 - i0], rhs, out=y[:, i0:i1])
-    if not stacked:
-        y = y[0]
-    return y[..., 0] if b_arr.ndim == 1 else y
+            np.matmul(d, -y[:, i0:i1, i1:] @ y[:, i1:, i1:], out=y[:, i0:i1, i1:])
+        y[:, i0:i1, i0:i1] = d
+    return y if stacked else y[0]
 
 
 @lru_cache(maxsize=32)

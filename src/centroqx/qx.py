@@ -87,7 +87,7 @@ def _decompose_stack(stack: np.ndarray) -> list[QxFactors]:
 
 def _invert_halves(rf: np.ndarray, rg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        yf, yg = triangular_solve(np.stack([rf, rg]), np.eye(rf.shape[1]))
+        yf, yg = triangular_solve(np.stack([rf, rg]))
     except SingularTriangular as exc:
         raise SingularTriangular(f"X factor is numerically singular: {exc}") from exc
     return yf, yg

@@ -176,9 +176,9 @@ def test_adjoint_identities(shape):
 @pytest.mark.parametrize("shape", [(4, 2), (9, 6), (20, 10), (31, 20), (44, 44)])
 def test_first_order_maps_match_kronecker_oracle(shape):
     """The dense fold half of |gx|, the three maps applied to the identity
-    and the rank-one rows of hx equal the Kronecker construction to rounding
-    (relative in the Frobenius norm); the fold half has the memory order of
-    the oracle's |gx| folded."""
+    and the rank-one rows of hx (its top tau1/2 rows) equal the Kronecker
+    construction to rounding (relative in the Frobenius norm); the fold half
+    has the memory order of the oracle's |gx| folded."""
     _, f = _factored(*shape, seed=330 + sum(shape))
     ops = _ops(f)
     gx, hx, gq = kron_operators(f)
@@ -190,7 +190,7 @@ def test_first_order_maps_match_kronecker_oracle(shape):
         ("|gx|", ops.gx, abs_gx),
         ("gx map", materialize(ops.maps["g"]), gx),
         ("hx map", materialize(ops.maps["h"]), hx),
-        ("hx rows", rows.reshape(hx.shape), hx),
+        ("hx rows", rows.reshape(len(a), -1), hx[: len(a)]),
         ("gq map", materialize(ops.maps["gq"]), gq),
     ):
         assert got.shape == want.shape, label
@@ -221,7 +221,7 @@ def test_folded_rank_one_rows_and_their_gram(shape):
     _, f = _factored(*shape, seed=370 + sum(shape))
     ops = _ops(f)
     _, hx, _ = kron_operators(f)
-    a, u = (np.abs(r[: len(ops.gx)]) for r in ops.hx_rows)
+    a, u = (np.abs(r) for r in ops.hx_rows)
     op = bounds_mod._folded_rank_one_rows(a, u, ops.e)
     dense = materialize(op)
     want = fold_half(np.abs(hx))

@@ -20,6 +20,7 @@ from centroqx.errors import NoConvergence, RankDeficient, SingularTriangular
 from centroqx.harness import TrialConfig, run_trial
 from centroqx.linalg import (
     LinearMap,
+    _block_inverses,
     _gram_norm,
     _lanczos_top,
     _start_vector,
@@ -319,24 +320,23 @@ def test_stacked_qr_rejects_malformed_stacks():
 
 
 def test_triangular_solve_fixture():
-    # R = [[2,1],[0,4]], B = I -> [[0.5, -0.125], [0, 0.25]] (hand back-substitution)
+    # R = [[2,1],[0,4]] -> R^{-1} = [[0.5, -0.125], [0, 0.25]] (hand back-substitution)
     r = np.array([[2.0, 1.0], [0.0, 4.0]])
-    got = triangular_solve(r, np.eye(2))
+    got = triangular_solve(r)
     assert np.array_equal(got, np.array([[0.5, -0.125], [0.0, 0.25]]))
 
 
 def test_triangular_solve_matches_numpy():
     r = np.triu(_rand(6, 6, 5)) + 3.0 * np.eye(6)
-    b = _rand(6, 4, 6)
-    got = triangular_solve(r, b)
-    want = np.linalg.solve(r, b)
+    got = triangular_solve(r)
+    want = np.linalg.inv(r)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_triangular_solve_singular():
     r = np.array([[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(SingularTriangular):
-        triangular_solve(r, np.eye(2))
+        triangular_solve(r)
 
 
 SOLVE_ORDERS = [1, 2, 15, 16, 17, 31, 33, 100, 158, 160]
@@ -354,32 +354,42 @@ def test_blocked_solve_residual_zeros_and_scaling(l):
     kappa_F(R); the strict lower triangle of Y is exact (positive) zeros;
     and scaling R by 2**k scales Y by 2**-k bit for bit."""
     r = _triangular(l, seed=l)
-    y = triangular_solve(r, np.eye(l))
+    y = triangular_solve(r)
     kappa_f = np.linalg.norm(r) * np.linalg.norm(np.linalg.inv(r))
     assert np.linalg.norm(r @ y - np.eye(l)) <= 10.0 * 2.0**-53 * kappa_f
     lower = np.tril(y, -1)
     assert np.all(lower == 0.0) and not np.any(np.signbit(lower))
     for k in (-60, -1, 3, 70):
-        assert _bits(triangular_solve(2.0**k * r, np.eye(l))) == _bits(2.0**-k * y)
+        assert _bits(triangular_solve(2.0**k * r)) == _bits(2.0**-k * y)
 
 
-def test_blocked_solve_matches_numpy_on_a_general_right_hand_side():
+def test_blocked_inverse_matches_numpy_in_any_layout():
     r = _triangular(40, seed=4)
-    b = _rand(40, 7, 8)
-    got = triangular_solve(r, b)
-    want = np.linalg.solve(r, b)
+    got = triangular_solve(r)
+    want = np.linalg.inv(r)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # the diagonal blocks are read the same from any memory layout
+    # R is read the same from any memory layout
     strided = np.zeros((50, 45))
     strided[:40, :40] = r
     for layout in (np.asfortranarray(r), strided[:40, :40]):
-        assert _bits(triangular_solve(layout, b)) == _bits(got)
+        assert _bits(triangular_solve(layout)) == _bits(got)
 
 
 def test_blocked_solve_reads_only_the_upper_triangle():
     r = _triangular(37, seed=37)
     noisy = r + np.tril(_rand(37, 37, 9), -1)
-    assert _bits(triangular_solve(noisy, np.eye(37))) == _bits(triangular_solve(r, np.eye(37)))
+    assert _bits(triangular_solve(noisy)) == _bits(triangular_solve(r))
+
+
+@pytest.mark.parametrize("junk", [1e20, np.nan])
+def test_pivot_floor_and_finite_scan_read_only_the_upper_triangle(junk):
+    """A strict lower triangle of 1e20 moves neither the pivot floor nor
+    the result, and one of NaN raises no non-finite error: the inverse is
+    bitwise that of the clean R, for one matrix and for a stack."""
+    rs = np.stack([_triangular(20, seed=20), 2.0**-30 * _triangular(20, seed=21)])
+    dirty = rs + np.tril(np.full((20, 20), junk), -1)
+    assert _bits(triangular_solve(dirty)) == _bits(triangular_solve(rs))
+    assert _bits(triangular_solve(dirty[0])) == _bits(triangular_solve(rs[0]))
 
 
 @pytest.mark.parametrize("pivot", [17, 40, 49])
@@ -387,28 +397,39 @@ def test_blocked_solve_rejects_a_zero_pivot_in_a_later_block(pivot):
     r = _triangular(50, seed=50)
     r[pivot, pivot] = 0.0
     with pytest.raises(SingularTriangular, match=rf"^diagonal entry {pivot} "):
-        triangular_solve(r, np.eye(50))
+        triangular_solve(r)
 
 
 @pytest.mark.parametrize("l", SOLVE_ORDERS)
 def test_stacked_solve_is_bit_identical_per_slice(l):
-    """A stack of two R (at scales 1 and 2**-30) against a shared identity
-    and against stacked right-hand sides: slice i is the solve of slice i
-    alone, bit for bit."""
+    """A stack of two R (at scales 1 and 2**-30): slice i of the stacked
+    inverse is the inverse of slice i alone, bit for bit."""
     rs = np.stack([_triangular(l, seed=l), 2.0**-30 * _triangular(l, seed=l + 1)])
-    rhs = np.stack([_rand(l, 3, 40 + l), _rand(l, 3, 41 + l)])
-    shared = triangular_solve(rs, np.eye(l))
-    own = triangular_solve(rs, rhs)
+    stacked = triangular_solve(rs)
     for i in range(2):
-        assert _bits(shared[i]) == _bits(triangular_solve(rs[i], np.eye(l)))
-        assert _bits(own[i]) == _bits(triangular_solve(rs[i], rhs[i]))
+        assert _bits(stacked[i]) == _bits(triangular_solve(rs[i]))
 
 
 def test_stacked_solve_names_its_singular_slice():
     rs = np.stack([_triangular(50, seed=50), _triangular(50, seed=51)])
     rs[1, 17, 17] = 0.0
     with pytest.raises(SingularTriangular, match=r"^slice 1: diagonal entry 17 "):
-        triangular_solve(rs, np.eye(50))
+        triangular_solve(rs)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8, 16])
+def test_block_inverses_match_numpy_and_skip_the_lower_triangle(w):
+    """A stack of three w x w upper-triangular blocks inverts to numpy's
+    inverses; a NaN strict lower triangle changes no bit of the result."""
+    rng = np.random.default_rng(w)
+    blocks = np.triu(rng.uniform(-1.0, 1.0, (3, w, w))) + 2.0 * np.eye(w)
+    got = _block_inverses(blocks)
+    assert got.shape == blocks.shape
+    for block, inv in zip(blocks, got):
+        want = np.linalg.inv(block)
+        assert np.max(np.abs(inv - want)) <= 1e-14 * np.max(np.abs(want))
+    dirty = blocks + np.tril(np.full((w, w), np.nan), -1)
+    assert _bits(_block_inverses(dirty)) == _bits(got)
 
 
 # ---------------------------------------------------------- spectral norm
@@ -464,9 +485,7 @@ def test_kernels_reject_malformed_operands():
     with pytest.raises(ValueError, match="at least as many rows"):
         householder_qr(np.ones((2, 3)))
     with pytest.raises(ValueError, match="square"):
-        triangular_solve(np.ones((3, 2)), np.ones(3))
-    with pytest.raises(ValueError, match="row count"):
-        triangular_solve(np.eye(3), np.ones(2))
+        triangular_solve(np.ones((3, 2)))
     with pytest.raises(ValueError, match="2-dimensional"):
         spectral_norm(np.ones(3))
 

@@ -151,8 +151,7 @@ def _factored_alone(a):
     padded = np.zeros_like(f)
     padded[: len(g)] = g
     (qf, rf), (qg, rg) = householder_qr(f), householder_qr(padded)
-    eye = np.eye(rf.shape[1])
-    xinv = unfold(triangular_solve(rf, eye), triangular_solve(rg, eye))
+    xinv = unfold(triangular_solve(rf), triangular_solve(rg))
     return unfold(qf, qg[: len(g)]), unfold(rf, rg), rf, rg, xinv
 
 

@@ -1,6 +1,7 @@
 """Static checks on the package source: every imported name is used, each
-module imports only modules below it in the layer order, and no module
-reaches for ``numpy.linalg`` or scipy."""
+module imports only modules below it in the layer order, no module
+reaches for ``numpy.linalg`` or scipy, and none builds a raw strided view
+of memory."""
 
 from __future__ import annotations
 
@@ -157,4 +158,63 @@ def test_foreign_kernel_check_flags_planted_uses():
         "import numpy.linalg (line 5)",
         "xp.linalg (line 9)",
         "np.linalg (line 9)",
+    ]
+
+
+STRIDE_NAMES = frozenset({"as_strided", "stride_tricks"})
+
+
+def strided_views(source: str) -> list[str]:
+    """Raw strided views of memory: ``ndarray(...)`` given a buffer or
+    strides (by keyword, or positionally from its third argument on), and
+    any reach for ``as_strided`` or ``numpy.lib.stride_tricks`` (a name, an
+    attribute or an import)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            callee = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            keys = [k.arg for k in node.keywords if k.arg in ("buffer", "strides")]
+            if callee == "ndarray" and (keys or len(node.args) > 2):
+                found.append(f"ndarray({', '.join(keys) or 'positional'}) (line {node.lineno})")
+        if isinstance(node, ast.Name):
+            parts = [node.id]
+        elif isinstance(node, ast.Attribute):
+            parts = [node.attr]
+        elif isinstance(node, ast.alias):
+            parts = node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in sorted(STRIDE_NAMES.intersection(parts))]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_raw_strided_views(path):
+    """Views are taken by slicing, reshaping and transposing, which numpy
+    checks against the array's bounds; a hand-made buffer view is not."""
+    assert strided_views(path.read_text(encoding="utf-8")) == []
+
+
+def test_strided_view_check_flags_planted_uses():
+    source = (
+        "import numpy as np\nfrom numpy.lib.stride_tricks import as_strided\n"
+        "import numpy.lib.stride_tricks\n\n"
+        "def f(a):\n"
+        "    v = np.ndarray((2, 2), buffer=a, strides=(8, 8))\n"
+        "    w = np.ndarray((2,), float, a)\n"
+        "    x = np.lib.stride_tricks.sliding_window_view(a, 2)\n"
+        "    fresh = np.ndarray((2, 2)) + np.ndarray(shape=(2,), dtype=float)\n"
+        "    return as_strided(a, (2,), (8,)), a.diagonal(), a.reshape(2, -1).T\n"
+    )
+    assert strided_views(source) == [
+        "stride_tricks (line 2)",
+        "as_strided (line 2)",
+        "stride_tricks (line 3)",
+        "ndarray(buffer, strides) (line 6)",
+        "ndarray(positional) (line 7)",
+        "stride_tricks (line 8)",
+        "as_strided (line 10)",
     ]

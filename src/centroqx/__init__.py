@@ -8,9 +8,7 @@ deterministic experiment harness exposed through the ``centroqx`` CLI.
 
 from .centro import (
     centro_from_free_entries,
-    exchange_matrix,
     fold,
-    fold_basis,
     free_entry_count,
     is_centrosymmetric,
     random_centro,
@@ -19,16 +17,7 @@ from .centro import (
     unfold,
 )
 from .qx import QxFactors, conditioning, qx_decompose, verify_qx, x_inverse
-from .xops import (
-    is_x_type,
-    lowx,
-    scaling_candidates,
-    support_mask,
-    upx,
-    utx,
-    varsigma,
-    xvec,
-)
+from .xops import scaling_candidates, support_mask, upx, varsigma, xvec
 
 __version__ = "0.1.0"
 
@@ -36,13 +25,9 @@ __all__ = [
     "QxFactors",
     "centro_from_free_entries",
     "conditioning",
-    "exchange_matrix",
     "fold",
-    "fold_basis",
     "free_entry_count",
     "is_centrosymmetric",
-    "is_x_type",
-    "lowx",
     "qx_decompose",
     "random_centro",
     "random_centro_perturbation",
@@ -51,7 +36,6 @@ __all__ = [
     "toeplitz_centro",
     "unfold",
     "upx",
-    "utx",
     "varsigma",
     "verify_qx",
     "x_inverse",

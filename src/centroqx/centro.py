@@ -23,13 +23,6 @@ from .rng import derive_seed, sign_stream, uniform_open
 CENTRO_TOL = 1e-12
 
 
-def exchange_matrix(k: int) -> np.ndarray:
-    """The k x k anti-diagonal permutation (ones on the anti-diagonal)."""
-    if k < 0:
-        raise ValueError("dimension must be non-negative")
-    return np.eye(k)[::-1].copy()
-
-
 def _defect(arr: np.ndarray) -> float:
     """``max|R A R - A|`` from half of A: the top rows against the flipped
     bottom rows, and for odd m the middle row against its reverse. D = RAR - A
@@ -51,34 +44,6 @@ def is_centrosymmetric(a) -> bool:
     """Defect at most ``CENTRO_TOL * max|A|``: relative, so scaling A does not change it."""
     arr, top = checked_matrix(a, "centrosymmetry check")
     return _defect(arr) <= CENTRO_TOL * top
-
-
-def fold_basis(k: int) -> np.ndarray:
-    """Orthogonal basis B_k with ``B_k^T R_k B_k`` block-signature diagonal.
-
-    Columns split the space into the flip-symmetric half followed by the
-    flip-antisymmetric half; conjugating a centrosymmetric matrix by these
-    bases block-diagonalizes it.
-    """
-    if k <= 0:
-        raise ValueError("dimension must be positive")
-    p = k // 2
-    inv = 1.0 / np.sqrt(2.0)
-    b = np.zeros((k, k))
-    eye = np.eye(p)
-    rev = eye[::-1]
-    if k % 2 == 0:
-        b[:p, :p] = inv * eye
-        b[:p, p:] = inv * eye
-        b[p:, :p] = inv * rev
-        b[p:, p:] = -inv * rev
-    else:
-        b[:p, :p] = inv * eye
-        b[:p, p + 1:] = inv * eye
-        b[p, p] = 1.0
-        b[p + 1:, :p] = inv * rev
-        b[p + 1:, p + 1:] = -inv * rev
-    return b
 
 
 class FoldedPair(NamedTuple):

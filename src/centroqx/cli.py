@@ -53,6 +53,12 @@ def _eps_list(text: str) -> list[float]:
     return values
 
 
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative count, got {text!r}")
+    return int(text)
+
+
 def _fmt(value) -> str:
     if value is None:
         return "-"
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generator_args(p_cond)
     p_cond.add_argument(
         "--probe",
-        type=int,
+        type=_count,
         default=0,
         help="empirical probe trials (0 disables)",
     )

@@ -3,10 +3,143 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from centroqx.xops import support_mask
+from centroqx.centro import CENTRO_TOL, is_centrosymmetric
+from centroqx.linalg import as_matrix, frobenius_norm, max_abs
+from centroqx.xops import ScalingD, support_mask, upx, varsigma
+
+
+def exchange_matrix(k: int) -> np.ndarray:
+    """The k x k anti-diagonal permutation (ones on the anti-diagonal)."""
+    if k < 0:
+        raise ValueError("dimension must be non-negative")
+    return np.eye(k)[::-1].copy()
+
+
+def fold_basis(k: int) -> np.ndarray:
+    """Orthogonal basis B_k with ``B_k^T R_k B_k`` block-signature diagonal.
+
+    Columns split the space into the flip-symmetric half followed by the
+    flip-antisymmetric half; conjugating a centrosymmetric matrix by these
+    bases block-diagonalizes it.
+    """
+    if k <= 0:
+        raise ValueError("dimension must be positive")
+    p = k // 2
+    inv = 1.0 / np.sqrt(2.0)
+    b = np.zeros((k, k))
+    eye = np.eye(p)
+    rev = eye[::-1]
+    if k % 2 == 0:
+        b[:p, :p] = inv * eye
+        b[:p, p:] = inv * eye
+        b[p:, :p] = inv * rev
+        b[p:, p:] = -inv * rev
+    else:
+        b[:p, :p] = inv * eye
+        b[:p, p + 1:] = inv * eye
+        b[p, p] = 1.0
+        b[p + 1:, :p] = inv * rev
+        b[p + 1:, p + 1:] = -inv * rev
+    return b
+
+
+def selection_dense(n: int) -> np.ndarray:
+    """The tau1 x n^2 matrix whose rows pick the S positions out of vec(C)."""
+    support = support_mask(n)
+    m = np.zeros((support.tau1, n * n))
+    m[np.arange(support.tau1), support.indices] = 1.0
+    return m
+
+
+def indicator_dense(n: int) -> np.ndarray:
+    """The n^2 x n^2 matrix of ``utx`` on vec(C)."""
+    return np.diag(support_mask(n).inside.reshape(-1, order="F").astype(float))
+
+
+def _square(c, name: str) -> np.ndarray:
+    arr = as_matrix(c, name)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got {arr.shape}")
+    return arr
+
+
+def lowx(c) -> np.ndarray:
+    """Complementary part ``C - upx(C)``, which is ``upx(C^T)^T``: S and its
+    transpose cover every position and overlap on the two diagonals, so the
+    complementary weights are the transposed ones."""
+    arr = _square(c, "lowx input")
+    return arr * support_mask(arr.shape[0]).weights.T
+
+
+def utx(c) -> np.ndarray:
+    """Indicator projection onto S (no halving)."""
+    arr = _square(c, "utx input")
+    return arr * support_mask(arr.shape[0]).inside
+
+
+def is_x_type(c) -> bool:
+    """Centrosymmetric (``is_centrosymmetric``) and supported on S, both up
+    to ``CENTRO_TOL*max|C|`` (relative)."""
+    arr = _square(c, "x-type check")
+    n = arr.shape[0]
+    if n % 2 != 0 or not is_centrosymmetric(arr):
+        return False
+    return max_abs(arr * (~support_mask(n).inside)) <= CENTRO_TOL * max_abs(arr)
+
+
+@dataclass
+class CheckReport:
+    """Residuals/slacks from the diagonal-scaling interchange identities."""
+
+    residuals: dict[str, float]
+    slacks: dict[str, float]
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.residuals.values())
+
+    @property
+    def min_slack(self) -> float:
+        return min(self.slacks.values())
+
+
+def lemma1_check(a, d: ScalingD) -> CheckReport:
+    """Exercise the interchange identities and norm bounds for one scaling.
+
+    Residuals (should vanish to roundoff): palindromic diagonals commute with
+    the support projections — ``upx(A D) == upx(A) D``, ``upx(D A) == D
+    upx(A)``, and the same for ``lowx``.
+
+    Slacks (should be non-negative):
+    - ``sqrt(1 + varsigma^2) |A|_F - |upx(A) + D^{-1} upx(A^T) D|_F``
+    - ``sqrt2 * varsigma * |A|_F - |D lowx(A) D^{-1} - D^{-1} lowx(A)^T D|_F``
+    """
+    arr = _square(a, "lemma input")
+    if arr.shape[0] != d.n:
+        raise ValueError("scaling dimension does not match the matrix")
+    diag = d.diagonal()
+    inv = 1.0 / diag
+    a_fro = frobenius_norm(arr)
+    sig = varsigma(d)
+
+    residuals = {
+        "upx_right": frobenius_norm(upx(arr * diag[None, :]) - upx(arr) * diag[None, :]),
+        "upx_left": frobenius_norm(upx(diag[:, None] * arr) - diag[:, None] * upx(arr)),
+        "lowx_right": frobenius_norm(lowx(arr * diag[None, :]) - lowx(arr) * diag[None, :]),
+        "lowx_left": frobenius_norm(lowx(diag[:, None] * arr) - diag[:, None] * lowx(arr)),
+    }
+    sym = upx(arr) + inv[:, None] * upx(arr.T) * diag[None, :]
+    low = lowx(arr)
+    sandwich = diag[:, None] * low * inv[None, :] - inv[:, None] * low.T * diag[None, :]
+    slacks = {
+        "symmetrized": float(np.sqrt(1.0 + sig**2) * a_fro - frobenius_norm(sym)),
+        "skew_sandwich": float(np.sqrt(2.0) * sig * a_fro - frobenius_norm(sandwich)),
+    }
+    return CheckReport(residuals=residuals, slacks=slacks)
 
 
 def vec_perm_indices(m: int, n: int) -> np.ndarray:

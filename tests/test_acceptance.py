@@ -16,19 +16,14 @@ import pytest
 
 import centroqx.bounds as bounds_mod
 from centroqx.bounds import build_first_order_operators
-from centroqx.centro import exchange_matrix, random_centro
+from centroqx.centro import random_centro
 from centroqx.cli import main as cli_main
 from centroqx.condnum import empirical_cond_probe, mixed_comp_cond
 from centroqx.harness import TrialConfig, fd_check, run_trial
 from centroqx.qx import qx_decompose
 from centroqx.rng import derive_seed, uniform_open
-from centroqx.xops import (
-    lemma1_check,
-    lowx,
-    make_scaling,
-    support_mask,
-    upx,
-)
+from centroqx.xops import make_scaling, support_mask, upx
+from oracles import exchange_matrix, indicator_dense, lemma1_check, lowx, selection_dense
 
 SIZES = [(4, 2), (8, 4), (20, 10), (31, 20), (40, 40)]
 
@@ -88,11 +83,11 @@ def test_criterion_2_operator_identities(acceptance):
     ok = True
     for n in (2, 4, 6, 8, 10):
         ops = support_mask(n)
-        sel = ops.selection_dense()
+        sel = selection_dense(n)
         ok &= ops.tau1 == n * (n + 2) // 2
         ok &= int(np.sum(support_mask(n).inside)) == n * (n + 2) // 2
         ok &= np.array_equal(sel @ sel.T, np.eye(ops.tau1))
-        ok &= np.array_equal(sel.T @ sel, ops.indicator_dense())
+        ok &= np.array_equal(sel.T @ sel, indicator_dense(n))
     draws = 0
     for t in range(500):
         n = (2, 4, 6, 8, 10)[t % 5]

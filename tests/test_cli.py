@@ -126,6 +126,13 @@ def test_cond_with_probe(capsys):
     assert out.rstrip().endswith("upper-estimate dominance: PASS")
 
 
+def test_cond_rejects_a_negative_probe_count(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cond", "--m", "4", "--n", "2", "--probe", "-3"])
+    assert exc.value.code == 2
+    assert "non-negative count" in capsys.readouterr().err
+
+
 def test_cond_json(capsys):
     rc = main(["cond", "--m", "4", "--n", "2", "--seed", "5", "--json"])
     assert rc == 0
@@ -212,6 +219,18 @@ def test_fd_check_rejects_empty_eps_list(capsys):
         main(["fd-check", "--m", "8", "--n", "4", "--eps", ","])
     assert exc.value.code == 2
     assert "eps list is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [("1e-5", "at least two eps values"), ("0,0", "finite and positive")],
+)
+def test_fd_check_rejects_eps_lists_with_no_ratio_to_check(capsys, eps, message):
+    rc = main(["fd-check", "--m", "8", "--n", "4", "--eps", eps])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert message in captured.err
+    assert "fd-check: PASS" not in captured.out
 
 
 # ----------------------------------------------------------------- verify

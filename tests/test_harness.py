@@ -386,6 +386,22 @@ def test_fd_check_linear_decay():
     assert len(d["rx_ratios"]) == 3
 
 
+@pytest.mark.parametrize(
+    "eps_values, message",
+    [
+        ([], "at least two"),
+        ([1e-5], "at least two"),
+        ([0.0, 0.0], "finite and positive"),
+        ([1e-4, -1e-5], "finite and positive"),
+        ([1e-4, float("nan")], "finite and positive"),
+        ([float("inf"), 1e-5], "finite and positive"),
+    ],
+)
+def test_fd_check_rejects_eps_values_with_no_ratio_to_check(eps_values, message):
+    with pytest.raises(ValueError, match=message):
+        fd_check(8, 4, seed=17, eps_values=eps_values)
+
+
 # ------------------------------------------------------------- self-verify
 
 
@@ -394,9 +410,6 @@ def test_verify_passes_and_reports_sections():
     assert summary.ok
     assert list(summary.sections) == [
         "factorization",
-        "operator-identities",
-        "norm-inequalities",
-        "lemma-identities",
         "bound-domination",
         "fd-ratios",
     ]

@@ -14,7 +14,6 @@ import centroqx.centro as centro_mod
 import centroqx.qx as qx_mod
 from centroqx.bounds import FactorNorms, bound_report
 from centroqx.centro import (
-    exchange_matrix,
     fold,
     random_centro,
     random_centro_perturbation,
@@ -29,7 +28,8 @@ from centroqx.errors import (
 from centroqx.linalg import householder_qr, triangular_solve
 from centroqx.qx import conditioning, qx_decompose, verify_qx, x_inverse
 from centroqx.rng import uniform_open
-from centroqx.xops import is_x_type, support_mask
+from centroqx.xops import support_mask
+from oracles import exchange_matrix, is_x_type
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)

@@ -218,3 +218,43 @@ def test_strided_view_check_flags_planted_uses():
         "stride_tricks (line 8)",
         "as_strided (line 10)",
     ]
+
+
+# Public names that no package module reads: the entry points a library
+# user calls. Anything else unread is test-only code and belongs in the tests.
+ENTRY_POINTS = {"centro.is_centrosymmetric", "matio.read_matrices", "qx.x_inverse"}
+
+
+def unread_public_names(sources: dict[str, str]) -> set[str]:
+    """``module.name`` of each public top-level function or class in
+    ``sources`` (module name -> source) that no source reads, by name or as
+    an attribute."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [
+            f"{module}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return {name for name in defined if name.split(".")[1] not in read}
+
+
+def test_only_the_entry_points_lack_a_package_reader():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.stem != "__init__"}
+    assert unread_public_names(sources) == ENTRY_POINTS
+
+
+def test_unread_name_check_flags_a_dead_definition():
+    sources = {
+        "a": "def used():\n    pass\n\ndef _private():\n    pass\n\nclass Dead:\n    pass\n",
+        "b": (
+            "from .a import used\n\ndef entry(x):\n    return used() + x.by_attribute()\n\n"
+            "def by_attribute():\n    pass\n"
+        ),
+    }
+    assert unread_public_names(sources) == {"a.Dead", "b.entry"}

@@ -17,17 +17,14 @@ from centroqx.errors import OddDimension, ZeroRow
 from centroqx.linalg import vec
 from centroqx.rng import uniform_open
 from centroqx.xops import (
-    is_x_type,
-    lemma1_check,
-    lowx,
     make_scaling,
     scaling_candidates,
     support_mask,
     upx,
-    utx,
     varsigma,
     xvec,
 )
+from oracles import indicator_dense, is_x_type, lemma1_check, lowx, selection_dense, utx
 
 
 def _in_support_ref(alpha: int, beta: int, n: int) -> bool:
@@ -151,11 +148,11 @@ def test_xvec_rejects_rectangular():
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_structured_operator_matrices(n):
     ops = support_mask(n)
-    sel = ops.selection_dense()
+    sel = selection_dense(n)
     tau1 = n * (n + 2) // 2
     assert sel.shape == (tau1, n * n)
     assert np.array_equal(sel @ sel.T, np.eye(tau1))
-    assert np.array_equal(sel.T @ sel, ops.indicator_dense())
+    assert np.array_equal(sel.T @ sel, indicator_dense(n))
     c = uniform_open(70 + n, n * n).reshape(n, n)
     # half-weight operator realizes the halved projection in vec coordinates
     hw = np.diag(ops.weights.reshape(-1, order="F"))
@@ -164,7 +161,7 @@ def test_structured_operator_matrices(n):
     assert np.allclose(sel @ hw @ vec(c), xvec(upx(c)), rtol=0, atol=1e-15)
     # indicator realizes utx in vec coordinates
     assert np.allclose(
-        ops.indicator_dense() @ vec(c), vec(utx(c)), rtol=0, atol=1e-15
+        indicator_dense(n) @ vec(c), vec(utx(c)), rtol=0, atol=1e-15
     )
 
 
